@@ -24,8 +24,7 @@ from .metrics import RunMetrics, summarize
 from .runtime import (MODE_SEQUENTIAL, MODE_THREADED, RUN_MODES, RunHandle,
                       TransportConfig, WorkerProgram, parse_mode, spawn)
 from .schemes import (CAUSE_FLUSH, CAUSE_FULL, CoalescedMessage, SchemeKind,
-                      create_aggregator, group_items, set_auto_flush,
-                      split_grouped)
+                      create_aggregator, group_items, split_grouped)
 from .topology import Item, Topology, node_of, process_of, workers_of
 
 __version__ = "0.1.0"
@@ -38,6 +37,6 @@ __all__ = [
     "TransportConfig", "UnboundedLatencyError", "UsageError",
     "WorkerProgram", "create_aggregator", "group_items", "grouping_cost",
     "latency_penalty", "memory_overhead", "message_bounds", "node_of",
-    "parse_mode", "process_of", "send_cost", "set_auto_flush", "spawn",
-    "split_grouped", "summarize", "workers_of",
+    "parse_mode", "process_of", "send_cost", "spawn", "split_grouped",
+    "summarize", "workers_of",
 ]

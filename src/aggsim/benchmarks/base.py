@@ -25,20 +25,16 @@ def resolve_scheme(token):
 
 def launch(*, topo: Topology, scheme, g: int, item_bytes: int, program,
            mode: str, seed: int, cfg: TransportConfig = None,
-           work_ns: int = 100, deliver_ns: int = 50, record_items=False,
-           trace=False, samples_cap=None, sinks_optional=False,
-           auto_flush_idle=False, flush_timeout_ns=None):
+           work_ns: int = 100, deliver_ns: int = 50, trace=False,
+           flush_timeout_ns=None):
     """Build the aggregator for a scheme token and spawn a run."""
     kind, g_override = resolve_scheme(scheme)
     g_eff = g_override if g_override is not None else g
     agg = create_aggregator(kind, topo, g_eff, item_bytes)
-    if auto_flush_idle or flush_timeout_ns is not None:
-        agg.set_auto_flush(auto_flush_idle, flush_timeout_ns)
-    kw = dict(mode=mode, program=program, seed=seed, work_ns=work_ns,
-              deliver_ns=deliver_ns, record_items=record_items, trace=trace)
-    if samples_cap is not None:
-        kw["samples_cap"] = samples_cap
-    return spawn(topo, agg, cfg, **kw), g_eff
+    agg.set_flush_timeout(flush_timeout_ns)
+    return spawn(topo, agg, cfg, mode=mode, program=program, seed=seed,
+                 work_ns=work_ns, deliver_ns=deliver_ns,
+                 trace=trace), g_eff
 
 
 class BenchResult:

@@ -261,30 +261,22 @@ def _cmd_sweep(args):
     return 0
 
 
-# -- parser --------------------------------------------------------------------
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="aggsim",
-        description="message aggregation simulator and cost model")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("histogram", help="scattered table updates")
-    p.add_argument("--updates", type=int, default=_env("UPDATES", "100000"),
+# -- benchmark flag groups, declared once for the subcommand and sweep ------
+def _histogram_flags(p, updates):
+    p.add_argument("--updates", type=int, default=updates,
                    help="table updates per worker")
     p.add_argument("--table-size", type=int, default=65536)
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_single, benchmark="histogram")
 
-    p = sub.add_parser("ig", help="random gather round trips")
-    p.add_argument("--requests", type=int, default=_env("REQUESTS", "50000"),
+
+def _ig_flags(p, requests):
+    p.add_argument("--requests", type=int, default=requests,
                    help="read requests per worker")
     p.add_argument("--table-size", type=int, default=65536)
     p.add_argument("--self-only", action="store_true",
                    help="every worker reads only its own slots")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_single, benchmark="ig")
 
-    p = sub.add_parser("sssp", help="delta-stepping shortest paths")
+
+def _sssp_flags(p):
     p.add_argument("--graph", default=None,
                    help="edge list file: 'u v w' per line")
     p.add_argument("--random-n", type=int, default=1000,
@@ -295,16 +287,41 @@ def _build_parser():
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--delta", type=int, default=100,
                    help="threshold step per phase")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_single, benchmark="sssp")
 
-    p = sub.add_parser("phold", help="event cascade without rollback")
+
+def _phold_flags(p):
     p.add_argument("--lps", type=int, default=64,
                    help="logical processes per worker")
     p.add_argument("--init-events", type=int, default=2,
                    help="initial events per LP")
     p.add_argument("--mean-increment", type=float, default=100.0)
     p.add_argument("--end-time", type=float, default=2000.0)
+
+
+# -- parser --------------------------------------------------------------------
+def _build_parser():
+    top = argparse.ArgumentParser(
+        prog="aggsim",
+        description="message aggregation simulator and cost model")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("histogram", help="scattered table updates")
+    _histogram_flags(p, _env("UPDATES", "100000"))
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_single, benchmark="histogram")
+
+    p = sub.add_parser("ig", help="random gather round trips")
+    _ig_flags(p, _env("REQUESTS", "50000"))
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_single, benchmark="ig")
+
+    p = sub.add_parser("sssp", help="delta-stepping shortest paths")
+    _sssp_flags(p)
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_single, benchmark="sssp")
+
+    p = sub.add_parser("phold", help="event cascade without rollback")
+    _phold_flags(p)
     p.add_argument("--record-log", action="store_true",
                    help="keep arrival logs and cross-check the ooo count")
     _add_run_flags(p)
@@ -334,7 +351,9 @@ def _build_parser():
     p.add_argument("--out", default=_env("OUT"))
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("sweep", help="scheme x buffer-size grid to CSV")
+    # histogram and ig both declare --table-size; the later one stands
+    p = sub.add_parser("sweep", help="scheme x buffer-size grid to CSV",
+                       conflict_handler="resolve")
     p.add_argument("--benchmark", choices=sorted(_CELLS),
                    default="histogram")
     p.add_argument("--schemes", type=_str_list,
@@ -343,20 +362,10 @@ def _build_parser():
     p.add_argument("--g-values", type=_int_list,
                    default=_env("G_VALUES", "512,1024,2048,4096"),
                    help="comma list of buffer capacities")
-    p.add_argument("--updates", type=int, default=20000)
-    p.add_argument("--requests", type=int, default=20000)
-    p.add_argument("--table-size", type=int, default=65536)
-    p.add_argument("--self-only", action="store_true")
-    p.add_argument("--graph", default=None)
-    p.add_argument("--random-n", type=int, default=1000)
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--graph-seed", type=int, default=0)
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--delta", type=int, default=100)
-    p.add_argument("--lps", type=int, default=64)
-    p.add_argument("--init-events", type=int, default=2)
-    p.add_argument("--mean-increment", type=float, default=100.0)
-    p.add_argument("--end-time", type=float, default=2000.0)
+    _histogram_flags(p, 20000)
+    _ig_flags(p, 20000)
+    _sssp_flags(p)
+    _phold_flags(p)
     _add_run_flags(p, with_scheme=False)
     p.set_defaults(func=_cmd_sweep)
 

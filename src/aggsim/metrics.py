@@ -151,7 +151,6 @@ class RunMetrics:
     messages_by_scope: list = field(default_factory=list, repr=False)
     inserted_by_scope: list = field(default_factory=list, repr=False)
     comm: Optional[dict] = field(default=None, repr=False)
-    latency_samples: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -218,5 +217,4 @@ def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
         messages_by_scope=msgs_by_scope,
         inserted_by_scope=list(inserted_by_scope),
         comm=comm,
-        latency_samples=samples,
     )

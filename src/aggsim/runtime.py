@@ -8,6 +8,10 @@ Run modes:
 * threaded: one OS thread per worker with wall clocks. Interleavings are
   real; transport costs are recorded but not slept.
 
+Both engines share one worker context, one per-message cost and accounting
+path, and the handle surface; they differ only in the clock, the delivery
+queue and how a message is enqueued.
+
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
 its origin process's single comm context for comm_cost_ns; that context is a
@@ -16,10 +20,12 @@ per ns per process. Channels between process pairs are FIFO: arrival stamps
 are clamped monotone per (origin process, destination process) pair.
 
 Quiescence holds when every driver is done, every delivery queue is empty,
-and the produced item count equals the delivered count. await_quiescence
-performs idle-flush rounds (flushing every buffer scope) whenever the run
-stalls short of that, so buffered items cannot be stranded; run_idle stops at
-the stall instead and leaves buffers alone.
+and the produced item count equals the delivered count. run_phase and
+await_quiescence perform idle-flush rounds (flushing every buffer scope)
+whenever the run stalls short of that, so buffered items cannot be stranded.
+With a flush timeout set, each scheduling turn first flushes the worker's
+expired buffers, and a stalled sequential run jumps owners' clocks to their
+pending deadlines before it falls back to an idle-flush round.
 """
 from __future__ import annotations
 
@@ -93,24 +99,26 @@ class WorkerProgram:
 
 
 # ---------------------------------------------------------------------------
-# sequential engine
+# worker contexts
 # ---------------------------------------------------------------------------
 
-class _SeqWorker:
-    """Worker context for the sequential engine; also the ctx drivers see."""
+class _Worker:
+    """Worker context on a virtual clock; also the ctx drivers see.
 
-    __slots__ = ("wid", "proc", "now", "queue", "prio", "driver",
-                 "driver_done", "rng", "work_ns", "produced", "delivered",
-                 "self_sends", "shard", "seq_next", "seq_stride", "ins_log",
-                 "dl_log", "_agg")
+    queue holds the worker's pending deliveries: a deque of (arrival, items)
+    in the sequential engine, a _TQueue in the threaded one.
+    """
 
-    def __init__(self, wid, proc, rng, work_ns, shard, stride, record_items,
-                 agg):
+    __slots__ = ("wid", "now", "queue", "driver", "driver_done",
+                 "rng", "work_ns", "produced", "delivered", "self_sends",
+                 "shard", "seq_next", "seq_stride", "ins_log", "dl_log",
+                 "_agg", "_epoch", "thread")
+
+    def __init__(self, wid, rng, work_ns, shard, stride, record_items,
+                 agg, queue, epoch):
         self.wid = wid
-        self.proc = proc
         self.now = 0
-        self.queue = deque()
-        self.prio = deque()
+        self.queue = queue
         self.driver = None
         self.driver_done = False
         self.rng = rng
@@ -124,11 +132,15 @@ class _SeqWorker:
         self.ins_log = [] if record_items else None
         self.dl_log = [] if record_items else None
         self._agg = agg
+        self._epoch = epoch
+        self.thread = None
 
     def time_ns(self) -> int:
         return self.now
 
     def advance(self, ns: int) -> None:
+        if ns < 0:
+            raise UsageError(f"cannot advance a clock by {ns} ns")
         self.now += ns
 
     def insert(self, dest: int, payload) -> None:
@@ -141,48 +153,75 @@ class _SeqWorker:
         self._agg.insert(self.wid, Item(dest, payload, self.now, s), self.now)
 
     def flush(self) -> int:
-        return self._agg.flush(self.wid, self.now)
+        return self._agg.flush(self.wid, self.time_ns())
 
+
+class _WallWorker(_Worker):
+    """Worker context on the wall clock (threaded engine).
+
+    Wall time passes on its own, so now only carries the latest insert's
+    timestamp and advance has no effect beyond its argument check.
+    """
+
+    __slots__ = ()
+
+    def time_ns(self) -> int:
+        return time.monotonic_ns() - self._epoch
+
+    def insert(self, dest: int, payload) -> None:
+        # the shared body adds work_ns back, stamping the item at wall time
+        self.now = self.time_ns() - self.work_ns
+        _Worker.insert(self, dest, payload)
+
+
+# ---------------------------------------------------------------------------
+# shared wiring
+# ---------------------------------------------------------------------------
 
 class _BaseRun:
     """Shared wiring for both engines (a RunHandle in the public API)."""
 
     mode = "?"
+    _context = _Worker
+    _queue = deque      # delivery queue factory
+    _epoch = 0          # wall-clock origin, threaded engine only
 
     def __init__(self, topo: Topology, agg: Aggregator, cfg: TransportConfig,
-                 program, *, seed, work_ns, deliver_ns, samples_cap,
-                 record_items, trace, record_arrivals):
+                 program, *, seed, work_ns, deliver_ns, record_items, trace,
+                 record_arrivals):
         if agg.topo != topo:
             raise UsageError("aggregator topology does not match the run")
+        agg.bind(self)
         self._topo = topo
         self._agg = agg
         self._cfg = cfg or TransportConfig()
         self._seed = seed
-        self._work_ns = work_ns
         self._deliver_ns = deliver_ns
         w = topo.total_workers
         n = topo.total_processes
-        self._n_workers = w
         self._n_procs = n
         self._t = topo.workers_per_proc
-        scope_kind = agg.scope_kind
-        n_scopes = w if scope_kind == "worker" else n
+        n_scopes = w if agg.scope_kind == "worker" else n
         self._log = MessageLog(n_scopes, agg.item_bytes,
                                self._cfg.header_bytes, trace)
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
         self._comm_last = [0.0] * n
-        self._chan_last = {}
         self._arrivals = [] if record_arrivals else None
         self._quiesced = False
-        self._final = None
-        cap = max(1, samples_cap // w)
-        self._shard_cap = cap
-        self._record_items = record_items
-        # drivers
-        self._programs = [program(wid) for wid in range(w)]
-        agg.bind(self)
+        self._tns_active = agg.flush_timeout_ns is not None
+        cap = max(1, DEFAULT_SAMPLES_CAP // w)
+        self._workers = []
+        for wid in range(w):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(1, wid)))
+            shard = LatencyShard(cap, (seed, 2, wid))
+            ctx = self._context(wid, rng, work_ns, shard, w,
+                                record_items, agg, self._queue(), self._epoch)
+            ctx.driver = program(wid)
+            agg.register_sink(wid, ctx.driver.on_item)
+            self._workers.append(ctx)
 
     # -- public handle surface -------------------------------------------
     @property
@@ -192,14 +231,6 @@ class _BaseRun:
     @property
     def aggregator(self) -> Aggregator:
         return self._agg
-
-    @property
-    def n_worker_contexts(self) -> int:
-        return self._n_workers
-
-    @property
-    def n_comm_contexts(self) -> int:
-        return self._n_procs if self._cfg.comm_enabled else 0
 
     @property
     def workers(self):
@@ -225,11 +256,11 @@ class _BaseRun:
             })
         return {"enabled": self._cfg.comm_enabled, "per_process": per}
 
-    def summarize(self, *, scheme=None, extra_runtime_ns=None):
+    def summarize(self):
         workers = self._workers
         return merge(
             self._log, [w.shard for w in workers],
-            scheme=scheme or self._agg.kind.value,
+            scheme=self._agg.kind.value,
             mode=self.mode, seed=self._seed,
             topo=self._topo.to_config(), g=self._agg.g,
             item_bytes=self._agg.item_bytes,
@@ -238,8 +269,7 @@ class _BaseRun:
             self_sends=sum(w.self_sends for w in workers),
             inserted_by_scope=self._agg.inserted_per_scope(),
             scope_kind=self._agg.scope_kind,
-            runtime_ns=self._runtime_ns() if extra_runtime_ns is None
-            else extra_runtime_ns,
+            runtime_ns=self._runtime_ns(),
             comm=self.comm_stats() if self._cfg.comm_enabled else None,
             quiesced=self._quiesced,
         )
@@ -264,8 +294,8 @@ class _BaseRun:
             "produced": sum(w.produced for w in workers),
             "delivered": sum(w.delivered for w in workers),
             "drivers_pending": [w.wid for w in workers if not w.driver_done],
-            "queue_depths": {w.wid: self._qdepth(w) for w in workers
-                             if self._qdepth(w)},
+            "queue_depths": {w.wid: len(w.queue) for w in workers
+                             if w.queue},
             "buffered_total": self._agg.total_buffered(),
             "buffered_by_owner": {o: self._agg.owner_buffered(o)
                                   for o in self._agg.flush_owners()
@@ -275,9 +305,37 @@ class _BaseRun:
     def _runtime_ns(self):
         raise NotImplementedError
 
-    def _qdepth(self, w):
-        raise NotImplementedError
+    # -- transport: per-message cost and accounting ------------------------
+    def _account(self, msg) -> float:
+        """Record msg's bytes, network cost and comm-context occupancy.
 
+        Returns when the message reaches its destination process, in ns on
+        the origin's clock: departure, then the comm context if enabled,
+        then the network cost.
+        """
+        agg = self._agg
+        cfg = self._cfg
+        po = msg.origin
+        nbytes = len(msg.items) * agg.item_bytes + cfg.header_bytes
+        net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
+        scope = msg.src_worker if agg.scope_kind == "worker" else po
+        self._log.record_message(msg, scope, net)
+        base = float(msg.sent_at)
+        if cfg.comm_enabled:
+            ready = self._comm_ready[po]
+            start = base if base > ready else ready
+            base = start + cfg.comm_cost_ns
+            self._comm_ready[po] = base
+            if self._comm_count[po] == 0:
+                self._comm_first[po] = start
+            self._comm_count[po] += 1
+            self._comm_last[po] = base
+        return base + net
+
+
+# ---------------------------------------------------------------------------
+# sequential engine
+# ---------------------------------------------------------------------------
 
 class SequentialRun(_BaseRun):
     """Deterministic single-thread engine over virtual time."""
@@ -286,60 +344,25 @@ class SequentialRun(_BaseRun):
 
     def __init__(self, topo, agg, cfg, program, **kw):
         super().__init__(topo, agg, cfg, program, **kw)
-        w = self._n_workers
-        seed = self._seed
-        stride = w
-        self._workers = []
-        for wid in range(w):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(1, wid)))
-            shard = LatencyShard(self._shard_cap, (seed, 2, wid))
-            ctx = _SeqWorker(wid, wid // self._t, rng, self._work_ns, shard,
-                             stride, self._record_items, agg)
-            ctx.driver = self._programs[wid]
-            agg.register_sink(wid, ctx.driver.on_item)
-            self._workers.append(ctx)
-        self._sched = random.Random(repr((seed, 0x5EED)))
-        self._tns_active = agg.flush_timeout_ns is not None
+        self._chan_last = {}
+        self._sched = random.Random(repr((self._seed, 0x5EED)))
         for ctx in self._workers:
             ctx.driver.on_start(ctx)
 
     # -- transport interface (called by the aggregator) --------------------
     def send(self, msg):
-        agg = self._agg
-        plan = agg.on_receive(msg)
-        dp = plan[0][0] // self._t
-        po = msg.origin
-        scope = msg.src_worker if agg.scope_kind == "worker" else po
-        cfg = self._cfg
-        k = len(msg.items)
-        nbytes = k * agg.item_bytes + cfg.header_bytes
-        net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
-        self._log.record_message(msg, scope, net)
-        base = float(msg.sent_at)
-        if cfg.comm_enabled:
-            ready = self._comm_ready[po]
-            start = base if base > ready else ready
-            done = start + cfg.comm_cost_ns
-            self._comm_ready[po] = done
-            if self._comm_count[po] == 0:
-                self._comm_first[po] = start
-            self._comm_count[po] += 1
-            self._comm_last[po] = done
-            base = done
-        arrival = int(base + net + 0.5)
-        ch = (po, dp)
+        plan = self._agg.on_receive(msg)
+        arrival = int(self._account(msg) + 0.5)
+        ch = (msg.origin, plan[0][0] // self._t)
         last = self._chan_last.get(ch)
         if last is not None and arrival < last:
             arrival = last
         self._chan_last[ch] = arrival
         if self._arrivals is not None:
-            self._arrivals.append((po, dp, arrival))
+            self._arrivals.append((*ch, arrival))
         workers = self._workers
-        prio = msg.priority
         for wid, group in plan:
-            tgt = workers[wid]
-            (tgt.prio if prio else tgt.queue).append((arrival, group))
+            workers[wid].queue.append((arrival, group))
 
     def local_deliver(self, source, dest, items, now):
         self._workers[source].self_sends += len(items)
@@ -349,15 +372,11 @@ class SequentialRun(_BaseRun):
     def _drain(self, w, budget):
         dns = self._deliver_ns
         done = 0
+        queue = w.queue
         shard = w.shard
         dl_log = w.dl_log
-        while done < budget:
-            if w.prio:
-                arrival, items = w.prio.popleft()
-            elif w.queue:
-                arrival, items = w.queue.popleft()
-            else:
-                break
+        while done < budget and queue:
+            arrival, items = queue.popleft()
             if arrival > w.now:
                 w.now = arrival
             on_item = w.driver.on_item
@@ -377,7 +396,6 @@ class SequentialRun(_BaseRun):
     def _round(self, order):
         workers = self._workers
         agg = self._agg
-        idle_flush = agg.auto_flush_idle
         tns = self._tns_active
         progress = False
         for wid in order:
@@ -385,7 +403,7 @@ class SequentialRun(_BaseRun):
             # deadlines fire at every scheduling turn, busy or not
             if tns and agg.flush_expired(wid, w.now):
                 progress = True
-            if w.prio or w.queue:
+            if w.queue:
                 if self._drain(w, _DELIVER_BUDGET):
                     progress = True
             elif not w.driver_done:
@@ -393,22 +411,19 @@ class SequentialRun(_BaseRun):
                     progress = True
                 else:
                     w.driver_done = True
-            elif idle_flush and agg.owner_buffered(wid):
-                if agg.flush(wid, w.now):
-                    progress = True
         return progress
 
     def _is_quiescent(self):
         prod = 0
         deliv = 0
         for w in self._workers:
-            if not w.driver_done or w.queue or w.prio:
+            if not w.driver_done or w.queue:
                 return False
             prod += w.produced
             deliv += w.delivered
         return prod == deliv
 
-    def _try_unstall(self, flush_rounds):
+    def _try_unstall(self):
         agg = self._agg
         if self._is_quiescent():
             return False
@@ -423,8 +438,6 @@ class SequentialRun(_BaseRun):
                     emitted += agg.flush_expired(owner, w.now)
                 if emitted:
                     return True
-        if not flush_rounds:
-            return False
         if agg.total_buffered() > 0:
             emitted = 0
             for owner in agg.flush_owners():
@@ -434,15 +447,15 @@ class SequentialRun(_BaseRun):
         raise InternalInvariantError(
             f"stalled without quiescence: {self._diagnostics()}")
 
-    def _run(self, flush_rounds, timeout_s):
+    def _run(self, timeout_s):
         t0 = time.monotonic()
-        order = list(range(self._n_workers))
+        order = list(range(len(self._workers)))
         shuffle = self._sched.shuffle
         rounds = 0
         while True:
             shuffle(order)
             progress = self._round(order)
-            if not progress and not self._try_unstall(flush_rounds):
+            if not progress and not self._try_unstall():
                 break
             rounds += 1
             if timeout_s is not None and rounds % 256 == 0:
@@ -452,20 +465,16 @@ class SequentialRun(_BaseRun):
                         self._diagnostics())
 
     # -- handle surface -----------------------------------------------------
-    def run_idle(self, timeout_s=None):
-        """Run until no progress is possible without flushing buffers."""
-        self._run(flush_rounds=False, timeout_s=timeout_s)
-
     def run_phase(self, timeout_s=None):
         """Run to quiescence (with idle-flush rounds) without finalizing."""
-        self._run(flush_rounds=True, timeout_s=timeout_s)
+        self._run(timeout_s)
 
     def broadcast_task(self, fn):
         """Run fn(ctx) once on every worker context; returns the results."""
         return [fn(w) for w in self._workers]
 
     def await_quiescence(self, timeout_s=None):
-        self._run(flush_rounds=True, timeout_s=timeout_s)
+        self._run(timeout_s)
         if not self._is_quiescent():
             raise InternalInvariantError("run loop exited without quiescence")
         if self._agg.total_buffered():
@@ -473,14 +482,10 @@ class SequentialRun(_BaseRun):
                 "quiescent with non-empty buffers: "
                 f"{self._diagnostics()}")
         self._quiesced = True
-        self._final = self.summarize()
-        return self._final
+        return self.summarize()
 
     def _runtime_ns(self):
         return max((w.now for w in self._workers), default=0)
-
-    def _qdepth(self, w):
-        return len(w.queue) + len(w.prio)
 
 
 # ---------------------------------------------------------------------------
@@ -494,146 +499,64 @@ _T_STOP = 3
 
 
 class _TQueue:
-    __slots__ = ("dq", "prio", "lock", "cond")
+    __slots__ = ("dq", "lock", "cond")
 
     def __init__(self):
         self.dq = deque()
-        self.prio = deque()
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
 
-    def push(self, entry, priority=False):
+    def push(self, entry):
         with self.lock:
-            (self.prio if priority else self.dq).append(entry)
+            self.dq.append(entry)
             self.cond.notify()
 
     def pop(self):
         with self.lock:
-            if self.prio:
-                return self.prio.popleft()
-            if self.dq:
-                return self.dq.popleft()
-            return None
+            return self.dq.popleft() if self.dq else None
 
     def wait(self, timeout):
         with self.lock:
-            if not (self.prio or self.dq):
+            if not self.dq:
                 self.cond.wait(timeout)
 
-    def depth(self):
+    def __len__(self):
         with self.lock:
-            return len(self.dq) + len(self.prio)
-
-
-class _ThreadWorker:
-    """Worker context for the threaded engine (wall clock)."""
-
-    __slots__ = ("wid", "proc", "q", "driver", "driver_done", "rng",
-                 "work_ns", "produced", "delivered", "self_sends", "shard",
-                 "seq_next", "seq_stride", "ins_log", "dl_log", "_agg",
-                 "_epoch", "thread")
-
-    def __init__(self, wid, proc, rng, work_ns, shard, stride, record_items,
-                 agg, epoch):
-        self.wid = wid
-        self.proc = proc
-        self.q = _TQueue()
-        self.driver = None
-        self.driver_done = False
-        self.rng = rng
-        self.work_ns = work_ns
-        self.produced = 0
-        self.delivered = 0
-        self.self_sends = 0
-        self.shard = shard
-        self.seq_next = wid
-        self.seq_stride = stride
-        self.ins_log = [] if record_items else None
-        self.dl_log = [] if record_items else None
-        self._agg = agg
-        self._epoch = epoch
-        self.thread = None
-
-    def time_ns(self) -> int:
-        return time.monotonic_ns() - self._epoch
-
-    def advance(self, ns: int) -> None:
-        pass  # wall time passes on its own
-
-    def insert(self, dest: int, payload) -> None:
-        s = self.seq_next
-        self.seq_next = s + self.seq_stride
-        self.produced += 1
-        if self.ins_log is not None:
-            self.ins_log.append(s)
-        now = time.monotonic_ns() - self._epoch
-        self._agg.insert(self.wid, Item(dest, payload, now, s), now)
-
-    def flush(self) -> int:
-        return self._agg.flush(self.wid, self.time_ns())
+            return len(self.dq)
 
 
 class ThreadedRun(_BaseRun):
     """One OS thread per worker; wall clocks; costs recorded, not slept."""
 
     mode = MODE_THREADED
+    _context = _WallWorker
+    _queue = _TQueue
 
     def __init__(self, topo, agg, cfg, program, **kw):
-        super().__init__(topo, agg, cfg, program, **kw)
         self._epoch = time.monotonic_ns()
         self._tlock = threading.Lock()
         self._error = None
         self._stopped = False
-        w = self._n_workers
-        seed = self._seed
-        self._workers = []
-        for wid in range(w):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(1, wid)))
-            shard = LatencyShard(self._shard_cap, (seed, 2, wid))
-            ctx = _ThreadWorker(wid, wid // self._t, rng, self._work_ns,
-                                shard, w, self._record_items, agg,
-                                self._epoch)
-            ctx.driver = self._programs[wid]
-            agg.register_sink(wid, ctx.driver.on_item)
-            self._workers.append(ctx)
-        self._tns_active = agg.flush_timeout_ns is not None
+        super().__init__(topo, agg, cfg, program, **kw)
         for ctx in self._workers:
-            th = threading.Thread(target=self._wloop, args=(ctx,),
-                                  name=f"worker-{ctx.wid}", daemon=True)
-            ctx.thread = th
+            ctx.thread = threading.Thread(target=self._wloop, args=(ctx,),
+                                          name=f"worker-{ctx.wid}",
+                                          daemon=True)
         for ctx in self._workers:
             ctx.thread.start()
 
     # -- transport interface -------------------------------------------------
     def send(self, msg):
-        agg = self._agg
-        plan = agg.on_receive(msg)
-        po = msg.origin
-        scope = msg.src_worker if agg.scope_kind == "worker" else po
-        cfg = self._cfg
-        k = len(msg.items)
-        nbytes = k * agg.item_bytes + cfg.header_bytes
-        net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
+        plan = self._agg.on_receive(msg)
         with self._tlock:
-            self._log.record_message(msg, scope, net)
-            if cfg.comm_enabled:
-                base = float(msg.sent_at)
-                ready = self._comm_ready[po]
-                start = base if base > ready else ready
-                self._comm_ready[po] = start + cfg.comm_cost_ns
-                if self._comm_count[po] == 0:
-                    self._comm_first[po] = start
-                self._comm_count[po] += 1
-                self._comm_last[po] = start + cfg.comm_cost_ns
+            self._account(msg)
             arrival = time.monotonic_ns() - self._epoch
-        prio = msg.priority
         for wid, group in plan:
-            self._workers[wid].q.push((_T_DELIVER, arrival, group), prio)
+            self._workers[wid].queue.push((_T_DELIVER, arrival, group))
 
     def local_deliver(self, source, dest, items, now):
         self._workers[source].self_sends += len(items)
-        self._workers[dest].q.push((_T_DELIVER, now, items))
+        self._workers[dest].queue.push((_T_DELIVER, now, items))
 
     # -- worker thread --------------------------------------------------------
     def _deliver_batch(self, w, items):
@@ -656,7 +579,7 @@ class ThreadedRun(_BaseRun):
         agg = self._agg
         try:
             w.driver.on_start(w)
-            q = w.q
+            q = w.queue
             tns = self._tns_active
             while True:
                 if tns:
@@ -678,9 +601,6 @@ class ThreadedRun(_BaseRun):
                     if not w.driver.step(w):
                         w.driver_done = True
                 else:
-                    if agg.auto_flush_idle and agg.owner_buffered(w.wid):
-                        agg.flush(w.wid, w.time_ns())
-                        continue
                     q.wait(0.005)
         except BaseException as exc:  # propagate through the coordinator
             with self._tlock:
@@ -698,7 +618,7 @@ class ThreadedRun(_BaseRun):
             deliv += w.delivered
             if not w.driver_done:
                 done = False
-            if w.q.depth():
+            if w.queue:
                 qempty = False
         return (prod, deliv, done, qempty)
 
@@ -707,7 +627,7 @@ class ThreadedRun(_BaseRun):
         for owner in self._agg.flush_owners():
             ev = threading.Event()
             evs.append(ev)
-            self._workers[owner].q.push((_T_FLUSH, ev))
+            self._workers[owner].queue.push((_T_FLUSH, ev))
         for ev in evs:
             if not ev.wait(10.0):
                 raise QuiescenceTimeout("flush round did not acknowledge",
@@ -718,7 +638,7 @@ class ThreadedRun(_BaseRun):
             self._shutdown()
             raise self._error
 
-    def _run_threaded(self, flush_rounds, timeout_s):
+    def _run_threaded(self, timeout_s):
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         prev = None
         while True:
@@ -729,12 +649,8 @@ class ThreadedRun(_BaseRun):
                     s2 = self._snapshot()
                     if s2 == s:
                         return
-                elif prev == s:
-                    if flush_rounds:
-                        if self._agg.total_buffered() > 0:
-                            self._flush_round()
-                    else:
-                        return
+                elif prev == s and self._agg.total_buffered() > 0:
+                    self._flush_round()
             prev = s
             time.sleep(0.001)
             if deadline is not None and time.monotonic() > deadline:
@@ -748,16 +664,13 @@ class ThreadedRun(_BaseRun):
             return
         self._stopped = True
         for w in self._workers:
-            w.q.push((_T_STOP,))
+            w.queue.push((_T_STOP,))
         for w in self._workers:
             w.thread.join(timeout=5.0)
 
     # -- handle surface --------------------------------------------------------
-    def run_idle(self, timeout_s=None):
-        self._run_threaded(flush_rounds=False, timeout_s=timeout_s)
-
     def run_phase(self, timeout_s=None):
-        self._run_threaded(flush_rounds=True, timeout_s=timeout_s)
+        self._run_threaded(timeout_s)
 
     def broadcast_task(self, fn):
         evs = []
@@ -767,7 +680,7 @@ class ThreadedRun(_BaseRun):
             box = []
             evs.append(ev)
             boxes.append(box)
-            w.q.push((_T_TASK, fn, ev, box))
+            w.queue.push((_T_TASK, fn, ev, box))
         out = []
         for ev, box in zip(evs, boxes):
             if not ev.wait(10.0):
@@ -778,21 +691,17 @@ class ThreadedRun(_BaseRun):
         return out
 
     def await_quiescence(self, timeout_s=None):
-        self._run_threaded(flush_rounds=True, timeout_s=timeout_s)
+        self._run_threaded(timeout_s)
         self._shutdown()
         self._raise_pending()
         if self._agg.total_buffered():
             raise InternalInvariantError(
                 f"quiescent with non-empty buffers: {self._diagnostics()}")
         self._quiesced = True
-        self._final = self.summarize()
-        return self._final
+        return self.summarize()
 
     def _runtime_ns(self):
         return time.monotonic_ns() - self._epoch
-
-    def _qdepth(self, w):
-        return w.q.depth()
 
 
 RunHandle = _BaseRun  # public name for type hints
@@ -801,8 +710,8 @@ RunHandle = _BaseRun  # public name for type hints
 def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
           mode: str = MODE_SEQUENTIAL, program, seed: int = 0,
           work_ns: int = 100, deliver_ns: int = 50,
-          samples_cap: int = DEFAULT_SAMPLES_CAP, record_items: bool = False,
-          trace: bool = False, record_arrivals: bool = False) -> RunHandle:
+          record_items: bool = False, trace: bool = False,
+          record_arrivals: bool = False) -> RunHandle:
     """Create worker contexts, wire the aggregator, and start the run.
 
     program is a callable worker_id -> WorkerProgram. work_ns advances the
@@ -810,10 +719,8 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     destination's per delivered item (sequential mode only; wall clocks tick
     on their own). Returns the run handle; call await_quiescence on it.
     """
-    mode = parse_mode(mode)
-    kw = dict(seed=seed, work_ns=work_ns, deliver_ns=deliver_ns,
-              samples_cap=samples_cap, record_items=record_items,
-              trace=trace, record_arrivals=record_arrivals)
-    if mode == MODE_SEQUENTIAL:
-        return SequentialRun(topo, agg, cfg, program, **kw)
-    return ThreadedRun(topo, agg, cfg, program, **kw)
+    engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL
+              else ThreadedRun)
+    return engine(topo, agg, cfg, program, seed=seed, work_ns=work_ns,
+                  deliver_ns=deliver_ns, record_items=record_items,
+                  trace=trace, record_arrivals=record_arrivals)

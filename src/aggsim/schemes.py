@@ -59,9 +59,9 @@ class CoalescedMessage(tuple):
     __slots__ = ()
 
     def __new__(cls, origin, dest_scope, items, grouped, cause, sent_at,
-                priority=False, src_worker=-1):
+                src_worker=-1):
         return tuple.__new__(cls, (origin, dest_scope, items, grouped, cause,
-                                   sent_at, priority, src_worker))
+                                   sent_at, src_worker))
 
     origin = property(lambda s: s[0])
     dest_scope = property(lambda s: s[1])
@@ -69,8 +69,7 @@ class CoalescedMessage(tuple):
     grouped = property(lambda s: s[3])
     cause = property(lambda s: s[4])
     sent_at = property(lambda s: s[5])
-    priority = property(lambda s: s[6])
-    src_worker = property(lambda s: s[7])
+    src_worker = property(lambda s: s[6])
 
     @property
     def k(self) -> int:
@@ -145,17 +144,15 @@ class _SharedBuffer:
     """pp buffer shared by all workers of one source process.
 
     Every operation runs under the buffer mutex, which linearizes the
-    append-and-seal protocol; generation counts seals. inserted is the
-    cumulative item count for per-scope accounting.
+    append-and-seal protocol. inserted is the cumulative item count for
+    per-scope accounting.
     """
 
-    __slots__ = ("items", "lock", "generation", "inserted", "first_ts",
-                 "max_ts")
+    __slots__ = ("items", "lock", "inserted", "first_ts", "max_ts")
 
     def __init__(self):
         self.items = []
         self.lock = threading.Lock()
-        self.generation = 0
         self.inserted = 0
         self.first_ts = None
         # newest created_at in the buffer; contributors have independent
@@ -171,27 +168,20 @@ class Aggregator:
     order, and a second spawn on the same instance is refused.
     """
 
-    kind: SchemeKind
+    kind: SchemeKind  # set by each scheme class
     scope_kind = "worker"  # flush/accounting scope; pp overrides
 
-    def __init__(self, kind: SchemeKind, topo: Topology, g: int,
-                 item_bytes: int, sinks=None):
+    def __init__(self, topo: Topology, g: int, item_bytes: int):
         if g < 1:
             raise UsageError(f"g must be >= 1, got {g}")
         if item_bytes < 1:
             raise UsageError(f"item_bytes must be >= 1, got {item_bytes}")
-        self.kind = kind
         self.topo = topo
         self.g = g
         self.item_bytes = item_bytes
         w = topo.total_workers
         self.sinks: list = [None] * w
-        if sinks is not None:
-            for wid, fn in enumerate(sinks):
-                self.sinks[wid] = fn
-        self.auto_flush_idle = False
         self.flush_timeout_ns: Optional[int] = None
-        self.expedited = False
         self.grouping_stats = GroupingStats()
         self._transport = None
         self._t = topo.workers_per_proc
@@ -209,10 +199,11 @@ class Aggregator:
             raise UsageError("aggregator is already attached to a run")
         self._transport = transport
 
-    def set_auto_flush(self, on_idle: bool, timeout_ns: Optional[int] = None):
+    def set_flush_timeout(self, timeout_ns: Optional[int]) -> None:
+        """Flush a buffer once its oldest item is timeout_ns old; None turns
+        timeout flushing off. Set it before spawning the run."""
         if timeout_ns is not None and timeout_ns <= 0:
             raise UsageError("flush timeout must be a positive ns count")
-        self.auto_flush_idle = bool(on_idle)
         self.flush_timeout_ns = timeout_ns
 
     def _check(self, source: int, dest: int):
@@ -225,15 +216,11 @@ class Aggregator:
 
     def _emit(self, src_worker, dest_scope, batch, grouped, cause, now):
         msg = CoalescedMessage(src_worker // self._t, dest_scope, batch,
-                               grouped, cause, now, self.expedited, src_worker)
+                               grouped, cause, now, src_worker)
         self._transport.send(msg)
 
     # -- introspection ------------------------------------------------------
     def buffers_per_owner(self) -> int:
-        raise NotImplementedError
-
-    def owners(self) -> int:
-        """Number of buffer owners (workers, or processes for pp)."""
         raise NotImplementedError
 
     def allocated_bytes(self) -> dict:
@@ -286,11 +273,18 @@ class Aggregator:
 
 
 class _WorkerBufferedAggregator(Aggregator):
-    """Common machinery for ww/wps/wsp: per-source-worker buffer rows."""
+    """Common machinery for ww/wps/wsp: per-source-worker buffer rows.
 
-    def __init__(self, kind, topo, g, item_bytes, sinks, n_cols):
-        super().__init__(kind, topo, g, item_bytes, sinks)
-        self._cols = n_cols
+    A row has one column per destination scope, dest // width: the
+    destination worker for ww (width 1), its process for wps/wsp (width t).
+    """
+
+    _per_process = False
+
+    def __init__(self, topo, g, item_bytes):
+        super().__init__(topo, g, item_bytes)
+        self._width = self._t if self._per_process else 1
+        self._cols = n_cols = self._w // self._width
         self._bufs = [[[] for _ in range(n_cols)] for _ in range(self._w)]
         self._pending = [0] * self._w       # currently buffered per owner
         self._inserted = [0] * self._w      # cumulative buffered inserts
@@ -298,9 +292,6 @@ class _WorkerBufferedAggregator(Aggregator):
 
     def buffers_per_owner(self) -> int:
         return self._cols
-
-    def owners(self) -> int:
-        return self._w
 
     def inserted_per_scope(self) -> list:
         return list(self._inserted)
@@ -310,9 +301,6 @@ class _WorkerBufferedAggregator(Aggregator):
 
     def total_buffered(self) -> int:
         return sum(self._pending)
-
-    def _column(self, source: int, dest: int) -> int:
-        raise NotImplementedError
 
     def _seal_batch(self, batch: list):
         """Hook: wsp groups at the source; others pass through."""
@@ -325,7 +313,7 @@ class _WorkerBufferedAggregator(Aggregator):
         if dest // t == source // t:
             self._transport.local_deliver(source, dest, (item,), now)
             return
-        col = self._column(source, dest)
+        col = dest // self._width
         buf = self._bufs[source][col]
         if not buf and self.flush_timeout_ns is not None:
             self._first_ts[source][col] = now
@@ -333,30 +321,24 @@ class _WorkerBufferedAggregator(Aggregator):
         self._inserted[source] += 1
         self._pending[source] += 1
         if len(buf) == self.g:
-            self._bufs[source][col] = []
-            self._pending[source] -= self.g
-            if self.flush_timeout_ns is not None:
-                self._first_ts[source].pop(col, None)
-            batch, grouped = self._seal_batch(buf)
-            self._emit(source, self._dest_scope(col), batch, grouped,
-                       CAUSE_FULL, now)
+            self._seal(source, col, CAUSE_FULL, now)
 
-    def _dest_scope(self, col: int) -> int:
-        raise NotImplementedError
+    def _seal(self, source, col, cause, now):
+        """Empty source's buffer col, clear its timer and ship it at now."""
+        buf = self._bufs[source][col]
+        self._bufs[source][col] = []
+        self._pending[source] -= len(buf)
+        if self.flush_timeout_ns is not None:
+            self._first_ts[source].pop(col, None)
+        batch, grouped = self._seal_batch(buf)
+        self._emit(source, col, batch, grouped, cause, now)
 
     def flush(self, source, now):
         row = self._bufs[source]
         n = 0
         for col in range(self._cols):
-            buf = row[col]
-            if buf:
-                row[col] = []
-                self._pending[source] -= len(buf)
-                if self.flush_timeout_ns is not None:
-                    self._first_ts[source].pop(col, None)
-                batch, grouped = self._seal_batch(buf)
-                self._emit(source, self._dest_scope(col), batch, grouped,
-                           CAUSE_FLUSH, now)
+            if row[col]:
+                self._seal(source, col, CAUSE_FLUSH, now)
                 n += 1
         return n
 
@@ -381,31 +363,16 @@ class _WorkerBufferedAggregator(Aggregator):
         row = self._bufs[source]
         n = 0
         for col in sorted(due):
-            buf = row[col]
-            if not buf:
-                continue
-            row[col] = []
-            self._pending[source] -= len(buf)
-            timers.pop(col, None)
-            batch, grouped = self._seal_batch(buf)
-            self._emit(source, self._dest_scope(col), batch, grouped,
-                       CAUSE_FLUSH, now)
-            n += 1
+            if row[col]:
+                self._seal(source, col, CAUSE_FLUSH, now)
+                n += 1
         return n
 
 
 class _WWAggregator(_WorkerBufferedAggregator):
     """ww: one buffer per destination worker at each source worker."""
 
-    def __init__(self, topo, g, item_bytes, sinks=None):
-        super().__init__(SchemeKind.WW, topo, g, item_bytes, sinks,
-                         topo.total_workers)
-
-    def _column(self, source, dest):
-        return dest
-
-    def _dest_scope(self, col):
-        return col
+    kind = SchemeKind.WW
 
     def _seal_batch(self, batch):
         # Single destination: trivially contiguous.
@@ -418,17 +385,7 @@ class _WWAggregator(_WorkerBufferedAggregator):
 class _ProcBufferedAggregator(_WorkerBufferedAggregator):
     """wps/wsp: one buffer per destination process at each source worker."""
 
-    group_at_source = False
-
-    def __init__(self, kind, topo, g, item_bytes, sinks=None):
-        super().__init__(kind, topo, g, item_bytes, sinks,
-                         topo.total_processes)
-
-    def _column(self, source, dest):
-        return dest // self._t
-
-    def _dest_scope(self, col):
-        return col
+    _per_process = True
 
     def on_receive(self, msg):
         items = msg.items
@@ -439,15 +396,13 @@ class _ProcBufferedAggregator(_WorkerBufferedAggregator):
 
 
 class _WPsAggregator(_ProcBufferedAggregator):
-    def __init__(self, topo, g, item_bytes, sinks=None):
-        super().__init__(SchemeKind.WPS, topo, g, item_bytes, sinks)
+    kind = SchemeKind.WPS
 
 
 class _WsPAggregator(_ProcBufferedAggregator):
     """wsp groups at the source worker, so receivers only split runs."""
 
-    def __init__(self, topo, g, item_bytes, sinks=None):
-        super().__init__(SchemeKind.WSP, topo, g, item_bytes, sinks)
+    kind = SchemeKind.WSP
 
     def _seal_batch(self, batch):
         return group_items(batch, self.topo, self.grouping_stats), True
@@ -456,17 +411,15 @@ class _WsPAggregator(_ProcBufferedAggregator):
 class _PPAggregator(Aggregator):
     """pp: one shared buffer per destination process on each source process."""
 
+    kind = SchemeKind.PP
     scope_kind = "process"
 
-    def __init__(self, topo, g, item_bytes, sinks=None):
-        super().__init__(SchemeKind.PP, topo, g, item_bytes, sinks)
+    def __init__(self, topo, g, item_bytes):
+        super().__init__(topo, g, item_bytes)
         n = self._n
         self._shared = [[_SharedBuffer() for _ in range(n)] for _ in range(n)]
 
     def buffers_per_owner(self) -> int:
-        return self._n
-
-    def owners(self) -> int:
         return self._n
 
     def inserted_per_scope(self) -> list:
@@ -499,33 +452,37 @@ class _PPAggregator(Aggregator):
             if now > b.max_ts:
                 b.max_ts = now
             if len(buf) == self.g:
-                b.items = []
-                b.generation += 1
-                b.first_ts = None
-                seal_ts = b.max_ts if b.max_ts > now else now
-                b.max_ts = 0
-                sealed = buf
+                sealed = self._take(b, now)
         if sealed is not None:
-            self._emit(source, dp, sealed, False, CAUSE_FULL, seal_ts)
+            self._emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
+
+    @staticmethod
+    def _take(b, now):
+        """Empty b, whose lock the caller holds; returns (items, departure
+        ns), the departure being no earlier than the newest item."""
+        buf = b.items
+        b.items = []
+        b.first_ts = None
+        seal_ts = b.max_ts if b.max_ts > now else now
+        b.max_ts = 0
+        return buf, seal_ts
+
+    def _flush_row(self, source, now, tns):
+        """Ship the non-empty buffers of source's process in destination
+        order; with tns set, only those whose first item is tns old."""
+        n = 0
+        for dp, b in enumerate(self._shared[source // self._t]):
+            with b.lock:
+                if not b.items or (tns is not None and (
+                        b.first_ts is None or b.first_ts + tns > now)):
+                    continue
+                buf, seal_ts = self._take(b, now)
+            self._emit(source, dp, buf, False, CAUSE_FLUSH, seal_ts)
+            n += 1
+        return n
 
     def flush(self, source, now):
-        sp = source // self._t
-        n = 0
-        for dp, b in enumerate(self._shared[sp]):
-            with b.lock:
-                buf = b.items
-                if buf:
-                    b.items = []
-                    b.generation += 1
-                    b.first_ts = None
-                    seal_ts = b.max_ts if b.max_ts > now else now
-                    b.max_ts = 0
-                else:
-                    buf = None
-            if buf:
-                self._emit(source, dp, buf, False, CAUSE_FLUSH, seal_ts)
-                n += 1
-        return n
+        return self._flush_row(source, now, None)
 
     def on_receive(self, msg):
         grouped = group_items(msg.items, self.topo, self.grouping_stats)
@@ -548,41 +505,14 @@ class _PPAggregator(Aggregator):
         tns = self.flush_timeout_ns
         if tns is None:
             return 0
-        sp = source // self._t
-        n = 0
-        for dp, b in enumerate(self._shared[sp]):
-            with b.lock:
-                buf = b.items
-                if buf and b.first_ts is not None and b.first_ts + tns <= now:
-                    b.items = []
-                    b.generation += 1
-                    b.first_ts = None
-                    seal_ts = b.max_ts if b.max_ts > now else now
-                    b.max_ts = 0
-                else:
-                    buf = None
-            if buf:
-                self._emit(source, dp, buf, False, CAUSE_FLUSH, seal_ts)
-                n += 1
-        return n
+        return self._flush_row(source, now, tns)
 
 
-_SCHEME_CLASSES = {
-    SchemeKind.WW: _WWAggregator,
-    SchemeKind.WPS: _WPsAggregator,
-    SchemeKind.WSP: _WsPAggregator,
-    SchemeKind.PP: _PPAggregator,
-}
+_SCHEME_CLASSES = {cls.kind: cls for cls in (
+    _WWAggregator, _WPsAggregator, _WsPAggregator, _PPAggregator)}
 
 
-def create_aggregator(kind, topo: Topology, g: int, item_bytes: int,
-                      sinks=None) -> Aggregator:
+def create_aggregator(kind, topo: Topology, g: int,
+                      item_bytes: int) -> Aggregator:
     """Build an aggregator of the given scheme for a topology."""
-    kind = SchemeKind.parse(kind)
-    return _SCHEME_CLASSES[kind](topo, g, item_bytes, sinks)
-
-
-def set_auto_flush(agg: Aggregator, on_idle: bool,
-                   timeout_ns: Optional[int] = None) -> None:
-    """Configure idle and timeout flushing on an aggregator."""
-    agg.set_auto_flush(on_idle, timeout_ns)
+    return _SCHEME_CLASSES[SchemeKind.parse(kind)](topo, g, item_bytes)

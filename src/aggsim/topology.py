@@ -1,4 +1,4 @@
-"""Topology arithmetic, item records, and clocks.
+"""Topology arithmetic and item records.
 
 Workers, processes, and nodes carry dense zero-based global indices with a
 row-major mapping: workers [p*t, (p+1)*t) belong to process p (t workers per
@@ -7,7 +7,6 @@ integer nanoseconds so latency sums never accumulate float drift.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -92,36 +91,3 @@ class Item(NamedTuple):
     payload: Any
     created_at: int
     seq: int
-
-
-class VirtualClock:
-    """Per-context logical clock. Advances only through explicit work."""
-
-    __slots__ = ("now_ns",)
-
-    def __init__(self, start_ns: int = 0):
-        self.now_ns = start_ns
-
-    def now(self) -> int:
-        return self.now_ns
-
-    def advance(self, ns: int) -> None:
-        if ns < 0:
-            raise UsageError("clock cannot move backwards")
-        self.now_ns += ns
-
-
-class WallClock:
-    """Monotonic wall clock, anchored at construction so runs start near 0."""
-
-    __slots__ = ("_epoch",)
-
-    def __init__(self):
-        self._epoch = time.monotonic_ns()
-
-    def now(self) -> int:
-        return time.monotonic_ns() - self._epoch
-
-    def advance(self, ns: int) -> None:
-        # Wall time passes on its own; advancing is a no-op by design.
-        pass

@@ -22,7 +22,7 @@ def make_agg(kind, topo, g, item_bytes=8, timeout_ns=None):
     for wid in range(topo.total_workers):
         agg.register_sink(wid, lambda items: None)
     if timeout_ns is not None:
-        agg.set_auto_flush(False, timeout_ns)
+        agg.set_flush_timeout(timeout_ns)
     transport = LoopbackTransport()
     agg.bind(transport)
     return agg, transport

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, JSON/CSV shapes, env defaults, determinism."""
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -145,6 +146,57 @@ def test_env_var_sets_default_and_flag_wins(capsys, monkeypatch):
 def test_env_var_bad_scheme_still_usage_error(monkeypatch):
     monkeypatch.setenv("AGG_SCHEME", "bogus")
     assert cli.parse_and_run(["histogram"] + SMALL[:-6]) == 2
+
+
+# ------------------------------------------------------------ flag defaults
+
+_RUN_DEFAULTS = {
+    "mode": "sequential", "seed": 0, "nodes": 2, "ppn": 2, "wpp": 2,
+    "item_bytes": None, "alpha": 0.0, "beta": 0.0, "comm_cost": 0.0,
+    "header_bytes": 0, "flush_timeout": None, "timeout": 120.0, "out": None,
+    "trace": None,
+}
+_SINGLE = dict(_RUN_DEFAULTS, scheme="ww", g=1024, func="_cmd_single")
+_SSSP_FLAGS = {"graph": None, "random_n": 1000, "degree": 8,
+               "graph_seed": 0, "source": 0, "delta": 100}
+_PHOLD_FLAGS = {"lps": 64, "init_events": 2, "mean_increment": 100.0,
+                "end_time": 2000.0}
+_DEFAULTS = {
+    "sweep": dict(
+        _RUN_DEFAULTS, **_SSSP_FLAGS, **_PHOLD_FLAGS, command="sweep",
+        benchmark="histogram", schemes=["ww", "wps", "wsp", "pp"],
+        g_values=[512, 1024, 2048, 4096], updates=20000, requests=20000,
+        table_size=65536, self_only=False, func="_cmd_sweep"),
+    "histogram": dict(_SINGLE, command="histogram", benchmark="histogram",
+                      updates=100000, table_size=65536),
+    "ig": dict(_SINGLE, command="ig", benchmark="ig", requests=50000,
+               table_size=65536, self_only=False),
+    "sssp": dict(_SINGLE, **_SSSP_FLAGS, command="sssp", benchmark="sssp"),
+    "phold": dict(_SINGLE, **_PHOLD_FLAGS, command="phold",
+                  benchmark="phold", record_log=False),
+}
+
+
+def _parsed(command):
+    d = vars(cli._build_parser().parse_args([command]))
+    d["func"] = d["func"].__name__
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_benchmark_flag_defaults(command, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("AGG_")]:
+        monkeypatch.delenv(name)
+    assert _parsed(command) == _DEFAULTS[command]
+
+
+def test_sweep_sizes_ignore_env_pins(monkeypatch):
+    monkeypatch.setenv("AGG_UPDATES", "7")
+    monkeypatch.setenv("AGG_REQUESTS", "9")
+    assert _parsed("histogram")["updates"] == 7
+    assert _parsed("ig")["requests"] == 9
+    sweep = _parsed("sweep")
+    assert sweep["updates"] == sweep["requests"] == 20000
 
 
 # -------------------------------------------------------------------- sweep

@@ -67,7 +67,7 @@ def test_shard_rejects_negative():
 
 def _msg(k, cause, origin=0, scope=1):
     items = [(scope, None, 0, i) for i in range(k)]
-    return CoalescedMessage(origin, scope, items, False, cause, 0, False, 0)
+    return CoalescedMessage(origin, scope, items, False, cause, 0, 0)
 
 
 def test_message_log_counts_and_bytes():

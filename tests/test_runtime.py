@@ -15,7 +15,7 @@ def _spawn(topo, kind, g, *, cfg=None, mode="sequential", program,
            timeout_ns=None, item_bytes=8, **kw):
     agg = create_aggregator(kind, topo, g, item_bytes)
     if timeout_ns is not None:
-        agg.set_auto_flush(False, timeout_ns)
+        agg.set_flush_timeout(timeout_ns)
     return spawn(topo, agg, cfg, mode=mode, program=program, **kw)
 
 
@@ -215,6 +215,12 @@ def test_arrivals_fifo_per_channel():
         assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
+class _Rewinder(WorkerProgram):
+    def step(self, ctx):
+        ctx.advance(-1)
+        return True
+
+
 def test_usage_validation():
     topo = Topology(1, 2, 1)
     agg = create_aggregator(SchemeKind.WW, Topology(1, 2, 2), 4, 8)
@@ -225,6 +231,12 @@ def test_usage_validation():
         spawn(topo, agg2, mode="warp", program=lambda wid: _Spinner())
     with pytest.raises(UsageError):
         TransportConfig(alpha_ns=-1)
+    # a driver may not move its clock backwards, in either engine
+    for mode in ("sequential", "threaded"):
+        h = _spawn(topo, SchemeKind.WW, 4, mode=mode,
+                   program=lambda wid: _Rewinder())
+        with pytest.raises(UsageError):
+            h.await_quiescence(timeout_s=30)
 
 
 def test_broadcast_task_and_phases():

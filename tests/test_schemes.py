@@ -79,7 +79,7 @@ def test_rejects_bad_params():
         create_aggregator(SchemeKind.WW, topo, 4, 0)
     agg = create_aggregator(SchemeKind.WW, topo, 4, 8)
     with pytest.raises(UsageError):
-        agg.set_auto_flush(False, 0)
+        agg.set_flush_timeout(0)
 
 
 def test_needs_transport_and_sinks():
@@ -213,6 +213,13 @@ def test_pp_seal_timestamp_covers_newest_item():
     agg.insert(0, mk_item(3, 2), 700)
     assert agg.flush(1, now=80) == 1
     assert tr.messages[-1].sent_at == 700
+    # expiry path: the timer runs from the oldest item, but the message
+    # still departs no earlier than the newest one
+    agg, tr = make_agg(SchemeKind.PP, topo, g=4, timeout_ns=100)
+    agg.insert(1, mk_item(2, 3), 10)
+    agg.insert(0, mk_item(3, 4), 900)
+    assert agg.flush_expired(1, now=120) == 1
+    assert tr.messages[-1].sent_at == 900
 
 
 def test_flush_owners_cover_each_buffer_once():
@@ -266,21 +273,31 @@ def test_seal_clears_timeout_timer():
 def test_exactly_once_hand_driven(kind, data):
     topo = Topology(1, 2, 2)
     g = data.draw(st.integers(1, 5))
-    agg, tr = make_agg(kind, topo, g=g)
+    timeout_ns = data.draw(st.none() | st.integers(1, 10))
+    agg, tr = make_agg(kind, topo, g=g, timeout_ns=timeout_ns)
     n = data.draw(st.integers(0, 40))
     sent = []
     for seq in range(n):
         src = data.draw(st.integers(0, 3))
         dest = data.draw(st.integers(0, 3))
-        agg.insert(src, mk_item(dest, seq), now=seq)
+        agg.insert(src, mk_item(dest, seq, created_at=seq), now=seq)
         sent.append((dest, seq))
         if data.draw(st.booleans()):
             agg.flush(src, now=seq)
+        if data.draw(st.booleans()):
+            agg.flush_expired(src, now=seq)
     for owner in agg.flush_owners():
         agg.flush(owner, now=n)
     got = [(d, it.seq) for _, d, items, _ in tr.local for it in items]
     for msg in tr.messages:
+        k = len(msg.items)
+        # full seals ship exactly g items; flushes ship a partial buffer
+        assert (msg.cause == "full") == (k == g)
+        if msg.cause == "flush":
+            assert 1 <= k < g
+        assert msg.sent_at >= max(it.created_at for it in msg.items)
         for d, items in agg.on_receive(msg):
             got.extend((d, it.seq) for it in items)
     assert Counter(got) == Counter(sent)
     assert agg.total_buffered() == 0
+    assert agg.pending_deadlines() == []

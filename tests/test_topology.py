@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aggsim.errors import UsageError
-from aggsim.topology import (Topology, VirtualClock, WallClock, node_of,
-                             process_of, workers_of)
+from aggsim.topology import Topology, node_of, process_of, workers_of
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -60,18 +59,3 @@ def test_out_of_range_lookups():
         workers_of(2, topo)
     with pytest.raises(UsageError):
         node_of(-1, topo)
-
-
-def test_virtual_clock():
-    clk = VirtualClock(5)
-    clk.advance(10)
-    assert clk.now() == 15
-    with pytest.raises(UsageError):
-        clk.advance(-1)
-
-
-def test_wall_clock_monotone():
-    clk = WallClock()
-    a = clk.now()
-    b = clk.now()
-    assert 0 <= a <= b
