@@ -49,24 +49,29 @@ class _HistWorker(WorkerProgram):
                                  size=spec.updates_per_worker)
         self.bins = draws.tolist()
         n_local = (spec.table_size - self.wid + self.w - 1) // self.w
-        self.counts = np.zeros(n_local, dtype=np.int64)
+        self.counts = [0] * n_local
 
     def step(self, ctx):
-        bins = self.bins
-        end = min(self.pos + self.chunk, len(bins))
-        if self.pos >= end:
+        pos = self.pos
+        end = min(pos + self.chunk, len(self.bins))
+        if pos >= end:
             return False
+        chunk = self.bins[pos:end]
         w = self.w
-        insert = ctx.insert
-        for i in range(self.pos, end):
-            b = bins[i]
-            insert(b % w, b)
+        ctx.insert_many([b % w for b in chunk], chunk)
         self.pos = end
         return True
 
     def on_item(self, ctx, item):
         # cyclic deal: bin b maps to local slot (b - wid) / w
         self.counts[(item[1] - self.wid) // self.w] += 1
+
+    def on_items(self, ctx, items):
+        counts = self.counts
+        wid = self.wid
+        w = self.w
+        for it in items:
+            counts[(it[1] - wid) // w] += 1
 
 
 class HistogramResult(BenchResult):

@@ -12,11 +12,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter, sub
 from typing import Optional
 
 from .errors import InternalInvariantError, UsageError
 
 DEFAULT_SAMPLES_CAP = 1_000_000
+_CREATED = itemgetter(2)
 
 
 def nearest_rank(sorted_samples, pct: float):
@@ -83,6 +86,31 @@ class LatencyShard:
             j = self._rng.randrange(self.seen)
             if j < self.cap:
                 s[j] = d
+
+    def record_many(self, t0: int, step: int, items) -> None:
+        """record(t0 + (i+1)*step - items[i].created_at) for each i, in order.
+
+        A group of several samples that fits under the cap is added in one
+        pass. A single sample, a group that reaches the reservoir (its RNG
+        draws) or one holding a negative sample (the error) goes through
+        record() one at a time, exactly as the per-item loop.
+        """
+        s = self.samples
+        k = len(items)
+        if 1 < k <= self.cap - len(s):
+            ds = list(map(sub, count(t0 + step, step), map(_CREATED, items)))
+            if min(ds) >= 0:
+                self.seen += k
+                self.total += sum(ds)
+                top = max(ds)
+                if top > self.max:
+                    self.max = top
+                s.extend(ds)
+                return
+        now = t0
+        for it in items:
+            now += step
+            self.record(now - it[2])
 
 
 class MessageLog:

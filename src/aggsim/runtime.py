@@ -34,6 +34,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,6 +49,7 @@ MODE_THREADED = "threaded"
 RUN_MODES = (MODE_SEQUENTIAL, MODE_THREADED)
 
 _DELIVER_BUDGET = 256  # max items drained per worker turn (sequential)
+_SEQ = itemgetter(3)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,15 @@ class WorkerProgram:
     has no more self-generated work (delivery sinks may still run after
     that). on_item is the delivery sink and is mandatory for any worker that
     can receive items.
+
+    on_items(ctx, items) is an optional batch sink: when a driver defines it,
+    the sequential engine hands it each delivered group whole instead of
+    calling on_item per item. It is only for sinks that neither read the
+    clock nor insert, because the group's latency samples are taken and the
+    clock advanced before it runs. The threaded engine always calls on_item.
     """
+
+    on_items = None
 
     def on_start(self, ctx) -> None:
         pass
@@ -109,7 +120,7 @@ class _Worker:
     in the sequential engine, a _TQueue in the threaded one.
     """
 
-    __slots__ = ("wid", "now", "queue", "driver", "driver_done",
+    __slots__ = ("wid", "now", "queue", "driver", "driver_done", "batch_sink",
                  "rng", "work_ns", "produced", "delivered", "self_sends",
                  "shard", "seq_next", "seq_stride", "ins_log", "dl_log",
                  "_agg", "_epoch", "thread")
@@ -121,6 +132,7 @@ class _Worker:
         self.queue = queue
         self.driver = None
         self.driver_done = False
+        self.batch_sink = None
         self.rng = rng
         self.work_ns = work_ns
         self.produced = 0
@@ -152,6 +164,31 @@ class _Worker:
             self.ins_log.append(s)
         self._agg.insert(self.wid, Item(dest, payload, self.now, s), self.now)
 
+    def insert_many(self, dests, payloads) -> None:
+        """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
+
+        Item i is stamped now + (i+1)*work_ns and takes the i-th next seq;
+        the clock ends at the last stamp, as after the scalar loop.
+        """
+        n = len(dests)
+        if len(payloads) != n:
+            raise UsageError(f"{n} destinations but {len(payloads)} payloads")
+        if not n:
+            return
+        wns = self.work_ns
+        stride = self.seq_stride
+        # tuple.__new__ builds each Item in C, skipping Item.__new__'s frame
+        items = list(map(tuple.__new__, repeat(Item), zip(
+            dests, payloads, count(self.now + wns, wns),
+            count(self.seq_next, stride))))
+        last = items[-1]
+        self.now = last[2]
+        self.seq_next = last[3] + stride
+        self.produced += n
+        if self.ins_log is not None:
+            self.ins_log.extend(map(_SEQ, items))
+        self._agg.insert_batch(self.wid, items)
+
     def flush(self) -> int:
         return self._agg.flush(self.wid, self.time_ns())
 
@@ -172,6 +209,14 @@ class _WallWorker(_Worker):
         # the shared body adds work_ns back, stamping the item at wall time
         self.now = self.time_ns() - self.work_ns
         _Worker.insert(self, dest, payload)
+
+    def insert_many(self, dests, payloads) -> None:
+        # item by item, so that each one carries its own wall stamp
+        if len(payloads) != len(dests):
+            raise UsageError(
+                f"{len(dests)} destinations but {len(payloads)} payloads")
+        for dest, payload in zip(dests, payloads):
+            self.insert(dest, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +265,7 @@ class _BaseRun:
             ctx = self._context(wid, rng, work_ns, shard, w,
                                 record_items, agg, self._queue(), self._epoch)
             ctx.driver = program(wid)
+            ctx.batch_sink = ctx.driver.on_items
             agg.register_sink(wid, ctx.driver.on_item)
             self._workers.append(ctx)
 
@@ -375,19 +421,30 @@ class SequentialRun(_BaseRun):
         queue = w.queue
         shard = w.shard
         dl_log = w.dl_log
+        batch_sink = w.batch_sink
         while done < budget and queue:
             arrival, items = queue.popleft()
             if arrival > w.now:
                 w.now = arrival
-            on_item = w.driver.on_item
-            for it in items:
-                w.now += dns
-                shard.record(w.now - it[2])
-                on_item(w, it)
-                w.delivered += 1
+            k = len(items)
+            if batch_sink is not None:
+                # the same samples and clock as the per-item loop below
+                shard.record_many(w.now, dns, items)
+                w.now += k * dns
+                batch_sink(w, items)
+                w.delivered += k
                 if dl_log is not None:
-                    dl_log.append(it[3])
-            done += len(items)
+                    dl_log.extend(map(_SEQ, items))
+            else:
+                on_item = w.driver.on_item
+                for it in items:
+                    w.now += dns
+                    shard.record(w.now - it[2])
+                    on_item(w, it)
+                    w.delivered += 1
+                    if dl_log is not None:
+                        dl_log.append(it[3])
+            done += k
         if done:
             # deliveries may hand the driver new local work; poll it again
             w.driver_done = False
@@ -551,6 +608,9 @@ class ThreadedRun(_BaseRun):
         with self._tlock:
             self._account(msg)
             arrival = time.monotonic_ns() - self._epoch
+            if self._arrivals is not None:
+                self._arrivals.append(
+                    (msg.origin, plan[0][0] // self._t, arrival))
         for wid, group in plan:
             self._workers[wid].queue.push((_T_DELIVER, arrival, group))
 

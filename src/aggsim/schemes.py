@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import SetupError, UsageError
@@ -28,6 +30,7 @@ from .topology import Item, Topology
 
 CAUSE_FULL = "full"
 CAUSE_FLUSH = "flush"
+_DEST = itemgetter(0)
 
 
 class SchemeKind(str, Enum):
@@ -77,67 +80,53 @@ class CoalescedMessage(tuple):
 
 
 class GroupingStats:
-    """Touch counter for group_items: one per item plus one per bucket."""
+    """Touch counter for group_items: one per item plus one per bucket.
 
-    __slots__ = ("touches", "calls")
+    add() takes a lock, so concurrent groupers (threaded engine senders and
+    wsp owners) lose no update.
+    """
+
+    __slots__ = ("touches", "calls", "_lock")
 
     def __init__(self):
         self.touches = 0
         self.calls = 0
+        self._lock = threading.Lock()
+
+    def add(self, touches: int) -> None:
+        """Count one grouping pass of the given cost."""
+        with self._lock:
+            self.touches += touches
+            self.calls += 1
 
 
 def group_items(items: Sequence[Item], topo: Topology,
                 stats: Optional[GroupingStats] = None) -> list:
-    """Stable counting sort of a batch by destination worker.
+    """Stable sort of a batch by destination worker.
 
-    All destinations must live in one process. Two passes: count per local
-    destination rank, then place in input order, so relative order per
-    destination is preserved. O(k + t) with t = workers per process.
+    All destinations must live in one process. Relative order per
+    destination is preserved, as by a counting sort over the t local
+    destinations, whose O(k + t) touches are what stats counts.
     """
     if not items:
         return []
     t = topo.workers_per_proc
-    w = topo.total_workers
     first = items[0][0]
-    if not 0 <= first < w:
+    if not 0 <= first < topo.total_workers:
         raise UsageError(f"destination {first} out of range")
+    out = sorted(items, key=_DEST)
     base = (first // t) * t
-    counts = [0] * t
-    for it in items:
-        local = it[0] - base
-        if not 0 <= local < t:
-            raise UsageError(
-                "group_items batch spans more than one destination process")
-        counts[local] += 1
-    offsets = [0] * t
-    acc = 0
-    for i, c in enumerate(counts):
-        offsets[i] = acc
-        acc += c
-    out = [None] * len(items)
-    for it in items:
-        local = it[0] - base
-        out[offsets[local]] = it
-        offsets[local] += 1
+    if out[0][0] < base or out[-1][0] >= base + t:
+        raise UsageError(
+            "group_items batch spans more than one destination process")
     if stats is not None:
-        stats.touches += len(items) + t
-        stats.calls += 1
+        stats.add(len(items) + t)
     return out
 
 
 def split_grouped(items: Sequence[Item]) -> list:
     """Split a dest-contiguous batch into (worker, run) pairs, in order."""
-    plan = []
-    i = 0
-    n = len(items)
-    while i < n:
-        d = items[i][0]
-        j = i + 1
-        while j < n and items[j][0] == d:
-            j += 1
-        plan.append((d, list(items[i:j])))
-        i = j
-    return plan
+    return [(d, list(run)) for d, run in groupby(items, key=_DEST)]
 
 
 class _SharedBuffer:
@@ -246,6 +235,15 @@ class Aggregator:
     def insert(self, source: int, item: Item, now: int) -> None:
         raise NotImplementedError
 
+    def insert_batch(self, source: int, items: Sequence[Item]) -> None:
+        """Insert one source's chunk in order, each item at its created_at.
+
+        Same effects, in the same order, as insert() per item.
+        """
+        insert = self.insert
+        for it in items:
+            insert(source, it, it[2])
+
     def flush(self, source: int, now: int) -> int:
         raise NotImplementedError
 
@@ -322,6 +320,47 @@ class _WorkerBufferedAggregator(Aggregator):
         self._pending[source] += 1
         if len(buf) == self.g:
             self._seal(source, col, CAUSE_FULL, now)
+
+    def insert_batch(self, source, items):
+        # insert()'s body with its lookups hoisted out of the item loop.
+        # The chunk is checked whole first, so a bad item has no effect.
+        self._check_batch(source, items)
+        t = self._t
+        width = self._width
+        lo = (source // t) * t // width     # source process's columns
+        hi = lo + t // width
+        g = self.g
+        tns = self.flush_timeout_ns
+        row = self._bufs[source]
+        timers = self._first_ts[source]
+        local_deliver = self._transport.local_deliver
+        n_local = 0
+        for it in items:
+            col = it[0] // width
+            if lo <= col < hi:
+                local_deliver(source, it[0], (it,), it[2])
+                n_local += 1
+                continue
+            buf = row[col]
+            if not buf and tns is not None:
+                timers[col] = it[2]
+            buf.append(it)
+            if len(buf) == g:
+                self._seal(source, col, CAUSE_FULL, it[2])
+        # _seal has already taken the sealed items off _pending; nothing
+        # reads the counters until the chunk is in
+        n = len(items) - n_local
+        self._inserted[source] += n
+        self._pending[source] += n
+
+    def _check_batch(self, source, items):
+        """Raise what the first failing insert() of items would raise."""
+        dests = list(map(_DEST, items))
+        if (dests and self._transport is not None and min(dests) >= 0
+                and max(dests) < self._w and None not in self.sinks):
+            return
+        for d in dests:
+            self._check(source, d)
 
     def _seal(self, source, col, cause, now):
         """Empty source's buffer col, clear its timer and ship it at now."""

@@ -7,15 +7,18 @@ agreement on the correctness outputs.
 import numpy as np
 import pytest
 
+from aggsim.benchmarks.base import resolve_scheme
 from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
                                       random_graph)
-from aggsim.benchmarks.histogram import HistogramSpec, run_histogram
+from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
+                                         run_histogram)
 from aggsim.benchmarks.ig import IGSpec, run_ig
 from aggsim.benchmarks.phold import PholdSpec, run_phold
 from aggsim.benchmarks.pingack import PingAckSpec, run_pingack, sweep_pingack
 from aggsim.benchmarks.sssp import SSSPSpec, run_sssp
 from aggsim.errors import UsageError
-from aggsim.runtime import TransportConfig
+from aggsim.runtime import TransportConfig, spawn
+from aggsim.schemes import create_aggregator
 from aggsim.topology import Topology
 
 SCHEMES = ("ww", "wps", "wsp", "pp")
@@ -63,6 +66,47 @@ def test_histogram_flush_starved_message_count_tracks_scope(scheme, msgs):
     assert r.metrics.messages_sent == msgs
     assert r.metrics.full_messages == 0
     assert r.metrics.flush_messages == msgs
+
+
+class _ScalarHistWorker(_HistWorker):
+    """The histogram driver on the scalar path: an insert loop, and the
+    per-item sink only."""
+
+    on_items = None
+
+    def step(self, ctx):
+        end = min(self.pos + self.chunk, len(self.bins))
+        if self.pos >= end:
+            return False
+        for b in self.bins[self.pos:end]:
+            ctx.insert(b % self.w, b)
+        self.pos = end
+        return True
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_histogram_batch_path_matches_scalar(scheme):
+    # insert_many + on_items must leave every output of the scalar path
+    # unchanged: result JSON (latencies, runtime), item seqs, message trace
+    topo = Topology(2, 2, 3)
+    spec = HistogramSpec(updates_per_worker=300, table_size=499, seed=4)
+    kind, g_fixed = resolve_scheme(scheme)
+
+    def run(driver, g, chunk, timeout_ns):
+        agg = create_aggregator(kind, topo, g_fixed or g, 16)
+        agg.set_flush_timeout(timeout_ns)
+        h = spawn(topo, agg, program=lambda wid: driver(wid, spec, topo,
+                                                         chunk),
+                  seed=4, record_items=True, trace=True)
+        m = h.await_quiescence(timeout_s=60)
+        return (m.to_json(), h.inserted_seqs(), h.delivered_seqs(), h.trace,
+                [wk.driver.counts for wk in h.workers])
+
+    for g in (1, 5, 64) if g_fixed is None else (1,):
+        for chunk in (1, 7, 256):
+            for timeout_ns in (None, 700):
+                batch = run(_HistWorker, g, chunk, timeout_ns)
+                assert batch == run(_ScalarHistWorker, g, chunk, timeout_ns)
 
 
 def test_histogram_rejects_table_smaller_than_worker_count():

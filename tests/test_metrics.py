@@ -65,6 +65,41 @@ def test_shard_rejects_negative():
         shard.record(-1)
 
 
+def _shard_state(shard):
+    return (shard.samples, shard.seen, shard.total, shard.max,
+            shard._rng.getstate())
+
+
+@given(st.integers(1, 12), st.integers(0, 30), st.integers(0, 2000),
+       st.integers(0, 60),
+       st.lists(st.lists(st.integers(0, 3000), max_size=20), max_size=6))
+def test_record_many_equals_record_loop(cap, pre, t0, step, groups):
+    """record_many is the record loop over t0 + (i+1)*step - created_at,
+    below the cap, across it into the reservoir, and on a negative
+    sample."""
+    batched = LatencyShard(cap, ("s", 1))
+    scalar = LatencyShard(cap, ("s", 1))
+    for d in range(pre):
+        batched.record(d)
+        scalar.record(d)
+    for created in groups:
+        items = [(0, None, c, i) for i, c in enumerate(created)]
+        err = None
+        try:
+            now = t0
+            for it in items:
+                now += step
+                scalar.record(now - it[2])
+        except InternalInvariantError as exc:
+            err = exc
+        if err is None:
+            batched.record_many(t0, step, items)
+        else:
+            with pytest.raises(InternalInvariantError):
+                batched.record_many(t0, step, items)
+        assert _shard_state(batched) == _shard_state(scalar)
+
+
 def _msg(k, cause, origin=0, scope=1):
     items = [(scope, None, 0, i) for i in range(k)]
     return CoalescedMessage(origin, scope, items, False, cause, 0, 0)

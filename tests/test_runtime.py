@@ -1,11 +1,13 @@
+import sys
+import time
 from collections import Counter, defaultdict
 
 import pytest
 
-from aggsim.costmodel import CostInputs, send_cost
+from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import QuiescenceTimeout, UsageError
 from aggsim.runtime import TransportConfig, WorkerProgram, spawn
-from aggsim.schemes import SchemeKind, create_aggregator
+from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
 from aggsim.topology import Topology
 
 ALL_KINDS = list(SchemeKind)
@@ -215,9 +217,63 @@ def test_arrivals_fifo_per_channel():
         assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
+def test_threaded_records_arrivals():
+    h = _spawn(Topology(2, 1, 2), SchemeKind.WPS, 4, mode="threaded",
+               program=scatter(100, 4), record_arrivals=True)
+    m = h.await_quiescence(timeout_s=60)
+    assert m.messages_sent > 0
+    assert len(h.arrival_log) == m.messages_sent
+    assert {(po, dp) for po, dp, _ in h.arrival_log} == {(0, 1), (1, 0)}
+
+
+class _YieldingStats(GroupingStats):
+    """Grouping counters whose read gives up the interpreter lock, so an
+    unlocked read-modify-write of touches likely loses a racing update."""
+
+    __slots__ = ("_touches",)
+
+    @property
+    def touches(self):
+        value = self._touches
+        time.sleep(0)
+        return value
+
+    @touches.setter
+    def touches(self, value):
+        self._touches = value
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.WPS, SchemeKind.WSP,
+                                  SchemeKind.PP])
+def test_threaded_grouping_counts_every_pass(kind):
+    # wps and pp group on arrival in the sender's thread, outside the
+    # transport lock; wsp groups on the owner thread at seal
+    topo = Topology(2, 2, 2)
+    agg = create_aggregator(kind, topo, 2, 8)
+    agg.grouping_stats = _YieldingStats()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        h = spawn(topo, agg, mode="threaded", program=scatter(200, 8),
+                  trace=True)
+        h.await_quiescence(timeout_s=60)
+    finally:
+        sys.setswitchinterval(old)
+    stats = agg.grouping_stats
+    assert stats.calls == len(h.trace) > 0
+    assert stats.touches == sum(grouping_cost(e["k"], topo.workers_per_proc)
+                                for e in h.trace)
+
+
 class _Rewinder(WorkerProgram):
     def step(self, ctx):
         ctx.advance(-1)
+        return True
+
+
+class _Mismatched(WorkerProgram):
+    def step(self, ctx):
+        ctx.insert_many([0, 1], [None])
         return True
 
 
@@ -231,12 +287,14 @@ def test_usage_validation():
         spawn(topo, agg2, mode="warp", program=lambda wid: _Spinner())
     with pytest.raises(UsageError):
         TransportConfig(alpha_ns=-1)
-    # a driver may not move its clock backwards, in either engine
+    # a driver may not move its clock backwards, nor pass insert_many
+    # unequal lists, in either engine
     for mode in ("sequential", "threaded"):
-        h = _spawn(topo, SchemeKind.WW, 4, mode=mode,
-                   program=lambda wid: _Rewinder())
-        with pytest.raises(UsageError):
-            h.await_quiescence(timeout_s=30)
+        for driver in (_Rewinder, _Mismatched):
+            h = _spawn(topo, SchemeKind.WW, 4, mode=mode,
+                       program=lambda wid, d=driver: d())
+            with pytest.raises(UsageError):
+                h.await_quiescence(timeout_s=30)
 
 
 def test_broadcast_task_and_phases():

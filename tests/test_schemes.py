@@ -56,6 +56,79 @@ def test_group_items_is_stable_permutation(ppn, wpp, data):
     assert stats.touches == len(batch) + wpp
 
 
+def _counting_sort(items, topo, stats):
+    """The original two-pass counting sort, kept as the reference."""
+    if not items:
+        return []
+    t = topo.workers_per_proc
+    first = items[0][0]
+    if not 0 <= first < topo.total_workers:
+        raise UsageError(f"destination {first} out of range")
+    base = (first // t) * t
+    counts = [0] * t
+    for it in items:
+        local = it[0] - base
+        if not 0 <= local < t:
+            raise UsageError("batch spans more than one destination process")
+        counts[local] += 1
+    offsets = [0] * t
+    acc = 0
+    for i, c in enumerate(counts):
+        offsets[i] = acc
+        acc += c
+    out = [None] * len(items)
+    for it in items:
+        local = it[0] - base
+        out[offsets[local]] = it
+        offsets[local] += 1
+    stats.touches += len(items) + t
+    stats.calls += 1
+    return out
+
+
+def _runs(items):
+    """The original split_grouped loop, kept as the reference."""
+    plan = []
+    i = 0
+    while i < len(items):
+        j = i + 1
+        while j < len(items) and items[j][0] == items[i][0]:
+            j += 1
+        plan.append((items[i][0], list(items[i:j])))
+        i = j
+    return plan
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_grouping_matches_counting_sort(ppn, wpp, data):
+    topo = Topology(1, ppn, wpp)
+    w = topo.total_workers
+    # mostly one process; sometimes any worker or out of range, to reach
+    # both errors
+    proc = data.draw(st.integers(0, ppn - 1))
+    one_proc = st.integers(proc * wpp, proc * wpp + wpp - 1)
+    dests = data.draw(st.lists(
+        one_proc | st.integers(-2, w + 1) if data.draw(st.booleans())
+        else one_proc, max_size=40))
+    batch = [mk_item(d, seq) for seq, d in enumerate(dests)]
+    want_stats, got_stats = GroupingStats(), GroupingStats()
+    try:
+        want = _counting_sort(batch, topo, want_stats)
+    except UsageError as exc:
+        with pytest.raises(UsageError) as got:
+            group_items(batch, topo, got_stats)
+        assert ("out of range" in str(got.value)) == (
+            "out of range" in str(exc))
+    else:
+        got = group_items(batch, topo, got_stats)
+        assert got == want
+        assert split_grouped(got) == _runs(want)
+    assert (got_stats.touches, got_stats.calls) == (
+        want_stats.touches, want_stats.calls)
+    # split_grouped also takes runs that are not sorted
+    assert split_grouped(batch) == _runs(batch)
+
+
 def test_split_grouped_runs():
     batch = [mk_item(2, 0), mk_item(2, 1), mk_item(3, 2), mk_item(2, 3)]
     plan = split_grouped(batch)
@@ -265,6 +338,61 @@ def test_seal_clears_timeout_timer():
     agg.insert(0, mk_item(1, 1), now=1)  # fills: timer must vanish
     assert agg.pending_deadlines() == []
     assert agg.flush_expired(0, now=10**9) == 0
+
+
+# -- batch inserts ----------------------------------------------------------
+@given(st.sampled_from(ALL_KINDS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_insert_batch_matches_insert_loop(kind, data):
+    """A chunk through insert_batch has the effects of insert() per item:
+    the same messages in the same order (sent_at, cause, items), local
+    deliveries, counters and timers."""
+    topo = Topology(1, 3, 2)
+    g = data.draw(st.integers(1, 6))
+    timeout_ns = data.draw(st.none() | st.integers(1, 50))
+    a, ta = make_agg(kind, topo, g=g, timeout_ns=timeout_ns)
+    b, tb = make_agg(kind, topo, g=g, timeout_ns=timeout_ns)
+    seq = 0
+    for now in range(0, 100 * data.draw(st.integers(1, 6)), 100):
+        src = data.draw(st.integers(0, 5))
+        dests = data.draw(st.lists(st.integers(0, 5), max_size=15))
+        items = [mk_item(d, seq + i, created_at=now + i)
+                 for i, d in enumerate(dests)]
+        seq += len(items)
+        a.insert_batch(src, items)
+        for it in items:
+            b.insert(src, it, it.created_at)
+        if data.draw(st.booleans()):
+            a.flush_expired(src, now + 60)
+            b.flush_expired(src, now + 60)
+        assert ta.messages == tb.messages
+        assert ta.local == tb.local
+        assert a.pending_deadlines() == b.pending_deadlines()
+        assert a.inserted_per_scope() == b.inserted_per_scope()
+        assert [a.owner_buffered(o) for o in range(6)] == [
+            b.owner_buffered(o) for o in range(6)]
+        assert a.grouping_stats.touches == b.grouping_stats.touches
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_insert_batch_checks_whole_chunk_first(kind):
+    topo = Topology(1, 2, 2)
+    agg, tr = make_agg(kind, topo, g=1)
+    good = [mk_item(2, 0), mk_item(0, 1)]
+    for bad in (4, -1):
+        with pytest.raises(UsageError):
+            agg.insert_batch(0, good + [mk_item(bad, 2)])
+    agg.sinks[3] = None
+    with pytest.raises(SetupError):
+        agg.insert_batch(0, good + [mk_item(3, 2)])
+    if kind is not SchemeKind.PP:  # pp inserts item by item
+        assert tr.messages == [] and tr.local == []
+        assert agg.inserted_per_scope() == [0] * 4
+    unbound = create_aggregator(kind, topo, 1, 8)
+    for wid in range(4):
+        unbound.register_sink(wid, lambda items: None)
+    with pytest.raises(SetupError):
+        unbound.insert_batch(0, good)
 
 
 # -- conservation under random traffic --------------------------------------
