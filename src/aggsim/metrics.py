@@ -4,7 +4,7 @@ Message counters are recorded at the origin when a coalesced message is
 emitted; per-item latency samples are recorded at delivery on the destination
 worker's shard. Shards are merged once, at quiescence. Percentiles use the
 nearest-rank rule on a uniform reservoir (exact while sample counts stay
-under the cap).
+under the cap), read by selection rather than a full sort.
 """
 from __future__ import annotations
 
@@ -16,10 +16,19 @@ from itertools import count
 from operator import itemgetter, sub
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalInvariantError, UsageError
 
 DEFAULT_SAMPLES_CAP = 1_000_000
 _CREATED = itemgetter(2)
+
+
+def _rank_index(n: int, pct: float) -> int:
+    """0-based index of the nearest-rank pct percentile among n samples."""
+    if not 0 < pct <= 100:
+        raise UsageError(f"percentile must be in (0, 100], got {pct}")
+    return max(1, math.ceil(pct * n / 100)) - 1
 
 
 def nearest_rank(sorted_samples, pct: float):
@@ -27,10 +36,25 @@ def nearest_rank(sorted_samples, pct: float):
     n = len(sorted_samples)
     if n == 0:
         return None
-    if not 0 < pct <= 100:
-        raise UsageError(f"percentile must be in (0, 100], got {pct}")
-    rank = max(1, math.ceil(pct * n / 100))
-    return sorted_samples[rank - 1]
+    return sorted_samples[_rank_index(n, pct)]
+
+
+def _percentiles(samples, pcts) -> list:
+    """nearest_rank(sorted(samples), p) for each p, by one selection.
+
+    Integer samples are partitioned as int64 and come back as Python ints;
+    anything else (floats, ints beyond int64) is compared as Python objects,
+    so the values are exactly those a full sort would give.
+    """
+    n = len(samples)
+    if n == 0:
+        return [None] * len(pcts)
+    ranks = [_rank_index(n, p) for p in pcts]
+    arr = np.array(samples)
+    if arr.dtype.kind != "i":
+        arr = np.array(samples, dtype=object)
+    arr.partition(ranks)  # in place: arr is a fresh copy of samples
+    return arr[ranks].tolist()
 
 
 def summarize(samples, total=None, count=None, maximum=None) -> dict:
@@ -48,12 +72,12 @@ def summarize(samples, total=None, count=None, maximum=None) -> dict:
         total = sum(samples)
     if maximum is None:
         maximum = max(samples)
-    s = sorted(samples)
+    p50, p99 = _percentiles(samples, (50, 99))
     return {
         "count": count,
         "mean_ns": total / count,
-        "p50_ns": nearest_rank(s, 50),
-        "p99_ns": nearest_rank(s, 99),
+        "p50_ns": p50,
+        "p99_ns": p99,
         "max_ns": maximum,
     }
 

@@ -26,13 +26,25 @@ whenever the run stalls short of that, so buffered items cannot be stranded.
 With a flush timeout set, each scheduling turn first flushes the worker's
 expired buffers, and a stalled sequential run jumps owners' clocks to their
 pending deadlines before it falls back to an idle-flush round.
+
+The sequential run_phase, await_quiescence and broadcast_task suspend
+CPython's cyclic garbage collector while they run driver code and restore
+the caller's setting on return, also when they raise. Without that, each
+full collection re-walks every Item waiting in buffers and delivery queues
+and frees nothing. The threaded engine leaves the collector alone, because
+the switch is process-wide and its worker threads run beside the caller.
+A custom driver that builds reference cycles per item holds them until
+the call returns. The threaded engine refuses topologies of more than
+MAX_THREADED_WORKERS workers (one OS thread each) before it starts any.
 """
 from __future__ import annotations
 
+import gc
 import random
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import itemgetter
@@ -50,6 +62,19 @@ RUN_MODES = (MODE_SEQUENTIAL, MODE_THREADED)
 
 _DELIVER_BUDGET = 256  # max items drained per worker turn (sequential)
 _SEQ = itemgetter(3)
+MAX_THREADED_WORKERS = 512  # one OS thread per worker in threaded mode
+
+
+@contextmanager
+def _collector_paused():
+    """Suspend the cyclic garbage collector; restore the caller's setting."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -509,17 +534,18 @@ class SequentialRun(_BaseRun):
         order = list(range(len(self._workers)))
         shuffle = self._sched.shuffle
         rounds = 0
-        while True:
-            shuffle(order)
-            progress = self._round(order)
-            if not progress and not self._try_unstall():
-                break
-            rounds += 1
-            if timeout_s is not None and rounds % 256 == 0:
-                if time.monotonic() - t0 > timeout_s:
-                    raise QuiescenceTimeout(
-                        f"run exceeded {timeout_s}s wall budget",
-                        self._diagnostics())
+        with _collector_paused():
+            while True:
+                shuffle(order)
+                progress = self._round(order)
+                if not progress and not self._try_unstall():
+                    break
+                rounds += 1
+                if timeout_s is not None and rounds % 256 == 0:
+                    if time.monotonic() - t0 > timeout_s:
+                        raise QuiescenceTimeout(
+                            f"run exceeded {timeout_s}s wall budget",
+                            self._diagnostics())
 
     # -- handle surface -----------------------------------------------------
     def run_phase(self, timeout_s=None):
@@ -528,7 +554,8 @@ class SequentialRun(_BaseRun):
 
     def broadcast_task(self, fn):
         """Run fn(ctx) once on every worker context; returns the results."""
-        return [fn(w) for w in self._workers]
+        with _collector_paused():
+            return [fn(w) for w in self._workers]
 
     def await_quiescence(self, timeout_s=None):
         self._run(timeout_s)
@@ -590,6 +617,11 @@ class ThreadedRun(_BaseRun):
     _queue = _TQueue
 
     def __init__(self, topo, agg, cfg, program, **kw):
+        if topo.total_workers > MAX_THREADED_WORKERS:
+            raise UsageError(
+                f"threaded mode runs one thread per worker and allows at most "
+                f"{MAX_THREADED_WORKERS} workers; this topology has "
+                f"{topo.total_workers}")
         self._epoch = time.monotonic_ns()
         self._tlock = threading.Lock()
         self._error = None
@@ -777,7 +809,8 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     program is a callable worker_id -> WorkerProgram. work_ns advances the
     inserting worker's virtual clock per insert; deliver_ns advances the
     destination's per delivered item (sequential mode only; wall clocks tick
-    on their own). Returns the run handle; call await_quiescence on it.
+    on their own). Threaded mode refuses more than MAX_THREADED_WORKERS
+    workers. Returns the run handle; call await_quiescence on it.
     """
     engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL
               else ThreadedRun)

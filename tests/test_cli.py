@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from aggsim import cli
 from aggsim.errors import OracleMismatch, QuiescenceTimeout
+from aggsim.runtime import MAX_THREADED_WORKERS
 
 SMALL = ["--updates", "500", "--table-size", "64",
          "--nodes", "1", "--ppn", "2", "--wpp", "2", "--g", "64",
@@ -266,6 +268,17 @@ def test_quiescence_timeout_exit_code(monkeypatch):
         raise QuiescenceTimeout("forced")
     monkeypatch.setitem(cli._CELLS, "histogram", stall)
     assert cli.parse_and_run(["histogram"] + SMALL) == 4
+
+
+def test_threaded_topology_above_cap_exits_2(capsys):
+    before = threading.active_count()
+    code = cli.parse_and_run([
+        "histogram", "--mode", "threaded", "--scheme", "pp", "--g", "64",
+        "--nodes", "1", "--ppn", "1", "--wpp", str(MAX_THREADED_WORKERS + 1),
+        "--table-size", "1024", "--updates", "1"])
+    assert code == 2
+    assert "at most" in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_missing_subcommand_exits_2():

@@ -1,7 +1,8 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aggsim.errors import InternalInvariantError, UsageError
 from aggsim.metrics import LatencyShard, MessageLog, nearest_rank, summarize
@@ -37,6 +38,32 @@ def test_summarize_bounds(samples):
     assert min(samples) <= out["p50_ns"] <= out["p99_ns"] <= out["max_ns"]
     assert out["max_ns"] == max(samples)
     assert out["mean_ns"] == pytest.approx(sum(samples) / len(samples))
+
+
+def _sorted_nearest_rank(samples, pct):
+    """Reference: nearest rank read from a full ascending sort."""
+    s = sorted(samples)
+    return s[max(1, math.ceil(pct * len(s) / 100)) - 1]
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),  # duplicates
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=300),
+    st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=40),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)))
+@example([7])
+@example([9, 2])
+@example([2, 2])
+@example(list(range(100, 0, -1)))  # 99 * n / 100 is a whole rank
+@example(list(range(200)))
+@example([0] * 99 + [1])
+@example([1] + [0] * 100)  # n = 101: 99 * n / 100 = 99.99 rounds up
+def test_summarize_percentiles_match_full_sort(samples):
+    out = summarize(samples)
+    for key, pct in (("p50_ns", 50), ("p99_ns", 99)):
+        want = _sorted_nearest_rank(samples, pct)
+        assert out[key] == want
+        assert type(out[key]) is type(want)  # Python ints: same JSON
 
 
 def test_shard_exact_until_cap():

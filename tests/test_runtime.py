@@ -1,4 +1,6 @@
+import gc
 import sys
+import threading
 import time
 from collections import Counter, defaultdict
 
@@ -6,7 +8,9 @@ import pytest
 
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import QuiescenceTimeout, UsageError
-from aggsim.runtime import TransportConfig, WorkerProgram, spawn
+from aggsim.benchmarks import HistogramSpec, run_histogram
+from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
+                            WorkerProgram, spawn)
 from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
 from aggsim.topology import Topology
 
@@ -303,3 +307,116 @@ def test_broadcast_task_and_phases():
     got = h.broadcast_task(lambda ctx: ctx.driver.received)
     assert len(got) == 4
     assert sum(got) == h.await_quiescence(timeout_s=30).delivered
+
+
+# --------------------------------------------------- cyclic collector switch
+
+class _CollectorProbe(Scatter):
+    """Scatter that records whether the cyclic collector was on in step."""
+
+    def __init__(self, wid, n, w, seen):
+        super().__init__(wid, n, w)
+        self.seen = seen
+
+    def step(self, ctx):
+        self.seen.add(gc.isenabled())
+        return super().step(ctx)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _ExplodingStep(WorkerProgram):
+    def step(self, ctx):
+        raise _Boom()
+
+
+@pytest.fixture
+def collector_on():
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_sequential_run_restores_collector(collector_on):
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, program=scatter(50, 4))
+    h.run_phase(timeout_s=30)
+    assert gc.isenabled()
+    assert h.broadcast_task(lambda ctx: gc.isenabled()) == [False] * 4
+    assert gc.isenabled()
+    h.await_quiescence(timeout_s=30)
+    assert gc.isenabled()
+
+
+def test_collector_restored_when_driver_or_task_raises(collector_on):
+    h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4,
+               program=lambda wid: _ExplodingStep())
+    with pytest.raises(_Boom):
+        h.await_quiescence(timeout_s=30)
+    assert gc.isenabled()
+
+    def task(ctx):
+        raise _Boom()
+
+    h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4, program=scatter(10, 2))
+    with pytest.raises(_Boom):
+        h.broadcast_task(task)
+    assert gc.isenabled()
+
+
+def test_collector_left_off_for_a_caller_that_disabled_it(collector_on):
+    gc.disable()
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WPS, 8, program=scatter(50, 4))
+    h.run_phase(timeout_s=30)
+    h.broadcast_task(lambda ctx: None)
+    h.await_quiescence(timeout_s=30)
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("mode,inside", [("sequential", {False}),
+                                         ("threaded", {True})])
+def test_collector_state_inside_step(collector_on, mode, inside):
+    # the threaded engine never touches the process-wide switch
+    seen = set()
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, mode=mode,
+               program=lambda wid: _CollectorProbe(wid, 50, 4, seen))
+    h.await_quiescence(timeout_s=60)
+    assert seen == inside
+    assert gc.isenabled()
+
+
+def test_collector_pause_strands_no_per_item_garbage(collector_on):
+    """A run's cyclic garbage is its own structure, not one cycle per item.
+
+    The collector stays off around both runs: automatic collections untrack
+    tuples of plain ints (such as channel keys) depending on allocation
+    counts, which would make the count reflect collector heuristics rather
+    than what the run left behind.
+    """
+    def left_behind(updates):
+        gc.collect()
+        run_histogram(HistogramSpec(updates, 1024, seed=3), scheme="wps",
+                      g=64, topo=Topology(2, 2, 2))
+        return gc.collect()
+
+    gc.disable()
+    left_behind(2000)  # first-use allocations happen here
+    small = left_behind(2000)
+    large = left_behind(8000)
+    assert not gc.isenabled()
+    assert small == large
+
+
+# -------------------------------------------------------------- thread cap
+
+def test_threaded_cap_refuses_before_starting_threads():
+    topo = Topology(1, 1, MAX_THREADED_WORKERS + 1)
+    agg = create_aggregator(SchemeKind.PP, topo, 64, 8)
+    before = threading.active_count()
+    with pytest.raises(UsageError, match="at most"):
+        spawn(topo, agg, mode="threaded", program=lambda wid: _Spinner())
+    assert threading.active_count() == before
+    # refused before the run was wired: the aggregator is still unattached
+    assert agg._transport is None
