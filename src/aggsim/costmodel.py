@@ -29,7 +29,6 @@ class CostInputs:
     alpha_ns: float = 0.0
     beta_ns_per_byte: float = 0.0
     fill_rate_per_ns: float = 0.0
-    per_message_overhead_ns: float = 0.0
 
     def __post_init__(self):
         if self.g < 1:
@@ -40,8 +39,7 @@ class CostInputs:
             raise UsageError("topology factors must be >= 1")
         if self.z < 0:
             raise UsageError("z must be >= 0")
-        for name in ("alpha_ns", "beta_ns_per_byte", "fill_rate_per_ns",
-                     "per_message_overhead_ns"):
+        for name in ("alpha_ns", "beta_ns_per_byte", "fill_rate_per_ns"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
 

@@ -145,21 +145,19 @@ class MessageLog:
     """
 
     __slots__ = ("msgs_full", "msgs_flush", "bytes_sent", "transport_cost_ns",
-                 "trace", "header_bytes", "item_bytes")
+                 "trace")
 
-    def __init__(self, n_scopes: int, item_bytes: int, header_bytes: int,
-                 trace: bool):
+    def __init__(self, n_scopes: int, trace: bool):
         self.msgs_full = [0] * n_scopes
         self.msgs_flush = [0] * n_scopes
         self.bytes_sent = 0
         self.transport_cost_ns = 0.0
         self.trace = [] if trace else None
-        self.header_bytes = header_bytes
-        self.item_bytes = item_bytes
 
-    def record_message(self, msg, scope: int, net_cost_ns: float) -> None:
+    def record_message(self, msg, scope: int, nbytes: int,
+                       net_cost_ns: float) -> None:
         k = len(msg.items)
-        self.bytes_sent += k * self.item_bytes + self.header_bytes
+        self.bytes_sent += nbytes
         self.transport_cost_ns += net_cost_ns
         if msg.cause == "full":
             self.msgs_full[scope] += 1

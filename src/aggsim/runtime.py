@@ -187,7 +187,7 @@ class _Worker:
         self.produced += 1
         if self.ins_log is not None:
             self.ins_log.append(s)
-        self._agg.insert(self.wid, Item(dest, payload, self.now, s), self.now)
+        self._agg.insert(self.wid, Item(dest, payload, self.now, s))
 
     def insert_many(self, dests, payloads) -> None:
         """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
@@ -272,8 +272,7 @@ class _BaseRun:
         self._n_procs = n
         self._t = topo.workers_per_proc
         n_scopes = w if agg.scope_kind == "worker" else n
-        self._log = MessageLog(n_scopes, agg.item_bytes,
-                               self._cfg.header_bytes, trace)
+        self._log = MessageLog(n_scopes, trace)
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
@@ -291,7 +290,6 @@ class _BaseRun:
                                 record_items, agg, self._queue(), self._epoch)
             ctx.driver = program(wid)
             ctx.batch_sink = ctx.driver.on_items
-            agg.register_sink(wid, ctx.driver.on_item)
             self._workers.append(ctx)
 
     # -- public handle surface -------------------------------------------
@@ -390,7 +388,7 @@ class _BaseRun:
         nbytes = len(msg.items) * agg.item_bytes + cfg.header_bytes
         net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
         scope = msg.src_worker if agg.scope_kind == "worker" else po
-        self._log.record_message(msg, scope, net)
+        self._log.record_message(msg, scope, nbytes, net)
         base = float(msg.sent_at)
         if cfg.comm_enabled:
             ready = self._comm_ready[po]

@@ -11,8 +11,13 @@ Scheme tokens:
 
 Items whose destination worker lives in the source process bypass buffering
 entirely and go straight to the local delivery queue; shared-memory delivery
-needs no coalescing. ww still allocates the buffers for same-process
-destinations (the layout formula counts them) but never fills them.
+needs no coalescing. The modelled layout (allocated_bytes) still counts ww's
+buffers for same-process destinations, but they are never filled.
+
+The buffered items are the only buffer state. A worker's buffer row holds
+only its non-empty buffers, created on first insert and dropped at seal. A
+buffer's timeout deadline is its oldest item's created_at plus the timeout,
+and a pp message departs no earlier than its newest item's created_at.
 
 A buffer emits exactly when it reaches g items (cause "full", k == g) or when
 flushed while non-empty (cause "flush", k < g, message resized to k).
@@ -20,10 +25,11 @@ flushed while non-empty (cause "flush", k < g, message resized to k).
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import SetupError, UsageError
 from .topology import Item, Topology
@@ -31,6 +37,7 @@ from .topology import Item, Topology
 CAUSE_FULL = "full"
 CAUSE_FLUSH = "flush"
 _DEST = itemgetter(0)
+_CREATED = itemgetter(2)
 
 
 class SchemeKind(str, Enum):
@@ -137,24 +144,20 @@ class _SharedBuffer:
     per-scope accounting.
     """
 
-    __slots__ = ("items", "lock", "inserted", "first_ts", "max_ts")
+    __slots__ = ("items", "lock", "inserted")
 
     def __init__(self):
         self.items = []
         self.lock = threading.Lock()
         self.inserted = 0
-        self.first_ts = None
-        # newest created_at in the buffer; contributors have independent
-        # clocks, so a message may not depart before its newest item
-        self.max_ts = 0
 
 
 class Aggregator:
     """Base class: buffer bookkeeping common to all schemes.
 
     Subclasses own the layout. An aggregator is inert until bind() attaches a
-    transport (the engine); create -> register sinks -> spawn is the intended
-    order, and a second spawn on the same instance is refused.
+    transport (the engine); create -> spawn is the intended order, and a
+    second spawn on the same instance is refused.
     """
 
     kind: SchemeKind  # set by each scheme class
@@ -168,21 +171,14 @@ class Aggregator:
         self.topo = topo
         self.g = g
         self.item_bytes = item_bytes
-        w = topo.total_workers
-        self.sinks: list = [None] * w
         self.flush_timeout_ns: Optional[int] = None
         self.grouping_stats = GroupingStats()
         self._transport = None
         self._t = topo.workers_per_proc
-        self._w = w
+        self._w = topo.total_workers
         self._n = topo.total_processes
 
     # -- wiring -----------------------------------------------------------
-    def register_sink(self, worker: int, fn: Callable) -> None:
-        if not 0 <= worker < self._w:
-            raise UsageError(f"worker {worker} out of range")
-        self.sinks[worker] = fn
-
     def bind(self, transport) -> None:
         if self._transport is not None:
             raise UsageError("aggregator is already attached to a run")
@@ -198,8 +194,6 @@ class Aggregator:
     def _check(self, source: int, dest: int):
         if not 0 <= dest < self._w:
             raise UsageError(f"destination worker {dest} out of range")
-        if self.sinks[dest] is None:
-            raise SetupError(f"no delivery sink registered for worker {dest}")
         if self._transport is None:
             raise SetupError("aggregator not attached to a run")
 
@@ -232,17 +226,20 @@ class Aggregator:
         return range(0, self._w, self._t)
 
     # -- scheme API (subclasses) -------------------------------------------
-    def insert(self, source: int, item: Item, now: int) -> None:
+    def insert(self, source: int, item: Item) -> None:
+        """Buffer item at source, or hand it to local delivery. The item's
+        created_at is the insert's time: it stamps a local delivery and a
+        seal on full, and starts the flush timeout of an empty buffer."""
         raise NotImplementedError
 
     def insert_batch(self, source: int, items: Sequence[Item]) -> None:
-        """Insert one source's chunk in order, each item at its created_at.
+        """Insert one source's chunk in order.
 
         Same effects, in the same order, as insert() per item.
         """
         insert = self.insert
         for it in items:
-            insert(source, it, it[2])
+            insert(source, it)
 
     def flush(self, source: int, now: int) -> int:
         raise NotImplementedError
@@ -275,6 +272,7 @@ class _WorkerBufferedAggregator(Aggregator):
 
     A row has one column per destination scope, dest // width: the
     destination worker for ww (width 1), its process for wps/wsp (width t).
+    A row maps each non-empty buffer's column to its items; a seal pops it.
     """
 
     _per_process = False
@@ -282,11 +280,9 @@ class _WorkerBufferedAggregator(Aggregator):
     def __init__(self, topo, g, item_bytes):
         super().__init__(topo, g, item_bytes)
         self._width = self._t if self._per_process else 1
-        self._cols = n_cols = self._w // self._width
-        self._bufs = [[[] for _ in range(n_cols)] for _ in range(self._w)]
-        self._pending = [0] * self._w       # currently buffered per owner
+        self._cols = self._w // self._width
+        self._rows = [defaultdict(list) for _ in range(self._w)]
         self._inserted = [0] * self._w      # cumulative buffered inserts
-        self._first_ts = [{} for _ in range(self._w)]  # per owner: col -> ts
 
     def buffers_per_owner(self) -> int:
         return self._cols
@@ -294,32 +290,34 @@ class _WorkerBufferedAggregator(Aggregator):
     def inserted_per_scope(self) -> list:
         return list(self._inserted)
 
+    # The threaded coordinator reads these while owner threads fill and seal
+    # their rows. list() copies a row in one C call, which no other thread
+    # can interleave with. Iterating the live dict over several bytecodes
+    # could see it change size and raise; so can sum(map(len, row.values())),
+    # whose iterator is made one call before sum() consumes it.
     def owner_buffered(self, worker: int) -> int:
-        return self._pending[worker]
+        return sum(map(len, list(self._rows[worker].values())))
 
     def total_buffered(self) -> int:
-        return sum(self._pending)
+        return sum(map(self.owner_buffered, range(self._w)))
 
     def _seal_batch(self, batch: list):
         """Hook: wsp groups at the source; others pass through."""
         return batch, False
 
-    def insert(self, source, item, now):
+    def insert(self, source, item):
         dest = item[0]
         self._check(source, dest)
         t = self._t
         if dest // t == source // t:
-            self._transport.local_deliver(source, dest, (item,), now)
+            self._transport.local_deliver(source, dest, (item,), item[2])
             return
         col = dest // self._width
-        buf = self._bufs[source][col]
-        if not buf and self.flush_timeout_ns is not None:
-            self._first_ts[source][col] = now
+        buf = self._rows[source][col]
         buf.append(item)
         self._inserted[source] += 1
-        self._pending[source] += 1
         if len(buf) == self.g:
-            self._seal(source, col, CAUSE_FULL, now)
+            self._seal(source, col, CAUSE_FULL, item[2])
 
     def insert_batch(self, source, items):
         # insert()'s body with its lookups hoisted out of the item loop.
@@ -330,9 +328,7 @@ class _WorkerBufferedAggregator(Aggregator):
         lo = (source // t) * t // width     # source process's columns
         hi = lo + t // width
         g = self.g
-        tns = self.flush_timeout_ns
-        row = self._bufs[source]
-        timers = self._first_ts[source]
+        row = self._rows[source]
         local_deliver = self._transport.local_deliver
         n_local = 0
         for it in items:
@@ -342,70 +338,50 @@ class _WorkerBufferedAggregator(Aggregator):
                 n_local += 1
                 continue
             buf = row[col]
-            if not buf and tns is not None:
-                timers[col] = it[2]
             buf.append(it)
             if len(buf) == g:
                 self._seal(source, col, CAUSE_FULL, it[2])
-        # _seal has already taken the sealed items off _pending; nothing
-        # reads the counters until the chunk is in
-        n = len(items) - n_local
-        self._inserted[source] += n
-        self._pending[source] += n
+        self._inserted[source] += len(items) - n_local
 
     def _check_batch(self, source, items):
         """Raise what the first failing insert() of items would raise."""
         dests = list(map(_DEST, items))
         if (dests and self._transport is not None and min(dests) >= 0
-                and max(dests) < self._w and None not in self.sinks):
+                and max(dests) < self._w):
             return
         for d in dests:
             self._check(source, d)
 
     def _seal(self, source, col, cause, now):
-        """Empty source's buffer col, clear its timer and ship it at now."""
-        buf = self._bufs[source][col]
-        self._bufs[source][col] = []
-        self._pending[source] -= len(buf)
-        if self.flush_timeout_ns is not None:
-            self._first_ts[source].pop(col, None)
-        batch, grouped = self._seal_batch(buf)
+        """Take source's buffer col out of its row and ship it at now."""
+        batch, grouped = self._seal_batch(self._rows[source].pop(col))
         self._emit(source, col, batch, grouped, cause, now)
 
     def flush(self, source, now):
-        row = self._bufs[source]
-        n = 0
-        for col in range(self._cols):
-            if row[col]:
-                self._seal(source, col, CAUSE_FLUSH, now)
-                n += 1
-        return n
+        cols = sorted(self._rows[source])
+        for col in cols:
+            self._seal(source, col, CAUSE_FLUSH, now)
+        return len(cols)
 
     def pending_deadlines(self):
         tns = self.flush_timeout_ns
         if tns is None:
             return []
-        out = [(ts + tns, owner)
-               for owner, cols in enumerate(self._first_ts)
-               for ts in cols.values()]
+        out = [(buf[0][2] + tns, owner)
+               for owner, row in enumerate(self._rows)
+               for buf in row.values()]
         out.sort()
         return [(owner, ddl) for ddl, owner in out]
 
     def flush_expired(self, source, now):
         tns = self.flush_timeout_ns
-        if tns is None:
+        row = self._rows[source]
+        if tns is None or not row:
             return 0
-        timers = self._first_ts[source]
-        if not timers:
-            return 0
-        due = [col for col, ts in timers.items() if ts + tns <= now]
-        row = self._bufs[source]
-        n = 0
-        for col in sorted(due):
-            if row[col]:
-                self._seal(source, col, CAUSE_FLUSH, now)
-                n += 1
-        return n
+        due = sorted(col for col, buf in row.items() if buf[0][2] + tns <= now)
+        for col in due:
+            self._seal(source, col, CAUSE_FLUSH, now)
+        return len(due)
 
 
 class _WWAggregator(_WorkerBufferedAggregator):
@@ -471,40 +447,34 @@ class _PPAggregator(Aggregator):
     def total_buffered(self) -> int:
         return sum(len(b.items) for row in self._shared for b in row)
 
-    def insert(self, source, item, now):
+    def insert(self, source, item):
         dest = item[0]
         self._check(source, dest)
         t = self._t
         sp = source // t
         dp = dest // t
         if dp == sp:
-            self._transport.local_deliver(source, dest, (item,), now)
+            self._transport.local_deliver(source, dest, (item,), item[2])
             return
         b = self._shared[sp][dp]
         sealed = None
         with b.lock:
             buf = b.items
-            if not buf and self.flush_timeout_ns is not None:
-                b.first_ts = now
             buf.append(item)
             b.inserted += 1
-            if now > b.max_ts:
-                b.max_ts = now
             if len(buf) == self.g:
-                sealed = self._take(b, now)
+                sealed = self._take(b, item[2])
         if sealed is not None:
             self._emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
 
     @staticmethod
     def _take(b, now):
         """Empty b, whose lock the caller holds; returns (items, departure
-        ns), the departure being no earlier than the newest item."""
+        ns). Contributors have independent clocks, so the departure is no
+        earlier than the newest item's created_at."""
         buf = b.items
         b.items = []
-        b.first_ts = None
-        seal_ts = b.max_ts if b.max_ts > now else now
-        b.max_ts = 0
-        return buf, seal_ts
+        return buf, max(now, max(map(_CREATED, buf)))
 
     def _flush_row(self, source, now, tns):
         """Ship the non-empty buffers of source's process in destination
@@ -512,8 +482,8 @@ class _PPAggregator(Aggregator):
         n = 0
         for dp, b in enumerate(self._shared[source // self._t]):
             with b.lock:
-                if not b.items or (tns is not None and (
-                        b.first_ts is None or b.first_ts + tns > now)):
+                if not b.items or (tns is not None
+                                   and b.items[0][2] + tns > now):
                     continue
                 buf, seal_ts = self._take(b, now)
             self._emit(source, dp, buf, False, CAUSE_FLUSH, seal_ts)
@@ -535,8 +505,9 @@ class _PPAggregator(Aggregator):
         out = []
         for sp, row in enumerate(self._shared):
             for b in row:
-                if b.first_ts is not None:
-                    out.append((b.first_ts + tns, sp * t))
+                buf = b.items
+                if buf:
+                    out.append((buf[0][2] + tns, sp * t))
         out.sort()
         return [(owner, ddl) for ddl, owner in out]
 

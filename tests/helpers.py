@@ -19,8 +19,6 @@ class LoopbackTransport:
 
 def make_agg(kind, topo, g, item_bytes=8, timeout_ns=None):
     agg = create_aggregator(kind, topo, g, item_bytes)
-    for wid in range(topo.total_workers):
-        agg.register_sink(wid, lambda items: None)
     if timeout_ns is not None:
         agg.set_flush_timeout(timeout_ns)
     transport = LoopbackTransport()

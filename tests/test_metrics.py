@@ -133,10 +133,13 @@ def _msg(k, cause, origin=0, scope=1):
 
 
 def test_message_log_counts_and_bytes():
-    log = MessageLog(n_scopes=4, item_bytes=8, header_bytes=32, trace=False)
-    log.record_message(_msg(3, "full"), scope=1, net_cost_ns=10.0)
-    log.record_message(_msg(1, "flush"), scope=1, net_cost_ns=2.5)
-    log.record_message(_msg(2, "full", scope=3), scope=3, net_cost_ns=0.0)
+    log = MessageLog(n_scopes=4, trace=False)
+    log.record_message(_msg(3, "full"), scope=1, nbytes=3 * 8 + 32,
+                       net_cost_ns=10.0)
+    log.record_message(_msg(1, "flush"), scope=1, nbytes=1 * 8 + 32,
+                       net_cost_ns=2.5)
+    log.record_message(_msg(2, "full", scope=3), scope=3, nbytes=2 * 8 + 32,
+                       net_cost_ns=0.0)
     assert log.msgs_full == [0, 1, 0, 1]
     assert log.msgs_flush == [0, 1, 0, 0]
     assert log.bytes_sent == (3 * 8 + 32) + (1 * 8 + 32) + (2 * 8 + 32)
@@ -145,8 +148,9 @@ def test_message_log_counts_and_bytes():
 
 
 def test_message_log_trace_fields():
-    log = MessageLog(n_scopes=2, item_bytes=8, header_bytes=0, trace=True)
-    log.record_message(_msg(2, "flush"), scope=1, net_cost_ns=0.0)
+    log = MessageLog(n_scopes=2, trace=True)
+    log.record_message(_msg(2, "flush"), scope=1, nbytes=2 * 8,
+                       net_cost_ns=0.0)
     entry = log.trace[0]
     assert set(entry) == {"origin", "dest_scope", "k", "cause", "grouped",
                           "sent_at"}

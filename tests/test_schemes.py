@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -158,23 +161,17 @@ def test_rejects_bad_params():
 def test_needs_transport_and_sinks():
     topo = Topology(1, 2, 1)
     agg = create_aggregator(SchemeKind.WW, topo, 4, 8)
-    agg.register_sink(0, lambda items: None)
-    with pytest.raises(SetupError):  # dest 1 has no sink
-        agg.insert(0, mk_item(1, 0), 0)
-    agg.register_sink(1, lambda items: None)
     with pytest.raises(SetupError):  # not bound to a run yet
-        agg.insert(0, mk_item(1, 0), 0)
+        agg.insert(0, mk_item(1, 0))
     agg.bind(LoopbackTransport())
     with pytest.raises(UsageError):  # one run per aggregator
         agg.bind(LoopbackTransport())
-    with pytest.raises(UsageError):
-        agg.register_sink(7, lambda items: None)
 
 
 def test_rejects_out_of_range_dest():
     agg, _ = make_agg(SchemeKind.WW, Topology(1, 2, 1), 4)
     with pytest.raises(UsageError):
-        agg.insert(0, mk_item(9, 0), 0)
+        agg.insert(0, mk_item(9, 0))
 
 
 # -- layout vs analytic model ----------------------------------------------
@@ -189,19 +186,34 @@ def test_allocated_bytes_matches_model(kind, nodes, ppn, wpp, g, m):
     assert agg.allocated_bytes() == memory_overhead(kind, inputs)
 
 
+def test_ww_allocates_rows_lazily():
+    # 1,024 workers: an eager w x w layout would build about a million lists
+    topo = Topology(4, 16, 16)
+    tracemalloc.start()
+    try:
+        agg = create_aggregator(SchemeKind.WW, topo, 64, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    inputs = CostInputs(g=64, m=8, n_processes=topo.total_processes,
+                        workers_per_proc=topo.workers_per_proc)
+    assert agg.allocated_bytes() == memory_overhead(SchemeKind.WW, inputs)
+
+
 # -- buffering semantics ---------------------------------------------------
 def test_ww_fills_and_flushes():
     topo = Topology(1, 2, 2)  # workers 0,1 | 2,3
     agg, tr = make_agg(SchemeKind.WW, topo, g=3)
     for seq in range(3):
-        agg.insert(0, mk_item(2, seq), now=seq * 10)
+        agg.insert(0, mk_item(2, seq, created_at=seq * 10))
     assert len(tr.messages) == 1
     msg = tr.messages[0]
     assert msg.cause == "full" and msg.k == 3
     assert msg.dest_scope == 2 and msg.origin == 0 and msg.src_worker == 0
     assert msg.sent_at == 20
     # partially filled buffer flushes with k < g
-    agg.insert(0, mk_item(3, 3), now=40)
+    agg.insert(0, mk_item(3, 3, created_at=40))
     assert agg.owner_buffered(0) == 1
     assert agg.flush(0, now=50) == 1
     assert tr.messages[-1].cause == "flush" and tr.messages[-1].k == 1
@@ -212,9 +224,10 @@ def test_ww_fills_and_flushes():
 def test_same_process_bypasses_buffers():
     for kind in ALL_KINDS:
         agg, tr = make_agg(kind, Topology(1, 1, 4), g=8)
-        agg.insert(0, mk_item(3, 0), now=5)
+        item = mk_item(3, 0, created_at=5)
+        agg.insert(0, item)
         assert tr.messages == []
-        assert tr.local == [(0, 3, (mk_item(3, 0),), 5)]
+        assert tr.local == [(0, 3, (item,), 5)]
         assert agg.total_buffered() == 0
 
 
@@ -222,10 +235,10 @@ def test_wps_buffers_per_dest_process():
     topo = Topology(1, 3, 2)  # three processes
     agg, tr = make_agg(SchemeKind.WPS, topo, g=4)
     # worker 0 scatters to both workers of process 1: same buffer
-    agg.insert(0, mk_item(2, 0), 0)
-    agg.insert(0, mk_item(3, 1), 0)
-    agg.insert(0, mk_item(2, 2), 0)
-    agg.insert(0, mk_item(3, 3), 0)
+    agg.insert(0, mk_item(2, 0))
+    agg.insert(0, mk_item(3, 1))
+    agg.insert(0, mk_item(2, 2))
+    agg.insert(0, mk_item(3, 3))
     [msg] = tr.messages
     assert msg.dest_scope == 1 and msg.k == 4
     assert not msg.grouped  # wps leaves grouping to the receiver
@@ -238,7 +251,7 @@ def test_wsp_groups_at_source():
     topo = Topology(1, 3, 2)
     agg, tr = make_agg(SchemeKind.WSP, topo, g=4)
     for seq, dest in enumerate((3, 2, 3, 2)):
-        agg.insert(0, mk_item(dest, seq), 0)
+        agg.insert(0, mk_item(dest, seq))
     [msg] = tr.messages
     assert msg.grouped
     assert [it.dest for it in msg.items] == [2, 2, 3, 3]
@@ -251,8 +264,8 @@ def test_wsp_groups_at_source():
 
 def test_ww_on_receive_single_run():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2)
-    agg.insert(0, mk_item(1, 0), 0)
-    agg.insert(0, mk_item(1, 1), 0)
+    agg.insert(0, mk_item(1, 0))
+    agg.insert(0, mk_item(1, 1))
     [msg] = tr.messages
     assert agg.on_receive(msg) == [(1, list(msg.items))]
 
@@ -260,11 +273,12 @@ def test_ww_on_receive_single_run():
 def test_pp_shares_buffer_across_source_workers():
     topo = Topology(1, 2, 2)  # process 0: workers 0,1; process 1: workers 2,3
     agg, tr = make_agg(SchemeKind.PP, topo, g=4)
-    agg.insert(0, mk_item(2, 0), 10)
-    agg.insert(1, mk_item(3, 1), 11)
-    agg.insert(0, mk_item(2, 2), 12)
+    agg.insert(0, mk_item(2, 0, created_at=10))
+    agg.insert(1, mk_item(3, 1, created_at=11))
+    agg.insert(0, mk_item(2, 2, created_at=12))
     assert agg.owner_buffered(0) == agg.owner_buffered(1) == 3
-    agg.insert(1, mk_item(3, 3), 13)  # fourth item seals the shared buffer
+    # the fourth item seals the shared buffer
+    agg.insert(1, mk_item(3, 3, created_at=13))
     [msg] = tr.messages
     assert msg.k == 4 and msg.origin == 0 and msg.dest_scope == 1
     assert agg.inserted_per_scope() == [4, 0]
@@ -278,19 +292,19 @@ def test_pp_seal_timestamp_covers_newest_item():
     # the message must not depart before its newest item was created
     topo = Topology(1, 2, 2)
     agg, tr = make_agg(SchemeKind.PP, topo, g=2)
-    agg.insert(0, mk_item(2, 0), 1000)
-    agg.insert(1, mk_item(2, 1), 50)  # seals at its own now=50
+    agg.insert(0, mk_item(2, 0, created_at=1000))
+    agg.insert(1, mk_item(2, 1, created_at=50))  # seals at its own now=50
     [msg] = tr.messages
     assert msg.sent_at == 1000
     # flush path: another worker flushes a buffer holding a newer item
-    agg.insert(0, mk_item(3, 2), 700)
+    agg.insert(0, mk_item(3, 2, created_at=700))
     assert agg.flush(1, now=80) == 1
     assert tr.messages[-1].sent_at == 700
     # expiry path: the timer runs from the oldest item, but the message
     # still departs no earlier than the newest one
     agg, tr = make_agg(SchemeKind.PP, topo, g=4, timeout_ns=100)
-    agg.insert(1, mk_item(2, 3), 10)
-    agg.insert(0, mk_item(3, 4), 900)
+    agg.insert(1, mk_item(2, 3, created_at=10))
+    agg.insert(0, mk_item(3, 4, created_at=900))
     assert agg.flush_expired(1, now=120) == 1
     assert tr.messages[-1].sent_at == 900
 
@@ -299,8 +313,8 @@ def test_flush_owners_cover_each_buffer_once():
     topo = Topology(1, 2, 3)
     for kind in ALL_KINDS:
         agg, tr = make_agg(kind, topo, g=100)
-        agg.insert(0, mk_item(4, 0), 0)
-        agg.insert(5, mk_item(1, 1), 0)
+        agg.insert(0, mk_item(4, 0))
+        agg.insert(5, mk_item(1, 1))
         total = sum(agg.flush(owner, 0) for owner in agg.flush_owners())
         assert total == 2
         assert agg.total_buffered() == 0
@@ -311,8 +325,8 @@ def test_flush_owners_cover_each_buffer_once():
 def test_flush_expired_only_due_buffers(kind):
     topo = Topology(1, 3, 1)  # one worker per process: no local shortcut
     agg, tr = make_agg(kind, topo, g=10, timeout_ns=100)
-    agg.insert(0, mk_item(1, 0), now=0)
-    agg.insert(0, mk_item(2, 1), now=90)
+    agg.insert(0, mk_item(1, 0))
+    agg.insert(0, mk_item(2, 1, created_at=90))
     assert agg.flush_expired(0, now=50) == 0
     assert agg.flush_expired(0, now=100) == 1  # only the older buffer is due
     assert tr.messages[-1].cause == "flush"
@@ -324,8 +338,8 @@ def test_flush_expired_only_due_buffers(kind):
 
 def test_pending_deadlines_sorted():
     agg, _ = make_agg(SchemeKind.WW, Topology(1, 3, 1), g=10, timeout_ns=100)
-    agg.insert(2, mk_item(0, 0), now=40)
-    agg.insert(0, mk_item(1, 1), now=10)
+    agg.insert(2, mk_item(0, 0, created_at=40))
+    agg.insert(0, mk_item(1, 1, created_at=10))
     ddls = agg.pending_deadlines()
     assert ddls == [(0, 110), (2, 140)]
     agg.flush(0, 50)
@@ -334,8 +348,8 @@ def test_pending_deadlines_sorted():
 
 def test_seal_clears_timeout_timer():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2, timeout_ns=100)
-    agg.insert(0, mk_item(1, 0), now=0)
-    agg.insert(0, mk_item(1, 1), now=1)  # fills: timer must vanish
+    agg.insert(0, mk_item(1, 0))
+    agg.insert(0, mk_item(1, 1, created_at=1))  # fills: timer must vanish
     assert agg.pending_deadlines() == []
     assert agg.flush_expired(0, now=10**9) == 0
 
@@ -361,7 +375,7 @@ def test_insert_batch_matches_insert_loop(kind, data):
         seq += len(items)
         a.insert_batch(src, items)
         for it in items:
-            b.insert(src, it, it.created_at)
+            b.insert(src, it)
         if data.draw(st.booleans()):
             a.flush_expired(src, now + 60)
             b.flush_expired(src, now + 60)
@@ -382,17 +396,55 @@ def test_insert_batch_checks_whole_chunk_first(kind):
     for bad in (4, -1):
         with pytest.raises(UsageError):
             agg.insert_batch(0, good + [mk_item(bad, 2)])
-    agg.sinks[3] = None
-    with pytest.raises(SetupError):
-        agg.insert_batch(0, good + [mk_item(3, 2)])
     if kind is not SchemeKind.PP:  # pp inserts item by item
         assert tr.messages == [] and tr.local == []
         assert agg.inserted_per_scope() == [0] * 4
     unbound = create_aggregator(kind, topo, 1, 8)
-    for wid in range(4):
-        unbound.register_sink(wid, lambda items: None)
     with pytest.raises(SetupError):
         unbound.insert_batch(0, good)
+
+
+# -- concurrent reads -------------------------------------------------------
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_buffered_counts_readable_while_owners_fill(kind):
+    # the threaded coordinator reads the counts while owner threads create
+    # and seal buffers; a read must never see a row change size under it
+    topo = Topology(1, 8, 2)
+    w = topo.total_workers
+    n = 2000
+    agg, tr = make_agg(kind, topo, g=3)
+    errors = []
+
+    def owner(src):
+        try:
+            for seq in range(n):
+                agg.insert(src, mk_item(seq % w, seq))
+                if seq % 5 == 0:
+                    agg.flush(src, 0)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=owner, args=(src,))
+               for src in range(w)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        while any(th.is_alive() for th in threads):
+            agg.total_buffered()
+            for o in range(w):
+                agg.owner_buffered(o)
+    finally:
+        sys.setswitchinterval(old)
+        for th in threads:
+            th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for o in agg.flush_owners():
+        agg.flush(o, 0)
+    assert agg.total_buffered() == 0
+    assert sum(m.k for m in tr.messages) + len(tr.local) == w * n
 
 
 # -- conservation under random traffic --------------------------------------
@@ -408,7 +460,7 @@ def test_exactly_once_hand_driven(kind, data):
     for seq in range(n):
         src = data.draw(st.integers(0, 3))
         dest = data.draw(st.integers(0, 3))
-        agg.insert(src, mk_item(dest, seq, created_at=seq), now=seq)
+        agg.insert(src, mk_item(dest, seq, created_at=seq))
         sent.append((dest, seq))
         if data.draw(st.booleans()):
             agg.flush(src, now=seq)
