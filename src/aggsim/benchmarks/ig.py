@@ -6,10 +6,17 @@ answers with the slot value, and the round trip is timed on the requester's
 own clock, so no cross-worker clock comparison is involved. Slot values are
 a fixed hash of the index, which gives every worker a free oracle for the
 responses it receives.
+
+A worker issues each chunk of requests with one insert_many and stamps
+request i of the chunk with the chunk's start time plus i*work_ns. On the
+virtual clock that is exactly the time the request's insert begins. In
+threaded mode the inserts carry their own wall stamps, so a request's send
+stamp is that estimate, not the wall time its insert began.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from ..errors import OracleMismatch, UsageError
 from ..metrics import summarize
@@ -67,16 +74,20 @@ class _IGWorker(WorkerProgram):
                 0, spec.table_size, size=spec.requests_per_worker).tolist()
 
     def step(self, ctx):
-        n = len(self.indices)
-        end = min(self.issued + self.chunk, n)
-        if self.issued >= end:
+        start = self.issued
+        end = min(start + self.chunk, len(self.indices))
+        if start >= end:
             return False
         w = self.w
         wid = self.wid
-        for rid in range(self.issued, end):
-            idx = self.indices[rid]
-            self.send_ts[rid] = ctx.time_ns()
-            ctx.insert(idx % w, (_REQ, wid, rid, idx))
+        idxs = self.indices[start:end]
+        rids = range(start, end)
+        # request i of the chunk leaves at the chunk's start + i*work_ns,
+        # the clock an insert loop would read before each insert
+        self.send_ts.update(zip(rids, count(ctx.time_ns(), ctx.work_ns)))
+        ctx.insert_many([idx % w for idx in idxs],
+                        [(_REQ, wid, rid, idx)
+                         for rid, idx in zip(rids, idxs)])
         self.issued = end
         return True
 

@@ -1,10 +1,14 @@
 """Per-run counters, latency shards, and the summarized RunMetrics record.
 
 Message counters are recorded at the origin when a coalesced message is
-emitted; per-item latency samples are recorded at delivery on the destination
-worker's shard. Shards are merged once, at quiescence. Percentiles use the
-nearest-rank rule on a uniform reservoir (exact while sample counts stay
-under the cap), read by selection rather than a full sort.
+emitted; per-item latency samples are taken at delivery on the destination
+worker's shard. The sequential engine appends them to the shard's pending
+list and folds that list into the shard in chunks; every shard is folded
+when the shards are merged, once, at quiescence. A negative sample raises
+InternalInvariantError when it is folded, not when it is appended.
+Percentiles use the nearest-rank rule on a uniform reservoir (exact while
+sample counts stay under the cap), read by selection rather than a full
+sort.
 """
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import count
-from operator import itemgetter, sub
 from typing import Optional
 
 import numpy as np
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import InternalInvariantError, UsageError
 
 DEFAULT_SAMPLES_CAP = 1_000_000
-_CREATED = itemgetter(2)
 
 
 def _rank_index(n: int, pct: float) -> int:
@@ -83,9 +84,17 @@ def summarize(samples, total=None, count=None, maximum=None) -> dict:
 
 
 class LatencyShard:
-    """One worker's latency samples: exact mean/max, capped uniform reservoir."""
+    """One worker's latency samples: exact mean/max, capped uniform reservoir.
 
-    __slots__ = ("samples", "seen", "total", "max", "cap", "_rng")
+    pending holds samples not yet applied. fold() applies them in order with
+    exactly the effect of record() on each (Vitter's Algorithm R: a sample
+    past the cap draws randrange(seen) and replaces that slot if it is below
+    the cap), so when a sample is folded does not change the result. A
+    negative sample stops the fold: the samples before it are applied, it
+    stays first in pending, and InternalInvariantError is raised.
+    """
+
+    __slots__ = ("samples", "seen", "total", "max", "cap", "_rng", "pending")
 
     def __init__(self, cap: int, seed_material):
         self.samples = []
@@ -95,46 +104,49 @@ class LatencyShard:
         self.cap = cap
         # repr: str seeding is stable across runs; tuple seeding is not
         self._rng = random.Random(repr(seed_material))
+        self.pending = []
 
     def record(self, d: int) -> None:
-        if d < 0:
-            raise InternalInvariantError(f"negative latency sample {d}")
-        self.seen += 1
-        self.total += d
-        if d > self.max:
-            self.max = d
+        """Fold the pending samples, then d."""
+        self.pending.append(d)
+        self.fold()
+
+    def fold(self) -> None:
+        """Apply the pending samples in order and empty pending."""
+        p = self.pending
+        if not p:
+            return
+        if min(p) < 0:
+            bad = next(i for i, d in enumerate(p) if d < 0)
+            self._apply(p[:bad])
+            del p[:bad]
+            raise InternalInvariantError(f"negative latency sample {p[0]}")
+        self._apply(p)
+        p.clear()
+
+    def _apply(self, ds) -> None:
+        """Apply the non-negative samples ds in order."""
+        k = len(ds)
+        if not k:
+            return
+        seen = self.seen
+        self.seen = seen + k
+        self.total += sum(ds)
+        top = max(ds)
+        if top > self.max:
+            self.max = top
         s = self.samples
-        if len(s) < self.cap:
-            s.append(d)
-        else:
-            j = self._rng.randrange(self.seen)
-            if j < self.cap:
+        cap = self.cap
+        room = cap - len(s)
+        if room >= k:
+            s.extend(ds)
+            return
+        s.extend(ds[:room])
+        # past the cap, the shard's n-th sample draws randrange(n)
+        draws = map(self._rng.randrange, range(seen + room + 1, seen + k + 1))
+        for j, d in zip(draws, ds[room:]):
+            if j < cap:
                 s[j] = d
-
-    def record_many(self, t0: int, step: int, items) -> None:
-        """record(t0 + (i+1)*step - items[i].created_at) for each i, in order.
-
-        A group of several samples that fits under the cap is added in one
-        pass. A single sample, a group that reaches the reservoir (its RNG
-        draws) or one holding a negative sample (the error) goes through
-        record() one at a time, exactly as the per-item loop.
-        """
-        s = self.samples
-        k = len(items)
-        if 1 < k <= self.cap - len(s):
-            ds = list(map(sub, count(t0 + step, step), map(_CREATED, items)))
-            if min(ds) >= 0:
-                self.seen += k
-                self.total += sum(ds)
-                top = max(ds)
-                if top > self.max:
-                    self.max = top
-                s.extend(ds)
-                return
-        now = t0
-        for it in items:
-            now += step
-            self.record(now - it[2])
 
 
 class MessageLog:
@@ -244,6 +256,7 @@ def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
     count = 0
     maximum = 0
     for sh in shards:
+        sh.fold()
         samples.extend(sh.samples)
         total += sh.total
         count += sh.seen

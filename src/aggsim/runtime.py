@@ -47,7 +47,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -61,6 +61,8 @@ MODE_THREADED = "threaded"
 RUN_MODES = (MODE_SEQUENTIAL, MODE_THREADED)
 
 _DELIVER_BUDGET = 256  # max items drained per worker turn (sequential)
+_FOLD_SAMPLES = 4096  # pending latency samples that trigger a fold
+_CREATED = itemgetter(2)
 _SEQ = itemgetter(3)
 MAX_THREADED_WORKERS = 512  # one OS thread per worker in threaded mode
 
@@ -181,13 +183,16 @@ class _Worker:
         self.now += ns
 
     def insert(self, dest: int, payload) -> None:
-        self.now += self.work_ns
+        now = self.now + self.work_ns
+        self.now = now
         s = self.seq_next
         self.seq_next = s + self.seq_stride
         self.produced += 1
         if self.ins_log is not None:
             self.ins_log.append(s)
-        self._agg.insert(self.wid, Item(dest, payload, self.now, s))
+        # tuple.__new__ builds the Item in C, skipping Item.__new__'s frame
+        self._agg.insert(self.wid,
+                         tuple.__new__(Item, (dest, payload, now, s)))
 
     def insert_many(self, dests, payloads) -> None:
         """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
@@ -442,7 +447,8 @@ class SequentialRun(_BaseRun):
         dns = self._deliver_ns
         done = 0
         queue = w.queue
-        shard = w.shard
+        pending = w.shard.pending
+        sample = pending.append
         dl_log = w.dl_log
         batch_sink = w.batch_sink
         while done < budget and queue:
@@ -452,8 +458,15 @@ class SequentialRun(_BaseRun):
             k = len(items)
             if batch_sink is not None:
                 # the same samples and clock as the per-item loop below
-                shard.record_many(w.now, dns, items)
-                w.now += k * dns
+                now = w.now
+                if k == 1:
+                    now += dns
+                    sample(now - items[0][2])
+                else:
+                    pending.extend(map(sub, count(now + dns, dns),
+                                       map(_CREATED, items)))
+                    now += k * dns
+                w.now = now
                 batch_sink(w, items)
                 w.delivered += k
                 if dl_log is not None:
@@ -461,8 +474,9 @@ class SequentialRun(_BaseRun):
             else:
                 on_item = w.driver.on_item
                 for it in items:
-                    w.now += dns
-                    shard.record(w.now - it[2])
+                    now = w.now + dns
+                    w.now = now
+                    sample(now - it[2])
                     on_item(w, it)
                     w.delivered += 1
                     if dl_log is not None:
@@ -471,6 +485,8 @@ class SequentialRun(_BaseRun):
         if done:
             # deliveries may hand the driver new local work; poll it again
             w.driver_done = False
+            if len(pending) >= _FOLD_SAMPLES:
+                w.shard.fold()
         return done > 0
 
     def _round(self, order):

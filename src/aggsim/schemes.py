@@ -192,8 +192,22 @@ class Aggregator:
         self.flush_timeout_ns = timeout_ns
 
     def _check(self, source: int, dest: int):
+        """Raise for a bad insert. insert() tests the same conditions inline
+        and calls this only when they fail."""
         if not 0 <= dest < self._w:
             raise UsageError(f"destination worker {dest} out of range")
+        if self._transport is None:
+            raise SetupError("aggregator not attached to a run")
+
+    def _check_batch(self, source, items):
+        """Raise what the first failing insert() of items would raise. An
+        unbound aggregator refuses an empty chunk too."""
+        dests = list(map(_DEST, items))
+        if (dests and self._transport is not None and min(dests) >= 0
+                and max(dests) < self._w):
+            return
+        for d in dests:
+            self._check(source, d)
         if self._transport is None:
             raise SetupError("aggregator not attached to a run")
 
@@ -235,11 +249,10 @@ class Aggregator:
     def insert_batch(self, source: int, items: Sequence[Item]) -> None:
         """Insert one source's chunk in order.
 
-        Same effects, in the same order, as insert() per item.
+        Same effects, in the same order, as insert() per item. The chunk is
+        checked whole first, so a bad item leaves no effect at all.
         """
-        insert = self.insert
-        for it in items:
-            insert(source, it)
+        raise NotImplementedError
 
     def flush(self, source: int, now: int) -> int:
         raise NotImplementedError
@@ -307,7 +320,8 @@ class _WorkerBufferedAggregator(Aggregator):
 
     def insert(self, source, item):
         dest = item[0]
-        self._check(source, dest)
+        if not (0 <= dest < self._w and self._transport is not None):
+            self._check(source, dest)
         t = self._t
         if dest // t == source // t:
             self._transport.local_deliver(source, dest, (item,), item[2])
@@ -342,15 +356,6 @@ class _WorkerBufferedAggregator(Aggregator):
             if len(buf) == g:
                 self._seal(source, col, CAUSE_FULL, it[2])
         self._inserted[source] += len(items) - n_local
-
-    def _check_batch(self, source, items):
-        """Raise what the first failing insert() of items would raise."""
-        dests = list(map(_DEST, items))
-        if (dests and self._transport is not None and min(dests) >= 0
-                and max(dests) < self._w):
-            return
-        for d in dests:
-            self._check(source, d)
 
     def _seal(self, source, col, cause, now):
         """Take source's buffer col out of its row and ship it at now."""
@@ -449,7 +454,8 @@ class _PPAggregator(Aggregator):
 
     def insert(self, source, item):
         dest = item[0]
-        self._check(source, dest)
+        if not (0 <= dest < self._w and self._transport is not None):
+            self._check(source, dest)
         t = self._t
         sp = source // t
         dp = dest // t
@@ -466,6 +472,34 @@ class _PPAggregator(Aggregator):
                 sealed = self._take(b, item[2])
         if sealed is not None:
             self._emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
+
+    def insert_batch(self, source, items):
+        # insert()'s body with its lookups hoisted out of the item loop. Each
+        # item takes its buffer's lock alone and a seal is emitted outside
+        # it, so seals and local deliveries interleave as in the scalar loop.
+        self._check_batch(source, items)
+        t = self._t
+        sp = source // t
+        row = self._shared[sp]
+        g = self.g
+        take = self._take
+        emit = self._emit
+        local_deliver = self._transport.local_deliver
+        for it in items:
+            dp = it[0] // t
+            if dp == sp:
+                local_deliver(source, it[0], (it,), it[2])
+                continue
+            b = row[dp]
+            sealed = None
+            with b.lock:
+                buf = b.items
+                buf.append(it)
+                b.inserted += 1
+                if len(buf) == g:
+                    sealed = take(b, it[2])
+            if sealed is not None:
+                emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
 
     @staticmethod
     def _take(b, now):

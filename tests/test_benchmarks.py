@@ -12,11 +12,12 @@ from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
                                       random_graph)
 from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
                                          run_histogram)
-from aggsim.benchmarks.ig import IGSpec, run_ig
+from aggsim.benchmarks.ig import _REQ, IGSpec, _IGWorker, run_ig
 from aggsim.benchmarks.phold import PholdSpec, run_phold
 from aggsim.benchmarks.pingack import PingAckSpec, run_pingack, sweep_pingack
 from aggsim.benchmarks.sssp import SSSPSpec, run_sssp
 from aggsim.errors import UsageError
+from aggsim.metrics import summarize
 from aggsim.runtime import TransportConfig, spawn
 from aggsim.schemes import create_aggregator
 from aggsim.topology import Topology
@@ -148,6 +149,57 @@ def test_ig_every_request_answered_across_schemes():
         assert r.matched == 2000 * topo.total_workers
         assert r.unmatched == 0
         assert r.rtt["count"] == r.matched
+
+
+class _ScalarIGWorker(_IGWorker):
+    """The ig driver with its requests on the scalar path: read the clock,
+    then insert, one request at a time."""
+
+    def step(self, ctx):
+        end = min(self.issued + self.chunk, len(self.indices))
+        if self.issued >= end:
+            return False
+        for rid in range(self.issued, end):
+            idx = self.indices[rid]
+            self.send_ts[rid] = ctx.time_ns()
+            ctx.insert(idx % self.w, (_REQ, self.wid, rid, idx))
+        self.issued = end
+        return True
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_ig_batch_step_matches_scalar(scheme):
+    # requests through insert_many leave every output of the scalar loop
+    # unchanged: result JSON, rtt summary, item seqs and message trace
+    topo = Topology(2, 2, 2)
+    spec = IGSpec(requests_per_worker=200, table_size=97, seed=6)
+    # the C7 acceptance cell's transport: alpha, beta, comm context, header
+    c7 = TransportConfig(alpha_ns=2000, beta_ns_per_byte=0.5,
+                         comm_cost_ns=2000, comm_enabled=True,
+                         header_bytes=32)
+    kind, g_fixed = resolve_scheme(scheme)
+
+    def run(driver, cfg, chunk, timeout_ns):
+        agg = create_aggregator(kind, topo, g_fixed or 16, 16)
+        agg.set_flush_timeout(timeout_ns)
+        h = spawn(topo, agg, cfg,
+                  program=lambda wid: driver(wid, spec, topo, chunk),
+                  seed=6, record_items=True, trace=True)
+        m = h.await_quiescence(timeout_s=60)
+        rtts = [r for wk in h.workers for r in wk.driver.rtts]
+        assert len(rtts) == 200 * topo.total_workers
+        return (m.to_json(), summarize(rtts), h.inserted_seqs(),
+                h.delivered_seqs(), h.trace)
+
+    for cfg in (c7, None):
+        for timeout_ns in (None, 700):
+            for chunk in (1, 7, 64):
+                batch = run(_IGWorker, cfg, chunk, timeout_ns)
+                assert batch == run(_ScalarIGWorker, cfg, chunk, timeout_ns)
+    # threaded: send stamps are estimates, but every request is answered
+    r = run_ig(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
+               timeout_s=60)
+    assert r.matched == 200 * topo.total_workers and r.unmatched == 0
 
 
 # --------------------------------------------------------------------- sssp

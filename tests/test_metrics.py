@@ -1,12 +1,17 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aggsim.benchmarks.histogram import HistogramSpec, _HistWorker
 from aggsim.errors import InternalInvariantError, UsageError
-from aggsim.metrics import LatencyShard, MessageLog, nearest_rank, summarize
-from aggsim.schemes import CoalescedMessage
+from aggsim.metrics import (LatencyShard, MessageLog, merge, nearest_rank,
+                            summarize)
+from aggsim.runtime import _DELIVER_BUDGET, _FOLD_SAMPLES, spawn
+from aggsim.schemes import CoalescedMessage, create_aggregator
+from aggsim.topology import Topology
 
 
 def test_nearest_rank_basics():
@@ -97,34 +102,107 @@ def _shard_state(shard):
             shard._rng.getstate())
 
 
+class _RecordLoop:
+    """Reference shard: Algorithm R applied one sample at a time."""
+
+    def __init__(self, cap, seed_material):
+        self.samples = []
+        self.seen = 0
+        self.total = 0
+        self.max = 0
+        self.cap = cap
+        self._rng = random.Random(repr(seed_material))
+
+    def record(self, d):
+        if d < 0:
+            raise InternalInvariantError(f"negative latency sample {d}")
+        self.seen += 1
+        self.total += d
+        self.max = max(self.max, d)
+        if len(self.samples) < self.cap:
+            self.samples.append(d)
+        else:
+            j = self._rng.randrange(self.seen)
+            if j < self.cap:
+                self.samples[j] = d
+
+
 @given(st.integers(1, 12), st.integers(0, 30), st.integers(0, 2000),
        st.integers(0, 60),
-       st.lists(st.lists(st.integers(0, 3000), max_size=20), max_size=6))
-def test_record_many_equals_record_loop(cap, pre, t0, step, groups):
-    """record_many is the record loop over t0 + (i+1)*step - created_at,
-    below the cap, across it into the reservoir, and on a negative
-    sample."""
-    batched = LatencyShard(cap, ("s", 1))
-    scalar = LatencyShard(cap, ("s", 1))
+       st.lists(st.lists(st.integers(0, 3000), max_size=20), max_size=6),
+       st.data())
+def test_fold_equals_record_loop(cap, pre, t0, step, groups, data):
+    """Samples appended to pending and folded at any points have the effect
+    of the record loop over t0 + (i+1)*step - created_at: below the cap,
+    across it into the reservoir (RNG state included), and up to a
+    negative sample, where both raise. record() agrees too."""
+    folded = LatencyShard(cap, ("s", 1))
+    recorded = LatencyShard(cap, ("s", 1))
+    scalar = _RecordLoop(cap, ("s", 1))
     for d in range(pre):
-        batched.record(d)
+        folded.record(d)
+        recorded.record(d)
         scalar.record(d)
     for created in groups:
-        items = [(0, None, c, i) for i, c in enumerate(created)]
-        err = None
+        ds = [t0 + (i + 1) * step - c for i, c in enumerate(created)]
+        folded.pending.extend(ds)
         try:
-            now = t0
-            for it in items:
-                now += step
-                scalar.record(now - it[2])
-        except InternalInvariantError as exc:
-            err = exc
-        if err is None:
-            batched.record_many(t0, step, items)
-        else:
+            for d in ds:
+                scalar.record(d)
+                recorded.record(d)
+        except InternalInvariantError:
             with pytest.raises(InternalInvariantError):
-                batched.record_many(t0, step, items)
-        assert _shard_state(batched) == _shard_state(scalar)
+                folded.fold()
+            assert _shard_state(folded) == _shard_state(scalar)
+            assert _shard_state(recorded) == _shard_state(scalar)
+            return
+        if data.draw(st.booleans()):
+            folded.fold()
+            assert folded.pending == []
+            assert _shard_state(folded) == _shard_state(scalar)
+    folded.fold()
+    assert _shard_state(folded) == _shard_state(scalar)
+    assert _shard_state(recorded) == _shard_state(scalar)
+
+
+def test_negative_sample_raises_at_fold():
+    shard = LatencyShard(cap=4, seed_material=0)
+    for d in (5, 1, 7, 3, 9, 2):  # past the cap: the RNG has drawn
+        shard.record(d)
+    before = _shard_state(shard)
+    shard.pending.append(-1)  # appending checks nothing
+    assert _shard_state(shard) == before
+    with pytest.raises(InternalInvariantError):
+        shard.fold()
+    assert _shard_state(shard) == before
+    log = MessageLog(n_scopes=1, trace=False)
+    with pytest.raises(InternalInvariantError):
+        merge(log, [shard], scheme="ww", mode="sequential", seed=0, topo={},
+              g=1, item_bytes=8, produced=0, delivered=0, self_sends=0,
+              inserted_by_scope=[0], scope_kind="worker", runtime_ns=0)
+
+
+class _PendingProbe(_HistWorker):
+    """Histogram driver that checks its shard's pending list on every
+    delivered group."""
+
+    def on_items(self, ctx, items):
+        assert len(ctx.shard.pending) < _FOLD_SAMPLES + _DELIVER_BUDGET + 64
+        super().on_items(ctx, items)
+
+
+def test_sequential_run_keeps_pending_bounded_and_folds_at_merge():
+    topo = Topology(1, 2, 2)
+    spec = HistogramSpec(updates_per_worker=20_000, table_size=4096, seed=3)
+    agg = create_aggregator("wps", topo, 64, 16)
+    h = spawn(topo, agg,
+              program=lambda wid: _PendingProbe(wid, spec, topo, 512),
+              seed=3)
+    m = h.await_quiescence(timeout_s=60)
+    assert m.delivered == 20_000 * topo.total_workers
+    assert m.item_latency["count"] == m.delivered
+    assert all(wk.shard.pending == [] for wk in h.workers)
+    assert sum(wk.shard.seen for wk in h.workers) == m.delivered
 
 
 def _msg(k, cause, origin=0, scope=1):

@@ -168,10 +168,35 @@ def test_needs_transport_and_sinks():
         agg.bind(LoopbackTransport())
 
 
-def test_rejects_out_of_range_dest():
-    agg, _ = make_agg(SchemeKind.WW, Topology(1, 2, 1), 4)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_rejects_out_of_range_dest(kind):
+    topo = Topology(1, 2, 1)
+    agg, tr = make_agg(kind, topo, 4)
     with pytest.raises(UsageError):
         agg.insert(0, mk_item(9, 0))
+    # the inline range test fails over to _check, which raises its message
+    for dest in (-1, topo.total_workers):
+        with pytest.raises(UsageError) as want:
+            agg._check(0, dest)
+        with pytest.raises(UsageError) as got:
+            agg.insert(0, mk_item(dest, 0))
+        assert str(got.value) == str(want.value)
+    assert tr.messages == [] and tr.local == []
+    assert not any(agg.inserted_per_scope())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_unbound_scalar_insert_raises_setup_error(kind):
+    topo = Topology(1, 2, 1)
+    unbound = create_aggregator(kind, topo, 4, 8)
+    for dest in (0, 1):  # same process and remote
+        with pytest.raises(SetupError) as got:
+            unbound.insert(0, mk_item(dest, 0))
+        with pytest.raises(SetupError) as want:
+            unbound._check(0, dest)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(UsageError):  # the range is checked first
+        unbound.insert(0, mk_item(2, 0))
 
 
 # -- layout vs analytic model ----------------------------------------------
@@ -396,12 +421,14 @@ def test_insert_batch_checks_whole_chunk_first(kind):
     for bad in (4, -1):
         with pytest.raises(UsageError):
             agg.insert_batch(0, good + [mk_item(bad, 2)])
-    if kind is not SchemeKind.PP:  # pp inserts item by item
-        assert tr.messages == [] and tr.local == []
-        assert agg.inserted_per_scope() == [0] * 4
+    assert tr.messages == [] and tr.local == []
+    # one entry per worker, or per process for pp
+    n_scopes = topo.total_processes if kind is SchemeKind.PP else 4
+    assert agg.inserted_per_scope() == [0] * n_scopes
     unbound = create_aggregator(kind, topo, 1, 8)
-    with pytest.raises(SetupError):
-        unbound.insert_batch(0, good)
+    for chunk in (good, []):
+        with pytest.raises(SetupError):
+            unbound.insert_batch(0, chunk)
 
 
 # -- concurrent reads -------------------------------------------------------
