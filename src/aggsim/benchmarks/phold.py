@@ -11,6 +11,11 @@ rolled back; the count itself is the measurement.
 
 Every worker also keeps its arrival log when asked to, so the out-of-order
 count can be recomputed from the log as an independent cross-check.
+
+A step draws its increments and targets one event at a time, in pop order,
+and ships the turn's successors with one ctx.insert_many call. An insert
+draws nothing from the worker's RNG, so the outputs equal those of one
+ctx.insert per successor.
 """
 from __future__ import annotations
 
@@ -87,16 +92,24 @@ class _PholdWorker(WorkerProgram):
         if not pending:
             return False
         spec = self.spec
+        mean = spec.mean_increment
+        end_time = spec.end_time
         rng = ctx.rng
         pop = heapq.heappop
-        for _ in range(min(_POPS_PER_TURN, len(pending))):
-            ts, _, _lp = pop(pending)
-            self.consumed += 1
-            nts = ts + max(float(rng.exponential(spec.mean_increment)),
-                           _TS_EPS)
-            if nts <= spec.end_time:
-                target = int(rng.integers(0, self.total_lps))
-                ctx.insert(target // self.lpw, (target, nts))
+        lpw = self.lpw
+        total = self.total_lps
+        n = min(_POPS_PER_TURN, len(pending))
+        dests = []
+        events = []
+        for _ in range(n):
+            ts = pop(pending)[0]
+            nts = ts + max(float(rng.exponential(mean)), _TS_EPS)
+            if nts <= end_time:
+                target = int(rng.integers(0, total))
+                dests.append(target // lpw)
+                events.append((target, nts))
+        self.consumed += n
+        ctx.insert_many(dests, events)
         return True
 
 

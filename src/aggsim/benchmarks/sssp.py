@@ -9,6 +9,12 @@ threshold_delta, so cheap paths propagate before expensive ones
 (delta-stepping-style phases). Distances are checked against a reference
 Dijkstra run; wasted updates are schedule-dependent and only compared as
 trends.
+
+A relaxation reads its edge slice with tolist(), pushes the updates at or
+beyond the threshold onto the heap in edge order, and inserts the rest with
+one ctx.insert_many call; a release inserts its popped entries the same
+way. A heap push reads neither the clock nor a sequence number, so every
+output equals that of one ctx.insert per update in edge order.
 """
 from __future__ import annotations
 
@@ -71,20 +77,23 @@ class _SSSPWorker(WorkerProgram):
             self.dist[src - self.lo] = 0
             self._relax(ctx, src, 0)
 
-    def _route(self, ctx, v, d):
-        if d < self.threshold:
-            ctx.insert(v // self.block_size, (v, d))
-        else:
-            heapq.heappush(self.deferred, (d, self._tie, v))
-            self._tie += 1
-
     def _relax(self, ctx, v, d):
+        # below the threshold: one insert_many chunk; the rest: the heap
         g = self.spec.graph
         lo, hi = g.indptr[v], g.indptr[v + 1]
-        heads = g.heads
-        weights = g.weights
-        for i in range(lo, hi):
-            self._route(ctx, int(heads[i]), d + int(weights[i]))
+        threshold = self.threshold
+        size = self.block_size
+        dests = []
+        updates = []
+        for u, wt in zip(g.heads[lo:hi].tolist(), g.weights[lo:hi].tolist()):
+            du = d + wt
+            if du < threshold:
+                dests.append(u // size)
+                updates.append((u, du))
+            else:
+                heapq.heappush(self.deferred, (du, self._tie, u))
+                self._tie += 1
+        ctx.insert_many(dests, updates)
 
     def on_item(self, ctx, item):
         v, d = item[1]
@@ -99,9 +108,14 @@ class _SSSPWorker(WorkerProgram):
     def release(self, ctx, new_threshold):
         self.threshold = new_threshold
         heap = self.deferred
+        size = self.block_size
+        dests = []
+        updates = []
         while heap and heap[0][0] < new_threshold:
             d, _, v = heapq.heappop(heap)
-            ctx.insert(v // self.block_size, (v, d))
+            dests.append(v // size)
+            updates.append((v, d))
+        ctx.insert_many(dests, updates)
         return len(heap)
 
 

@@ -152,8 +152,12 @@ class LatencyShard:
 class MessageLog:
     """Origin-side message counters, optionally with a trace.
 
-    Threaded engines call record_message under the transport lock; sequential
-    engines are single-threaded, so plain ints are safe in both.
+    The engines' per-message accounting (_BaseRun._account) updates the
+    fields in place: msgs_full and msgs_flush count messages per scope by
+    cause, bytes_sent and transport_cost_ns sum over messages, and trace,
+    when kept, gets one dict per message. Threaded engines account under
+    the transport lock; sequential engines are single-threaded, so plain
+    ints are safe in both.
     """
 
     __slots__ = ("msgs_full", "msgs_flush", "bytes_sent", "transport_cost_ns",
@@ -165,25 +169,6 @@ class MessageLog:
         self.bytes_sent = 0
         self.transport_cost_ns = 0.0
         self.trace = [] if trace else None
-
-    def record_message(self, msg, scope: int, nbytes: int,
-                       net_cost_ns: float) -> None:
-        k = len(msg.items)
-        self.bytes_sent += nbytes
-        self.transport_cost_ns += net_cost_ns
-        if msg.cause == "full":
-            self.msgs_full[scope] += 1
-        else:
-            self.msgs_flush[scope] += 1
-        if self.trace is not None:
-            self.trace.append({
-                "origin": msg.origin,
-                "dest_scope": msg.dest_scope,
-                "k": k,
-                "cause": msg.cause,
-                "grouped": msg.grouped,
-                "sent_at": msg.sent_at,
-            })
 
 
 @dataclass

@@ -10,7 +10,9 @@ Run modes:
 
 Both engines share one worker context, one per-message cost and accounting
 path, and the handle surface; they differ only in the clock, the delivery
-queue and how a message is enqueued.
+queue and how a message is enqueued. An aggregator calls the engine's
+send(msg) once per sealed message, in emit order; it is the transport's only
+per-message entry.
 
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, QuiescenceTimeout, UsageError
 from .metrics import DEFAULT_SAMPLES_CAP, LatencyShard, MessageLog, merge
-from .schemes import Aggregator
+from .schemes import CAUSE_FULL, Aggregator
 from .topology import Item, Topology
 
 MODE_SEQUENTIAL = "sequential"
@@ -276,8 +278,9 @@ class _BaseRun:
         n = topo.total_processes
         self._n_procs = n
         self._t = topo.workers_per_proc
-        n_scopes = w if agg.scope_kind == "worker" else n
-        self._log = MessageLog(n_scopes, trace)
+        self._worker_scoped = agg.scope_kind == "worker"
+        self._item_bytes = agg.item_bytes
+        self._log = MessageLog(w if self._worker_scoped else n, trace)
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
@@ -385,16 +388,27 @@ class _BaseRun:
 
         Returns when the message reaches its destination process, in ns on
         the origin's clock: departure, then the comm context if enabled,
-        then the network cost.
+        then the network cost. It is the one accounting path of both
+        engines and reads msg's slots directly.
         """
-        agg = self._agg
+        po, dest_scope, items, grouped, cause, sent_at, src = msg
         cfg = self._cfg
-        po = msg.origin
-        nbytes = len(msg.items) * agg.item_bytes + cfg.header_bytes
+        log = self._log
+        k = len(items)
+        nbytes = k * self._item_bytes + cfg.header_bytes
         net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
-        scope = msg.src_worker if agg.scope_kind == "worker" else po
-        self._log.record_message(msg, scope, nbytes, net)
-        base = float(msg.sent_at)
+        scope = src if self._worker_scoped else po
+        log.bytes_sent += nbytes
+        log.transport_cost_ns += net
+        if cause == CAUSE_FULL:
+            log.msgs_full[scope] += 1
+        else:
+            log.msgs_flush[scope] += 1
+        if log.trace is not None:
+            log.trace.append({"origin": po, "dest_scope": dest_scope, "k": k,
+                              "cause": cause, "grouped": grouped,
+                              "sent_at": sent_at})
+        base = float(sent_at)
         if cfg.comm_enabled:
             ready = self._comm_ready[po]
             start = base if base > ready else ready
@@ -425,9 +439,11 @@ class SequentialRun(_BaseRun):
 
     # -- transport interface (called by the aggregator) --------------------
     def send(self, msg):
+        """Deliver one sealed message: the transport's only per-message
+        entry. Every scheme calls it once per message, in emit order."""
         plan = self._agg.on_receive(msg)
         arrival = int(self._account(msg) + 0.5)
-        ch = (msg.origin, plan[0][0] // self._t)
+        ch = (msg[0], plan[0][0] // self._t)
         last = self._chan_last.get(ch)
         if last is not None and arrival < last:
             arrival = last
@@ -656,7 +672,7 @@ class ThreadedRun(_BaseRun):
             arrival = time.monotonic_ns() - self._epoch
             if self._arrivals is not None:
                 self._arrivals.append(
-                    (msg.origin, plan[0][0] // self._t, arrival))
+                    (msg[0], plan[0][0] // self._t, arrival))
         for wid, group in plan:
             self._workers[wid].queue.push((_T_DELIVER, arrival, group))
 

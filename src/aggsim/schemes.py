@@ -21,6 +21,11 @@ and a pp message departs no earlier than its newest item's created_at.
 
 A buffer emits exactly when it reaches g items (cause "full", k == g) or when
 flushed while non-empty (cause "flush", k < g, message resized to k).
+
+Every seal builds its CoalescedMessage with tuple.__new__ and hands it
+straight to transport.send, one call per message, in emit order: a flush
+seals in ascending destination order. For ww/wps/wsp one helper, _seal,
+does that for a list of columns.
 """
 from __future__ import annotations
 
@@ -64,6 +69,10 @@ class CoalescedMessage(tuple):
     origin is the source process, dest_scope the destination worker (ww) or
     process (wps/wsp/pp). grouped means items are contiguous by destination
     worker. sent_at is the departure timestamp on the emitting worker's clock.
+
+    The fields are the tuple's slots 0-6 in that order, read by C-level
+    itemgetters. The schemes build a message with tuple.__new__, and the
+    transport reads its slots directly.
     """
 
     __slots__ = ()
@@ -73,13 +82,13 @@ class CoalescedMessage(tuple):
         return tuple.__new__(cls, (origin, dest_scope, items, grouped, cause,
                                    sent_at, src_worker))
 
-    origin = property(lambda s: s[0])
-    dest_scope = property(lambda s: s[1])
-    items = property(lambda s: s[2])
-    grouped = property(lambda s: s[3])
-    cause = property(lambda s: s[4])
-    sent_at = property(lambda s: s[5])
-    src_worker = property(lambda s: s[6])
+    origin = property(itemgetter(0))
+    dest_scope = property(itemgetter(1))
+    items = property(itemgetter(2))
+    grouped = property(itemgetter(3))
+    cause = property(itemgetter(4))
+    sent_at = property(itemgetter(5))
+    src_worker = property(itemgetter(6))
 
     @property
     def k(self) -> int:
@@ -211,11 +220,6 @@ class Aggregator:
         if self._transport is None:
             raise SetupError("aggregator not attached to a run")
 
-    def _emit(self, src_worker, dest_scope, batch, grouped, cause, now):
-        msg = CoalescedMessage(src_worker // self._t, dest_scope, batch,
-                               grouped, cause, now, src_worker)
-        self._transport.send(msg)
-
     # -- introspection ------------------------------------------------------
     def buffers_per_owner(self) -> int:
         raise NotImplementedError
@@ -289,6 +293,8 @@ class _WorkerBufferedAggregator(Aggregator):
     """
 
     _per_process = False
+    _grouped = True            # a message's items are dest-contiguous
+    _group_at_source = False   # wsp sorts each sealed batch before sending
 
     def __init__(self, topo, g, item_bytes):
         super().__init__(topo, g, item_bytes)
@@ -314,10 +320,6 @@ class _WorkerBufferedAggregator(Aggregator):
     def total_buffered(self) -> int:
         return sum(map(self.owner_buffered, range(self._w)))
 
-    def _seal_batch(self, batch: list):
-        """Hook: wsp groups at the source; others pass through."""
-        return batch, False
-
     def insert(self, source, item):
         dest = item[0]
         if not (0 <= dest < self._w and self._transport is not None):
@@ -331,7 +333,7 @@ class _WorkerBufferedAggregator(Aggregator):
         buf.append(item)
         self._inserted[source] += 1
         if len(buf) == self.g:
-            self._seal(source, col, CAUSE_FULL, item[2])
+            self._seal(source, (col,), CAUSE_FULL, item[2])
 
     def insert_batch(self, source, items):
         # insert()'s body with its lookups hoisted out of the item loop.
@@ -354,19 +356,34 @@ class _WorkerBufferedAggregator(Aggregator):
             buf = row[col]
             buf.append(it)
             if len(buf) == g:
-                self._seal(source, col, CAUSE_FULL, it[2])
+                self._seal(source, (col,), CAUSE_FULL, it[2])
         self._inserted[source] += len(items) - n_local
 
-    def _seal(self, source, col, cause, now):
-        """Take source's buffer col out of its row and ship it at now."""
-        batch, grouped = self._seal_batch(self._rows[source].pop(col))
-        self._emit(source, col, batch, grouped, cause, now)
+    def _seal(self, source, cols, cause, now):
+        """Take source's buffers cols out of its row, in order, and send each
+        at now as one message, straight to the transport. Returns len(cols).
+
+        A full seal passes its one column, flush the sorted row and
+        flush_expired the sorted due columns. wsp groups each batch here.
+        """
+        pop = self._rows[source].pop
+        send = self._transport.send
+        new = tuple.__new__
+        origin = source // self._t
+        grouped = self._grouped
+        at_source = self._group_at_source
+        topo, stats = self.topo, self.grouping_stats
+        for col in cols:
+            batch = pop(col)
+            if at_source:
+                batch = group_items(batch, topo, stats)
+            send(new(CoalescedMessage, (origin, col, batch, grouped, cause,
+                                        now, source)))
+        return len(cols)
 
     def flush(self, source, now):
-        cols = sorted(self._rows[source])
-        for col in cols:
-            self._seal(source, col, CAUSE_FLUSH, now)
-        return len(cols)
+        return self._seal(source, sorted(self._rows[source]), CAUSE_FLUSH,
+                          now)
 
     def pending_deadlines(self):
         tns = self.flush_timeout_ns
@@ -383,10 +400,9 @@ class _WorkerBufferedAggregator(Aggregator):
         row = self._rows[source]
         if tns is None or not row:
             return 0
-        due = sorted(col for col, buf in row.items() if buf[0][2] + tns <= now)
-        for col in due:
-            self._seal(source, col, CAUSE_FLUSH, now)
-        return len(due)
+        return self._seal(source, sorted(
+            col for col, buf in row.items() if buf[0][2] + tns <= now),
+            CAUSE_FLUSH, now)
 
 
 class _WWAggregator(_WorkerBufferedAggregator):
@@ -394,25 +410,23 @@ class _WWAggregator(_WorkerBufferedAggregator):
 
     kind = SchemeKind.WW
 
-    def _seal_batch(self, batch):
-        # Single destination: trivially contiguous.
-        return batch, True
-
     def on_receive(self, msg):
-        return [(msg.dest_scope, list(msg.items))]
+        # single destination: trivially contiguous
+        return [(msg[1], list(msg[2]))]
 
 
 class _ProcBufferedAggregator(_WorkerBufferedAggregator):
     """wps/wsp: one buffer per destination process at each source worker."""
 
     _per_process = True
+    _grouped = False
 
     def on_receive(self, msg):
-        items = msg.items
-        if msg.grouped:
+        items = msg[2]
+        if msg[3]:
             return split_grouped(items)
-        grouped = group_items(items, self.topo, self.grouping_stats)
-        return split_grouped(grouped)
+        return split_grouped(group_items(items, self.topo,
+                                         self.grouping_stats))
 
 
 class _WPsAggregator(_ProcBufferedAggregator):
@@ -423,9 +437,8 @@ class _WsPAggregator(_ProcBufferedAggregator):
     """wsp groups at the source worker, so receivers only split runs."""
 
     kind = SchemeKind.WSP
-
-    def _seal_batch(self, batch):
-        return group_items(batch, self.topo, self.grouping_stats), True
+    _grouped = True
+    _group_at_source = True
 
 
 class _PPAggregator(Aggregator):
@@ -471,7 +484,8 @@ class _PPAggregator(Aggregator):
             if len(buf) == self.g:
                 sealed = self._take(b, item[2])
         if sealed is not None:
-            self._emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
+            self._transport.send(tuple.__new__(CoalescedMessage, (
+                sp, dp, sealed[0], False, CAUSE_FULL, sealed[1], source)))
 
     def insert_batch(self, source, items):
         # insert()'s body with its lookups hoisted out of the item loop. Each
@@ -483,7 +497,8 @@ class _PPAggregator(Aggregator):
         row = self._shared[sp]
         g = self.g
         take = self._take
-        emit = self._emit
+        send = self._transport.send
+        new = tuple.__new__
         local_deliver = self._transport.local_deliver
         for it in items:
             dp = it[0] // t
@@ -499,7 +514,8 @@ class _PPAggregator(Aggregator):
                 if len(buf) == g:
                     sealed = take(b, it[2])
             if sealed is not None:
-                emit(source, dp, sealed[0], False, CAUSE_FULL, sealed[1])
+                send(new(CoalescedMessage, (sp, dp, sealed[0], False,
+                                            CAUSE_FULL, sealed[1], source)))
 
     @staticmethod
     def _take(b, now):
@@ -512,15 +528,21 @@ class _PPAggregator(Aggregator):
 
     def _flush_row(self, source, now, tns):
         """Ship the non-empty buffers of source's process in destination
-        order; with tns set, only those whose first item is tns old."""
+        order, each straight to the transport; with tns set, only those
+        whose first item is tns old."""
+        sp = source // self._t
+        take = self._take
+        send = self._transport.send
+        new = tuple.__new__
         n = 0
-        for dp, b in enumerate(self._shared[source // self._t]):
+        for dp, b in enumerate(self._shared[sp]):
             with b.lock:
                 if not b.items or (tns is not None
                                    and b.items[0][2] + tns > now):
                     continue
-                buf, seal_ts = self._take(b, now)
-            self._emit(source, dp, buf, False, CAUSE_FLUSH, seal_ts)
+                buf, seal_ts = take(b, now)
+            send(new(CoalescedMessage, (sp, dp, buf, False, CAUSE_FLUSH,
+                                        seal_ts, source)))
             n += 1
         return n
 
@@ -528,8 +550,8 @@ class _PPAggregator(Aggregator):
         return self._flush_row(source, now, None)
 
     def on_receive(self, msg):
-        grouped = group_items(msg.items, self.topo, self.grouping_stats)
-        return split_grouped(grouped)
+        return split_grouped(group_items(msg[2], self.topo,
+                                         self.grouping_stats))
 
     def pending_deadlines(self):
         tns = self.flush_timeout_ns

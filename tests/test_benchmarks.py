@@ -4,6 +4,8 @@ Each driver carries its own oracle (run with verify=True everywhere), so
 these tests focus on the hand-checkable small cases plus cross-scheme
 agreement on the correctness outputs.
 """
+import heapq
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
 from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
                                          run_histogram)
 from aggsim.benchmarks.ig import _REQ, IGSpec, _IGWorker, run_ig
-from aggsim.benchmarks.phold import PholdSpec, run_phold
+from aggsim.benchmarks.phold import (_POPS_PER_TURN, _TS_EPS, PholdSpec,
+                                     _PholdWorker, recount_out_of_order,
+                                     run_phold)
 from aggsim.benchmarks.pingack import PingAckSpec, run_pingack, sweep_pingack
-from aggsim.benchmarks.sssp import SSSPSpec, run_sssp
+from aggsim.benchmarks.sssp import SSSPSpec, _SSSPWorker, run_sssp
 from aggsim.errors import UsageError
 from aggsim.metrics import summarize
 from aggsim.runtime import TransportConfig, spawn
@@ -254,6 +258,77 @@ def test_sssp_rejects_out_of_range_source():
             .validate(Topology(1, 1, 2))
 
 
+class _ScalarSSSPWorker(_SSSPWorker):
+    """The SSSP driver on the scalar path: one ctx.insert or heap push per
+    edge, in edge order, and one ctx.insert per released heap entry."""
+
+    def _route(self, ctx, v, d):
+        if d < self.threshold:
+            ctx.insert(v // self.block_size, (v, d))
+        else:
+            heapq.heappush(self.deferred, (d, self._tie, v))
+            self._tie += 1
+
+    def _relax(self, ctx, v, d):
+        g = self.spec.graph
+        for i in range(g.indptr[v], g.indptr[v + 1]):
+            self._route(ctx, int(g.heads[i]), d + int(g.weights[i]))
+
+    def release(self, ctx, new_threshold):
+        self.threshold = new_threshold
+        heap = self.deferred
+        while heap and heap[0][0] < new_threshold:
+            d, _, v = heapq.heappop(heap)
+            ctx.insert(v // self.block_size, (v, d))
+        return len(heap)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_sssp_batch_relax_matches_scalar(scheme):
+    # relaxations and releases through insert_many leave every output of the
+    # scalar loop unchanged: result JSON, distances, wasted updates, phases,
+    # heap tie numbers, item seqs and message trace
+    topo = Topology(2, 2, 2)
+    graph = random_graph(300, 6, seed=8)
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=40, seed=8)
+    expected = dijkstra(graph, 0)
+    kind, g_fixed = resolve_scheme(scheme)
+
+    def run(driver, g, timeout_ns):
+        # run_sssp's phase loop, on a run that records seqs and a trace
+        agg = create_aggregator(kind, topo, g_fixed or g, 24)
+        agg.set_flush_timeout(timeout_ns)
+        h = spawn(topo, agg, program=lambda wid: driver(wid, spec, topo),
+                  seed=8, record_items=True, trace=True)
+        threshold = spec.threshold_delta
+        phases = 0
+        while True:
+            h.run_phase(timeout_s=60)
+            phases += 1
+            if not any(h.broadcast_task(lambda ctx: len(ctx.driver.deferred))):
+                break
+            threshold += spec.threshold_delta
+            h.broadcast_task(
+                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))
+        m = h.await_quiescence(timeout_s=60)
+        drivers = [wk.driver for wk in h.workers]
+        m.wasted_updates = sum(d.wasted for d in drivers)
+        dist = np.concatenate([d.dist for d in drivers])[:graph.n]
+        assert np.array_equal(dist, expected)
+        return (m.to_json(), m.wasted_updates, phases, dist.tolist(),
+                [d._tie for d in drivers], h.inserted_seqs(),
+                h.delivered_seqs(), h.trace)
+
+    for g in (3, 16) if g_fixed is None else (1,):
+        for timeout_ns in (None, 3000):
+            batch = run(_SSSPWorker, g, timeout_ns)
+            assert batch[2] > 1  # the heaps were used
+            assert batch == run(_ScalarSSSPWorker, g, timeout_ns)
+    r = run_sssp(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
+                 timeout_s=60)
+    assert np.array_equal(r.distances, expected)
+
+
 # -------------------------------------------------------------------- phold
 
 def test_phold_single_lp_is_one_ordered_chain():
@@ -291,6 +366,64 @@ def test_phold_event_conservation_across_schemes():
         r = run_phold(spec, scheme=scheme, g=16, topo=topo, record_log=True)
         assert r.consumed == r.expected_floor + r.metrics.delivered
         assert r.recheck == r.metrics.out_of_order_events
+
+
+class _ScalarPholdWorker(_PholdWorker):
+    """The PHOLD driver on the scalar path: one ctx.insert per successor,
+    right after its draws."""
+
+    def step(self, ctx):
+        pending = self.pending
+        if not pending:
+            return False
+        spec = self.spec
+        rng = ctx.rng
+        for _ in range(min(_POPS_PER_TURN, len(pending))):
+            ts, _, _lp = heapq.heappop(pending)
+            self.consumed += 1
+            nts = ts + max(float(rng.exponential(spec.mean_increment)),
+                           _TS_EPS)
+            if nts <= spec.end_time:
+                target = int(rng.integers(0, self.total_lps))
+                ctx.insert(target // self.lpw, (target, nts))
+        return True
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_phold_batch_step_matches_scalar(scheme):
+    # steps through insert_many leave every output of the scalar loop
+    # unchanged: result JSON, recount, consumed events, arrival logs, item
+    # seqs, channel arrivals and message trace
+    topo = Topology(2, 2, 2)
+    spec = PholdSpec(lps_per_worker=16, initial_events_per_lp=4,
+                     mean_increment=100.0, end_time=1500.0, seed=9)
+    kind, g_fixed = resolve_scheme(scheme)
+
+    def run(driver, g, timeout_ns):
+        agg = create_aggregator(kind, topo, g_fixed or g, 16)
+        agg.set_flush_timeout(timeout_ns)
+        h = spawn(topo, agg,
+                  program=lambda wid: driver(wid, spec, topo, True),
+                  seed=9, record_items=True, trace=True,
+                  record_arrivals=True)
+        m = h.await_quiescence(timeout_s=60)
+        drivers = [wk.driver for wk in h.workers]
+        m.out_of_order_events = sum(d.ooo for d in drivers)
+        logs = [d.log for d in drivers]
+        consumed = sum(d.consumed for d in drivers)
+        assert consumed == (topo.total_workers * spec.lps_per_worker
+                            * spec.initial_events_per_lp + m.delivered)
+        return (m.to_json(), recount_out_of_order(logs), consumed, logs,
+                h.inserted_seqs(), h.delivered_seqs(), h.arrival_log,
+                h.trace)
+
+    for g in (3, 16) if g_fixed is None else (1,):
+        for timeout_ns in (None, 3000):
+            batch = run(_PholdWorker, g, timeout_ns)
+            assert batch == run(_ScalarPholdWorker, g, timeout_ns)
+    r = run_phold(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
+                  record_log=True, timeout_s=60)
+    assert r.recheck == r.metrics.out_of_order_events
 
 
 # ------------------------------------------------------------------ pingack

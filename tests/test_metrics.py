@@ -9,7 +9,8 @@ from aggsim.benchmarks.histogram import HistogramSpec, _HistWorker
 from aggsim.errors import InternalInvariantError, UsageError
 from aggsim.metrics import (LatencyShard, MessageLog, merge, nearest_rank,
                             summarize)
-from aggsim.runtime import _DELIVER_BUDGET, _FOLD_SAMPLES, spawn
+from aggsim.runtime import (_DELIVER_BUDGET, _FOLD_SAMPLES,
+                            TransportConfig, WorkerProgram, spawn)
 from aggsim.schemes import CoalescedMessage, create_aggregator
 from aggsim.topology import Topology
 
@@ -205,35 +206,43 @@ def test_sequential_run_keeps_pending_bounded_and_folds_at_merge():
     assert sum(wk.shard.seen for wk in h.workers) == m.delivered
 
 
-def _msg(k, cause, origin=0, scope=1):
-    items = [(scope, None, 0, i) for i in range(k)]
-    return CoalescedMessage(origin, scope, items, False, cause, 0, 0)
+def _msg(k, cause, src=0, dest_scope=1, t=2):
+    items = [(dest_scope, None, 0, i) for i in range(k)]
+    return CoalescedMessage(src // t, dest_scope, items, False, cause, 0, src)
+
+
+def _accounting_run(trace):
+    """An unstarted ww run on 4 workers whose MessageLog is fed by calling
+    _account by hand: 8-byte items, 32 header bytes, alpha 2 ns, beta
+    0.5 ns per byte."""
+    topo = Topology(1, 2, 2)
+    cfg = TransportConfig(alpha_ns=2.0, beta_ns_per_byte=0.5,
+                          header_bytes=32)
+    return spawn(topo, create_aggregator("ww", topo, 4, 8), cfg,
+                 program=lambda wid: WorkerProgram(), trace=trace)
 
 
 def test_message_log_counts_and_bytes():
-    log = MessageLog(n_scopes=4, trace=False)
-    log.record_message(_msg(3, "full"), scope=1, nbytes=3 * 8 + 32,
-                       net_cost_ns=10.0)
-    log.record_message(_msg(1, "flush"), scope=1, nbytes=1 * 8 + 32,
-                       net_cost_ns=2.5)
-    log.record_message(_msg(2, "full", scope=3), scope=3, nbytes=2 * 8 + 32,
-                       net_cost_ns=0.0)
+    run = _accounting_run(trace=False)
+    # the return value is the departure plus the network cost
+    assert run._account(_msg(3, "full", src=1)) == 2.0 + 0.5 * (3 * 8 + 32)
+    run._account(_msg(1, "flush", src=1))
+    run._account(_msg(2, "full", src=3, dest_scope=0))
+    log = run._log
     assert log.msgs_full == [0, 1, 0, 1]
     assert log.msgs_flush == [0, 1, 0, 0]
     assert log.bytes_sent == (3 * 8 + 32) + (1 * 8 + 32) + (2 * 8 + 32)
-    assert log.transport_cost_ns == pytest.approx(12.5)
+    assert log.transport_cost_ns == (2 + 28.0) + (2 + 20.0) + (2 + 24.0)
     assert log.trace is None
 
 
 def test_message_log_trace_fields():
-    log = MessageLog(n_scopes=2, trace=True)
-    log.record_message(_msg(2, "flush"), scope=1, nbytes=2 * 8,
-                       net_cost_ns=0.0)
-    entry = log.trace[0]
-    assert set(entry) == {"origin", "dest_scope", "k", "cause", "grouped",
-                          "sent_at"}
-    assert entry["k"] == 2
-    assert entry["cause"] == "flush"
+    run = _accounting_run(trace=True)
+    msg = CoalescedMessage(1, 0, [(0, None, 5, 3), (1, None, 6, 7)], True,
+                           "flush", 9, 2)
+    run._account(msg)
+    assert run.trace == [{"origin": 1, "dest_scope": 0, "k": 2,
+                          "cause": "flush", "grouped": True, "sent_at": 9}]
 
 
 def test_json_stable_key_order():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from aggsim.costmodel import CostInputs, memory_overhead
 from aggsim.errors import SetupError, UsageError
-from aggsim.schemes import (GroupingStats, SchemeKind, create_aggregator,
-                            group_items, split_grouped)
+from aggsim.schemes import (CoalescedMessage, GroupingStats, SchemeKind,
+                            create_aggregator, group_items, split_grouped)
 from aggsim.topology import Topology
 
 from helpers import LoopbackTransport, make_agg, mk_item
@@ -377,6 +377,78 @@ def test_seal_clears_timeout_timer():
     agg.insert(0, mk_item(1, 1, created_at=1))  # fills: timer must vanish
     assert agg.pending_deadlines() == []
     assert agg.flush_expired(0, now=10**9) == 0
+
+
+# -- the message path -------------------------------------------------------
+def test_coalesced_message_fields_are_its_slots():
+    items = [mk_item(3, 0), mk_item(3, 1)]
+    msg = CoalescedMessage(1, 3, items, True, "flush", 70, 2)
+    assert (msg.origin, msg.dest_scope, msg.items, msg.grouped, msg.cause,
+            msg.sent_at, msg.src_worker) == tuple(msg)
+    assert msg.items is msg[2] and msg.k == 2
+    # the schemes' fast build is the same message
+    raw = tuple.__new__(CoalescedMessage, (1, 3, items, True, "flush", 70, 2))
+    assert type(raw) is CoalescedMessage and raw == msg
+    assert raw.sent_at == 70 and raw.src_worker == 2
+    assert CoalescedMessage(0, 1, [], False, "full", 0).src_worker == -1
+
+
+@given(st.sampled_from(ALL_KINDS), st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_flush_sends_one_message_per_buffer_in_dest_order(kind, g, data):
+    """flush and flush_expired send each non-empty (due) buffer of the
+    owner's scope as one "flush" message, in ascending destination order,
+    stamped now (pp: no earlier than its newest item). A model of the
+    buffers, fed by the same inserts, says which buffers those are."""
+    topo = Topology(1, 3, 2)
+    t = topo.workers_per_proc
+    tns = data.draw(st.none() | st.integers(1, 60))
+    agg, tr = make_agg(kind, topo, g=g, timeout_ns=tns)
+    pp = kind == SchemeKind.PP
+    width = 1 if kind == SchemeKind.WW else t
+    model = {}  # (flush owner, dest scope) -> buffered items
+    inserts = data.draw(st.lists(st.tuples(
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 100)),
+        max_size=40))
+    for seq, (src, dest, created) in enumerate(inserts):
+        item = mk_item(dest, seq, created_at=created)
+        sent = len(tr.messages)
+        agg.insert(src, item)
+        if dest // t == src // t:
+            assert len(tr.messages) == sent
+            continue
+        key = ((src // t) * t if pp else src, dest // width)
+        buf = model.setdefault(key, [])
+        buf.append(item)
+        if len(buf) == g:
+            del model[key]
+            assert len(tr.messages) == sent + 1
+            assert tr.messages[-1].cause == "full"
+        else:
+            assert len(tr.messages) == sent
+    now = data.draw(st.integers(0, 200))
+    expire = tns is not None and data.draw(st.booleans())
+    for owner in agg.flush_owners():
+        start = len(tr.messages)
+        n = (agg.flush_expired(owner, now) if expire
+             else agg.flush(owner, now))
+        due = sorted(col for (o, col), buf in model.items() if o == owner
+                     and (not expire or buf[0].created_at + tns <= now))
+        sent = tr.messages[start:]
+        assert n == len(sent) == len(due)
+        for msg, col in zip(sent, due):
+            buf = model.pop((owner, col))
+            assert msg.cause == "flush"
+            assert (msg.origin, msg.dest_scope, msg.src_worker) == (
+                owner // t, col, owner)
+            if kind == SchemeKind.WSP:
+                buf = sorted(buf, key=lambda it: it.dest)
+            assert msg.items == buf
+            assert msg.sent_at == (max(now, *(it.created_at for it in buf))
+                                   if pp else now)
+    assert agg.total_buffered() == sum(map(len, model.values()))
+    if not expire:
+        assert not model
 
 
 # -- batch inserts ----------------------------------------------------------
