@@ -48,8 +48,8 @@ class _HistWorker(WorkerProgram):
         draws = ctx.rng.integers(0, spec.table_size,
                                  size=spec.updates_per_worker)
         self.bins = draws.tolist()
-        n_local = (spec.table_size - self.wid + self.w - 1) // self.w
-        self.counts = [0] * n_local
+        n_owned = (spec.table_size - self.wid + self.w - 1) // self.w
+        self.counts = [0] * n_owned
 
     def step(self, ctx):
         pos = self.pos

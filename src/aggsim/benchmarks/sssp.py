@@ -14,13 +14,15 @@ A relaxation reads its edge slice with tolist(), pushes the updates at or
 beyond the threshold onto the heap in edge order, and inserts the rest with
 one ctx.insert_many call; a release inserts its popped entries the same
 way. A heap push reads neither the clock nor a sequence number, so every
-output equals that of one ctx.insert per update in edge order.
+output equals that of one ctx.insert per update in edge order. Distances
+are a list per worker, cheaper to index than numpy, made an array once.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -65,7 +67,7 @@ class _SSSPWorker(WorkerProgram):
         g = spec.graph
         self.block_size = (g.n + self.w - 1) // self.w
         self.lo, self.hi = _block(g.n, self.w, wid)
-        self.dist = np.full(self.hi - self.lo, INF, dtype=np.int64)
+        self.dist = [INF] * (self.hi - self.lo)
         self.threshold = spec.threshold_delta
         self.deferred = []  # (distance, tie, vertex) min-heap
         self._tie = 0
@@ -183,7 +185,8 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]
-    dist = np.concatenate([d.dist for d in drivers])[:spec.graph.n]
+    dist = np.fromiter(chain.from_iterable(d.dist for d in drivers),
+                       dtype=np.int64, count=spec.graph.n)
     metrics.wasted_updates = sum(d.wasted for d in drivers)
     expected = dijkstra(spec.graph, spec.source)
     result = SSSPResult(metrics, dist, expected, phases)

@@ -183,6 +183,12 @@ def _cmd_single(args):
 
 
 def _cmd_pingack(args):
+    if args.item_bytes is not None:
+        raise UsageError("pingack sizes its items with --message-size, "
+                         "not --item-bytes")
+    single = len(args.procs_per_node) == 1
+    if args.trace and not single:
+        raise UsageError("--trace needs a single --procs-per-node value")
     spec = PingAckSpec(messages_per_worker=args.messages,
                        message_size=args.message_size,
                        workers_per_node=args.workers_per_node,
@@ -191,9 +197,11 @@ def _cmd_pingack(args):
     kw = dict(scheme=args.scheme, g=args.g, mode=args.mode, cfg=_cfg(args),
               seed=args.seed, timeout_s=args.timeout,
               flush_timeout_ns=args.flush_timeout)
-    if len(args.procs_per_node) == 1:
-        result = run_pingack(spec, ppn=args.procs_per_node[0], **kw)
+    if single:
+        result = run_pingack(spec, ppn=args.procs_per_node[0],
+                             trace=bool(args.trace), **kw)
         _emit(args, result.to_json())
+        _emit_trace(args, result)
     else:
         results = sweep_pingack(spec, **kw)
         rows = [r.to_dict() for r in results]

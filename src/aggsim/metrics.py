@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -154,18 +153,19 @@ class MessageLog:
 
     The engines' per-message accounting (_BaseRun._account) updates the
     fields in place: msgs_full and msgs_flush count messages per scope by
-    cause, bytes_sent and transport_cost_ns sum over messages, and trace,
-    when kept, gets one dict per message. Threaded engines account under
-    the transport lock; sequential engines are single-threaded, so plain
-    ints are safe in both.
+    cause and items_by_scope their items, bytes_sent and transport_cost_ns
+    sum over messages, and trace, when kept, gets one dict per message.
+    Threaded engines account under the transport lock; sequential engines
+    are single-threaded, so plain ints are safe in both.
     """
 
-    __slots__ = ("msgs_full", "msgs_flush", "bytes_sent", "transport_cost_ns",
-                 "trace")
+    __slots__ = ("msgs_full", "msgs_flush", "items_by_scope", "bytes_sent",
+                 "transport_cost_ns", "trace")
 
     def __init__(self, n_scopes: int, trace: bool):
         self.msgs_full = [0] * n_scopes
         self.msgs_flush = [0] * n_scopes
+        self.items_by_scope = [0] * n_scopes
         self.bytes_sent = 0
         self.transport_cost_ns = 0.0
         self.trace = [] if trace else None
@@ -173,7 +173,8 @@ class MessageLog:
 
 @dataclass
 class RunMetrics:
-    """Merged result of one run. to_dict() is the stable JSON shape."""
+    """Merged result of one run. to_dict() is the stable JSON shape;
+    merge derives self_sends and inserted_by_scope from the message log."""
 
     scheme: str
     mode: str
@@ -194,10 +195,8 @@ class RunMetrics:
     wasted_updates: int = 0
     out_of_order_events: int = 0
     # Internal detail kept out of the JSON summary; tests use these.
-    scope_kind: str = field(default="worker", repr=False)
     messages_by_scope: list = field(default_factory=list, repr=False)
     inserted_by_scope: list = field(default_factory=list, repr=False)
-    comm: Optional[dict] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -227,12 +226,12 @@ class RunMetrics:
 
 
 def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
-          produced, delivered, self_sends, inserted_by_scope, scope_kind,
-          runtime_ns, comm=None, quiesced=True) -> RunMetrics:
+          produced, delivered, runtime_ns, quiesced=True) -> RunMetrics:
     """Fold the message log and worker shards into a RunMetrics.
 
     Refuses to summarize a run that has not quiesced: counters would be
-    mid-flight and the latency population incomplete.
+    mid-flight and the latency population incomplete. At quiescence the
+    log's items per scope are the buffered inserts; the rest went local.
     """
     if not quiesced:
         raise UsageError("summarize called before quiescence")
@@ -257,12 +256,11 @@ def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
         full_messages=sum(log.msgs_full),
         flush_messages=sum(log.msgs_flush),
         bytes_sent=log.bytes_sent,
-        produced=produced, delivered=delivered, self_sends=self_sends,
+        produced=produced, delivered=delivered,
+        self_sends=produced - sum(log.items_by_scope),
         item_latency=lat,
         transport_cost_ns=log.transport_cost_ns,
         runtime_ns=runtime_ns,
-        scope_kind=scope_kind,
         messages_by_scope=msgs_by_scope,
-        inserted_by_scope=list(inserted_by_scope),
-        comm=comm,
+        inserted_by_scope=list(log.items_by_scope),
     )

@@ -22,12 +22,14 @@ per ns per process. Channels between process pairs are FIFO: arrival stamps
 are clamped monotone per (origin process, destination process) pair.
 
 Quiescence holds when every driver is done, every delivery queue is empty,
-and the produced item count equals the delivered count. run_phase and
-await_quiescence perform idle-flush rounds (flushing every buffer scope)
-whenever the run stalls short of that, so buffered items cannot be stranded.
-With a flush timeout set, each scheduling turn first flushes the worker's
-expired buffers, and a stalled sequential run jumps owners' clocks to their
-pending deadlines before it falls back to an idle-flush round.
+and the produced item count (issued sequence numbers) equals the delivered
+count (sink calls returned); merge derives self-sends and per-scope inserts
+from the message log. run_phase and await_quiescence perform idle-flush
+rounds (flushing every buffer scope) whenever the run stalls short of that,
+so buffered items cannot be stranded. With a flush timeout set, each
+scheduling turn first flushes the worker's expired buffers, and a stalled
+sequential run jumps owners' clocks to their pending deadlines before it
+falls back to an idle-flush round.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
@@ -146,13 +148,14 @@ class _Worker:
     """Worker context on a virtual clock; also the ctx drivers see.
 
     queue holds the worker's pending deliveries: a deque of (arrival, items)
-    in the sequential engine, a _TQueue in the threaded one.
+    in the sequential engine, a _TQueue in the threaded one. Worker wid
+    issues the sequence numbers wid, wid + seq_stride, ...
     """
 
     __slots__ = ("wid", "now", "queue", "driver", "driver_done", "batch_sink",
-                 "rng", "work_ns", "produced", "delivered", "self_sends",
-                 "shard", "seq_next", "seq_stride", "ins_log", "dl_log",
-                 "_agg", "_epoch", "thread")
+                 "rng", "work_ns", "delivered", "shard", "seq_next",
+                 "seq_stride", "ins_log", "dl_log", "_agg", "_epoch",
+                 "thread")
 
     def __init__(self, wid, rng, work_ns, shard, stride, record_items,
                  agg, queue, epoch):
@@ -164,9 +167,7 @@ class _Worker:
         self.batch_sink = None
         self.rng = rng
         self.work_ns = work_ns
-        self.produced = 0
         self.delivered = 0
-        self.self_sends = 0
         self.shard = shard
         self.seq_next = wid
         self.seq_stride = stride
@@ -175,6 +176,11 @@ class _Worker:
         self._agg = agg
         self._epoch = epoch
         self.thread = None
+
+    @property
+    def produced(self) -> int:
+        """Items this worker has inserted."""
+        return (self.seq_next - self.wid) // self.seq_stride
 
     def time_ns(self) -> int:
         return self.now
@@ -189,7 +195,6 @@ class _Worker:
         self.now = now
         s = self.seq_next
         self.seq_next = s + self.seq_stride
-        self.produced += 1
         if self.ins_log is not None:
             self.ins_log.append(s)
         # tuple.__new__ builds the Item in C, skipping Item.__new__'s frame
@@ -216,7 +221,6 @@ class _Worker:
         last = items[-1]
         self.now = last[2]
         self.seq_next = last[3] + stride
-        self.produced += n
         if self.ins_log is not None:
             self.ins_log.extend(map(_SEQ, items))
         self._agg.insert_batch(self.wid, items)
@@ -343,11 +347,7 @@ class _BaseRun:
             item_bytes=self._agg.item_bytes,
             produced=sum(w.produced for w in workers),
             delivered=sum(w.delivered for w in workers),
-            self_sends=sum(w.self_sends for w in workers),
-            inserted_by_scope=self._agg.inserted_per_scope(),
-            scope_kind=self._agg.scope_kind,
             runtime_ns=self._runtime_ns(),
-            comm=self.comm_stats() if self._cfg.comm_enabled else None,
             quiesced=self._quiesced,
         )
 
@@ -384,7 +384,8 @@ class _BaseRun:
 
     # -- transport: per-message cost and accounting ------------------------
     def _account(self, msg) -> float:
-        """Record msg's bytes, network cost and comm-context occupancy.
+        """Record msg's items, bytes, network cost and comm-context
+        occupancy.
 
         Returns when the message reaches its destination process, in ns on
         the origin's clock: departure, then the comm context if enabled,
@@ -398,6 +399,7 @@ class _BaseRun:
         nbytes = k * self._item_bytes + cfg.header_bytes
         net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
         scope = src if self._worker_scoped else po
+        log.items_by_scope[scope] += k
         log.bytes_sent += nbytes
         log.transport_cost_ns += net
         if cause == CAUSE_FULL:
@@ -454,8 +456,7 @@ class SequentialRun(_BaseRun):
         for wid, group in plan:
             workers[wid].queue.append((arrival, group))
 
-    def local_deliver(self, source, dest, items, now):
-        self._workers[source].self_sends += len(items)
+    def local_deliver(self, dest, items, now):
         self._workers[dest].queue.append((now, items))
 
     # -- stepping -----------------------------------------------------------
@@ -610,6 +611,7 @@ _T_DELIVER = 0
 _T_FLUSH = 1
 _T_TASK = 2
 _T_STOP = 3
+_ACK_TIMEOUT_S = 10.0  # wait for workers to ack a flush round, task or stop
 
 
 class _TQueue:
@@ -676,8 +678,7 @@ class ThreadedRun(_BaseRun):
         for wid, group in plan:
             self._workers[wid].queue.push((_T_DELIVER, arrival, group))
 
-    def local_deliver(self, source, dest, items, now):
-        self._workers[source].self_sends += len(items)
+    def local_deliver(self, dest, items, now):
         self._workers[dest].queue.push((_T_DELIVER, now, items))
 
     # -- worker thread --------------------------------------------------------
@@ -751,9 +752,8 @@ class ThreadedRun(_BaseRun):
             evs.append(ev)
             self._workers[owner].queue.push((_T_FLUSH, ev))
         for ev in evs:
-            if not ev.wait(10.0):
-                raise QuiescenceTimeout("flush round did not acknowledge",
-                                        self._diagnostics())
+            if not ev.wait(_ACK_TIMEOUT_S):
+                self._timed_out("flush round did not acknowledge")
 
     def _raise_pending(self):
         if self._error is not None:
@@ -776,19 +776,24 @@ class ThreadedRun(_BaseRun):
             prev = s
             time.sleep(0.001)
             if deadline is not None and time.monotonic() > deadline:
-                self._shutdown()
-                raise QuiescenceTimeout(
-                    f"run exceeded {timeout_s}s wall budget",
-                    self._diagnostics())
+                self._timed_out(f"run exceeded {timeout_s}s wall budget")
+
+    def _timed_out(self, what):
+        diagnostics = self._diagnostics()
+        self._shutdown()
+        self._raise_pending()  # a worker's own error takes precedence
+        raise QuiescenceTimeout(what, diagnostics)
 
     def _shutdown(self):
+        # a worker still busy after the deadline stops once it is done
         if self._stopped:
             return
         self._stopped = True
         for w in self._workers:
             w.queue.push((_T_STOP,))
+        deadline = time.monotonic() + _ACK_TIMEOUT_S
         for w in self._workers:
-            w.thread.join(timeout=5.0)
+            w.thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # -- handle surface --------------------------------------------------------
     def run_phase(self, timeout_s=None):
@@ -805,10 +810,8 @@ class ThreadedRun(_BaseRun):
             w.queue.push((_T_TASK, fn, ev, box))
         out = []
         for ev, box in zip(evs, boxes):
-            if not ev.wait(10.0):
-                self._raise_pending()
-                raise QuiescenceTimeout("task did not acknowledge",
-                                        self._diagnostics())
+            if not ev.wait(_ACK_TIMEOUT_S):
+                self._timed_out("task did not acknowledge")
             out.append(box[0])
         return out
 

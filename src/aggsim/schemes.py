@@ -10,14 +10,17 @@ Scheme tokens:
         grouping happens at the destination, as in wps.
 
 Items whose destination worker lives in the source process bypass buffering
-entirely and go straight to the local delivery queue; shared-memory delivery
-needs no coalescing. The modelled layout (allocated_bytes) still counts ww's
-buffers for same-process destinations, but they are never filled.
+entirely and go straight to the local delivery queue, through the
+transport's local_deliver(dest, items, now); shared-memory delivery needs no
+coalescing. The modelled layout (allocated_bytes) still counts ww's buffers
+for same-process destinations, but they are never filled.
 
 The buffered items are the only buffer state. A worker's buffer row holds
 only its non-empty buffers, created on first insert and dropped at seal. A
 buffer's timeout deadline is its oldest item's created_at plus the timeout,
-and a pp message departs no earlier than its newest item's created_at.
+and a pp message departs no earlier than its newest item's created_at. No
+scheme counts its inserts: every buffered item leaves in exactly one
+message, so the engine counts items per scope from the messages it is sent.
 
 A buffer emits exactly when it reaches g items (cause "full", k == g) or when
 flushed while non-empty (cause "flush", k < g, message resized to k).
@@ -149,16 +152,14 @@ class _SharedBuffer:
     """pp buffer shared by all workers of one source process.
 
     Every operation runs under the buffer mutex, which linearizes the
-    append-and-seal protocol. inserted is the cumulative item count for
-    per-scope accounting.
+    append-and-seal protocol. items holds the buffered items, oldest first.
     """
 
-    __slots__ = ("items", "lock", "inserted")
+    __slots__ = ("items", "lock")
 
     def __init__(self):
         self.items = []
         self.lock = threading.Lock()
-        self.inserted = 0
 
 
 class Aggregator:
@@ -166,7 +167,9 @@ class Aggregator:
 
     Subclasses own the layout. An aggregator is inert until bind() attaches a
     transport (the engine); create -> spawn is the intended order, and a
-    second spawn on the same instance is refused.
+    second spawn on the same instance is refused. The transport offers
+    send(msg), called once per sealed message, and local_deliver(dest,
+    items, now), called once per same-process item.
     """
 
     kind: SchemeKind  # set by each scheme class
@@ -234,9 +237,6 @@ class Aggregator:
                     "per_process_bytes": per_owner * self._t}
         return {"per_core_bytes": 0, "per_process_bytes": per_owner}
 
-    def inserted_per_scope(self) -> list:
-        raise NotImplementedError
-
     def flush_owners(self) -> range:
         """Worker ids whose flush() calls cover every buffer exactly once."""
         if self.scope_kind == "worker":
@@ -301,13 +301,9 @@ class _WorkerBufferedAggregator(Aggregator):
         self._width = self._t if self._per_process else 1
         self._cols = self._w // self._width
         self._rows = [defaultdict(list) for _ in range(self._w)]
-        self._inserted = [0] * self._w      # cumulative buffered inserts
 
     def buffers_per_owner(self) -> int:
         return self._cols
-
-    def inserted_per_scope(self) -> list:
-        return list(self._inserted)
 
     # The threaded coordinator reads these while owner threads fill and seal
     # their rows. list() copies a row in one C call, which no other thread
@@ -326,12 +322,11 @@ class _WorkerBufferedAggregator(Aggregator):
             self._check(source, dest)
         t = self._t
         if dest // t == source // t:
-            self._transport.local_deliver(source, dest, (item,), item[2])
+            self._transport.local_deliver(dest, (item,), item[2])
             return
         col = dest // self._width
         buf = self._rows[source][col]
         buf.append(item)
-        self._inserted[source] += 1
         if len(buf) == self.g:
             self._seal(source, (col,), CAUSE_FULL, item[2])
 
@@ -346,18 +341,15 @@ class _WorkerBufferedAggregator(Aggregator):
         g = self.g
         row = self._rows[source]
         local_deliver = self._transport.local_deliver
-        n_local = 0
         for it in items:
             col = it[0] // width
             if lo <= col < hi:
-                local_deliver(source, it[0], (it,), it[2])
-                n_local += 1
+                local_deliver(it[0], (it,), it[2])
                 continue
             buf = row[col]
             buf.append(it)
             if len(buf) == g:
                 self._seal(source, (col,), CAUSE_FULL, it[2])
-        self._inserted[source] += len(items) - n_local
 
     def _seal(self, source, cols, cause, now):
         """Take source's buffers cols out of its row, in order, and send each
@@ -455,9 +447,6 @@ class _PPAggregator(Aggregator):
     def buffers_per_owner(self) -> int:
         return self._n
 
-    def inserted_per_scope(self) -> list:
-        return [sum(b.inserted for b in row) for row in self._shared]
-
     def owner_buffered(self, worker: int) -> int:
         row = self._shared[worker // self._t]
         return sum(len(b.items) for b in row)
@@ -473,14 +462,13 @@ class _PPAggregator(Aggregator):
         sp = source // t
         dp = dest // t
         if dp == sp:
-            self._transport.local_deliver(source, dest, (item,), item[2])
+            self._transport.local_deliver(dest, (item,), item[2])
             return
         b = self._shared[sp][dp]
         sealed = None
         with b.lock:
             buf = b.items
             buf.append(item)
-            b.inserted += 1
             if len(buf) == self.g:
                 sealed = self._take(b, item[2])
         if sealed is not None:
@@ -503,14 +491,13 @@ class _PPAggregator(Aggregator):
         for it in items:
             dp = it[0] // t
             if dp == sp:
-                local_deliver(source, it[0], (it,), it[2])
+                local_deliver(it[0], (it,), it[2])
                 continue
             b = row[dp]
             sealed = None
             with b.lock:
                 buf = b.items
                 buf.append(it)
-                b.inserted += 1
                 if len(buf) == g:
                     sealed = take(b, it[2])
             if sealed is not None:

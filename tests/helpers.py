@@ -13,8 +13,8 @@ class LoopbackTransport:
     def send(self, msg):
         self.messages.append(msg)
 
-    def local_deliver(self, source, dest, items, now):
-        self.local.append((source, dest, tuple(items), now))
+    def local_deliver(self, dest, items, now):
+        self.local.append((dest, tuple(items), now))
 
 
 def make_agg(kind, topo, g, item_bytes=8, timeout_ns=None):

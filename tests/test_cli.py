@@ -132,6 +132,35 @@ def test_pingack_single_cell_and_sweep(capsys):
     assert isinstance(rows, list) and [r["ppn"] for r in rows] == [1, 2]
 
 
+PINGACK = ["pingack", "--messages", "50", "--workers-per-node", "2",
+           "--g", "4"]
+
+
+def test_pingack_single_cell_writes_trace(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    code, d = run_json(capsys, PINGACK + ["--procs-per-node", "1",
+                                          "--trace", str(path)])
+    assert code == 0
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(entries) == d["messages_sent"] > 0
+    assert sum(e["k"] for e in entries) == d["produced"] - d["self_sends"]
+
+
+def test_pingack_refuses_trace_over_several_cells(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    assert cli.parse_and_run(PINGACK + ["--procs-per-node", "1,2",
+                                        "--trace", str(path)]) == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_pingack_refuses_item_bytes(capsys):
+    # --message-size sizes pingack's items; --item-bytes would be ignored
+    assert cli.parse_and_run(PINGACK + ["--procs-per-node", "1",
+                                        "--item-bytes", "999"]) == 2
+    assert "--message-size" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- env defaults
 
 def test_env_var_sets_default_and_flag_wins(capsys, monkeypatch):

@@ -179,8 +179,7 @@ def test_negative_sample_raises_at_fold():
     log = MessageLog(n_scopes=1, trace=False)
     with pytest.raises(InternalInvariantError):
         merge(log, [shard], scheme="ww", mode="sequential", seed=0, topo={},
-              g=1, item_bytes=8, produced=0, delivered=0, self_sends=0,
-              inserted_by_scope=[0], scope_kind="worker", runtime_ns=0)
+              g=1, item_bytes=8, produced=0, delivered=0, runtime_ns=0)
 
 
 class _PendingProbe(_HistWorker):
@@ -231,6 +230,7 @@ def test_message_log_counts_and_bytes():
     log = run._log
     assert log.msgs_full == [0, 1, 0, 1]
     assert log.msgs_flush == [0, 1, 0, 0]
+    assert log.items_by_scope == [0, 4, 0, 2]
     assert log.bytes_sent == (3 * 8 + 32) + (1 * 8 + 32) + (2 * 8 + 32)
     assert log.transport_cost_ns == (2 + 28.0) + (2 + 20.0) + (2 + 24.0)
     assert log.trace is None

@@ -6,6 +6,8 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from aggsim import runtime
+from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import QuiescenceTimeout, UsageError
 from aggsim.benchmarks import HistogramSpec, run_histogram
@@ -420,3 +422,135 @@ def test_threaded_cap_refuses_before_starting_threads():
     assert threading.active_count() == before
     # refused before the run was wired: the aggregator is still unattached
     assert agg._transport is None
+
+
+# ------------------------------------------------------------- run ledger
+
+class _LedgerDriver(WorkerProgram):
+    """Sends n requests to seeded random workers, by insert and insert_many
+    in turn; every request is answered with one reply from the sink. Keeps
+    its own count of inserts and of same-process inserts."""
+
+    def __init__(self, wid, n, topo):
+        self.wid = wid
+        self.n = n
+        self.w = topo.total_workers
+        self.t = topo.workers_per_proc
+        self.inserted = 0
+        self.local = 0
+
+    def _count(self, dest):
+        self.inserted += 1
+        self.local += dest // self.t == self.wid // self.t
+
+    def step(self, ctx):
+        if self.inserted >= self.n:
+            return False
+        dests = ctx.rng.integers(0, self.w, size=4).tolist()
+        for d in dests:
+            self._count(d)
+        if self.inserted % 8:
+            ctx.insert_many(dests, [(self.wid, True)] * len(dests))
+        else:
+            for d in dests:
+                ctx.insert(d, (self.wid, True))
+        return True
+
+    def on_item(self, ctx, item):
+        src, is_request = item[1]
+        if is_request:
+            self._count(src)
+            ctx.insert(src, (self.wid, False))
+
+
+@pytest.mark.parametrize("token", ["ww", "wps", "wsp", "pp", "none"])
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("timeout_ns", [None, 2000])
+def test_run_ledger_matches_trace(token, mode, timeout_ns):
+    # per-scope inserts and self_sends are derived from the messages; check
+    # them against the trace and against the driver's own counts
+    topo = Topology(1, 3, 2)
+    kind, g_fixed = resolve_scheme(token)
+    h = _spawn(topo, kind, g_fixed or 8, mode=mode, timeout_ns=timeout_ns,
+               program=lambda wid: _LedgerDriver(wid, 120, topo), trace=True)
+    m = h.await_quiescence(timeout_s=60)
+    drivers = [wk.driver for wk in h.workers]
+    trace = h.trace
+    assert sum(m.messages_by_scope) == len(trace) == m.messages_sent > 0
+    assert sum(m.inserted_by_scope) == sum(e["k"] for e in trace)
+    per_origin = [0] * topo.total_processes
+    for e in trace:
+        per_origin[e["origin"]] += e["k"]
+    t = topo.workers_per_proc
+    if kind is SchemeKind.PP:  # one scope per process
+        assert m.inserted_by_scope == per_origin
+    else:  # one scope per worker
+        assert [sum(m.inserted_by_scope[p * t:(p + 1) * t])
+                for p in range(topo.total_processes)] == per_origin
+    assert m.self_sends == sum(d.local for d in drivers) > 0
+    assert m.produced == m.delivered == sum(d.inserted for d in drivers)
+
+
+# ------------------------------------------------- threaded ack timeouts
+
+def _joined(h):
+    for wk in h.workers:
+        wk.thread.join(timeout=10)
+    return threading.active_count()
+
+
+def test_threaded_task_timeout_stops_workers(monkeypatch):
+    monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 0.2)
+    release = threading.Event()
+
+    def task(ctx):
+        if ctx.wid == 0:
+            release.wait(30)
+        return ctx.wid
+
+    before = threading.active_count()
+    h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4, mode="threaded",
+               program=lambda wid: WorkerProgram())
+    try:
+        with pytest.raises(QuiescenceTimeout, match="task"):
+            h.broadcast_task(task)
+    finally:
+        release.set()
+    assert _joined(h) == before
+
+
+class _BlockingReply(WorkerProgram):
+    """Worker 0 sends worker 1 one item. Worker 1's sink buffers a reply
+    and then blocks until released, so it cannot ack the flush round that
+    the buffered reply calls for."""
+
+    def __init__(self, wid, release):
+        self.wid = wid
+        self.release = release
+        self.sent = False
+
+    def step(self, ctx):
+        if self.wid or self.sent:
+            return False
+        ctx.insert(1, None)
+        self.sent = True
+        return True
+
+    def on_item(self, ctx, item):
+        if self.wid:
+            ctx.insert(0, None)
+            self.release.wait(30)
+
+
+def test_threaded_flush_round_timeout_stops_workers(monkeypatch):
+    monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 0.2)
+    release = threading.Event()
+    before = threading.active_count()
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 64, mode="threaded",
+               program=lambda wid: _BlockingReply(wid, release))
+    try:
+        with pytest.raises(QuiescenceTimeout, match="flush round"):
+            h.await_quiescence(timeout_s=30)
+    finally:
+        release.set()
+    assert _joined(h) == before

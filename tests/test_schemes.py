@@ -182,7 +182,7 @@ def test_rejects_out_of_range_dest(kind):
             agg.insert(0, mk_item(dest, 0))
         assert str(got.value) == str(want.value)
     assert tr.messages == [] and tr.local == []
-    assert not any(agg.inserted_per_scope())
+    assert agg.total_buffered() == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -243,7 +243,8 @@ def test_ww_fills_and_flushes():
     assert agg.flush(0, now=50) == 1
     assert tr.messages[-1].cause == "flush" and tr.messages[-1].k == 1
     assert agg.total_buffered() == 0
-    assert agg.inserted_per_scope()[0] == 4
+    # all four items were buffered at worker 0 and left in its messages
+    assert [(m.src_worker, m.k) for m in tr.messages] == [(0, 3), (0, 1)]
 
 
 def test_same_process_bypasses_buffers():
@@ -252,7 +253,7 @@ def test_same_process_bypasses_buffers():
         item = mk_item(3, 0, created_at=5)
         agg.insert(0, item)
         assert tr.messages == []
-        assert tr.local == [(0, 3, (item,), 5)]
+        assert tr.local == [(3, (item,), 5)]
         assert agg.total_buffered() == 0
 
 
@@ -306,7 +307,7 @@ def test_pp_shares_buffer_across_source_workers():
     agg.insert(1, mk_item(3, 3, created_at=13))
     [msg] = tr.messages
     assert msg.k == 4 and msg.origin == 0 and msg.dest_scope == 1
-    assert agg.inserted_per_scope() == [4, 0]
+    assert agg.total_buffered() == 0
     plan = agg.on_receive(msg)
     assert sorted(d for d, _ in plan) == [2, 3]
     assert sum(len(items) for _, items in plan) == 4
@@ -479,7 +480,7 @@ def test_insert_batch_matches_insert_loop(kind, data):
         assert ta.messages == tb.messages
         assert ta.local == tb.local
         assert a.pending_deadlines() == b.pending_deadlines()
-        assert a.inserted_per_scope() == b.inserted_per_scope()
+        assert a.total_buffered() == b.total_buffered()
         assert [a.owner_buffered(o) for o in range(6)] == [
             b.owner_buffered(o) for o in range(6)]
         assert a.grouping_stats.touches == b.grouping_stats.touches
@@ -494,9 +495,7 @@ def test_insert_batch_checks_whole_chunk_first(kind):
         with pytest.raises(UsageError):
             agg.insert_batch(0, good + [mk_item(bad, 2)])
     assert tr.messages == [] and tr.local == []
-    # one entry per worker, or per process for pp
-    n_scopes = topo.total_processes if kind is SchemeKind.PP else 4
-    assert agg.inserted_per_scope() == [0] * n_scopes
+    assert agg.total_buffered() == 0
     unbound = create_aggregator(kind, topo, 1, 8)
     for chunk in (good, []):
         with pytest.raises(SetupError):
@@ -567,7 +566,7 @@ def test_exactly_once_hand_driven(kind, data):
             agg.flush_expired(src, now=seq)
     for owner in agg.flush_owners():
         agg.flush(owner, now=n)
-    got = [(d, it.seq) for _, d, items, _ in tr.local for it in items]
+    got = [(d, it.seq) for d, items, _ in tr.local for it in items]
     for msg in tr.messages:
         k = len(msg.items)
         # full seals ship exactly g items; flushes ship a partial buffer
