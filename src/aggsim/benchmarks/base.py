@@ -24,8 +24,7 @@ def resolve_scheme(token):
 
 
 def launch(*, topo: Topology, scheme, g: int, item_bytes: int, program,
-           mode: str, seed: int, cfg: TransportConfig = None,
-           work_ns: int = 100, deliver_ns: int = 50, trace=False,
+           mode: str, seed: int, cfg: TransportConfig = None, trace=False,
            flush_timeout_ns=None):
     """Build the aggregator for a scheme token and spawn a run."""
     kind, g_override = resolve_scheme(scheme)
@@ -33,7 +32,6 @@ def launch(*, topo: Topology, scheme, g: int, item_bytes: int, program,
     agg = create_aggregator(kind, topo, g_eff, item_bytes)
     agg.set_flush_timeout(flush_timeout_ns)
     return spawn(topo, agg, cfg, mode=mode, program=program, seed=seed,
-                 work_ns=work_ns, deliver_ns=deliver_ns,
                  trace=trace), g_eff
 
 

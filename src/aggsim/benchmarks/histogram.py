@@ -16,6 +16,8 @@ from ..runtime import WorkerProgram
 from ..topology import Topology
 from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
 
+_CHUNK = 256  # updates per insert_many call
+
 
 @dataclass(frozen=True)
 class HistogramSpec:
@@ -105,17 +107,15 @@ def _digest(arr) -> str:
 
 
 def run_histogram(spec: HistogramSpec, *, scheme, g, topo, mode="sequential",
-                  cfg=None, item_bytes=16, work_ns=100, deliver_ns=50,
-                  chunk=256, seed=None, timeout_s=DEFAULT_TIMEOUT_S,
-                  flush_timeout_ns=None, verify=True,
+                  cfg=None, item_bytes=16, seed=None,
+                  timeout_s=DEFAULT_TIMEOUT_S, flush_timeout_ns=None,
                   trace=False) -> HistogramResult:
     spec.validate(topo)
     run_seed = spec.seed if seed is None else seed
     handle, _ = launch(
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
-        program=lambda wid: _HistWorker(wid, spec, topo, chunk),
-        mode=mode, seed=run_seed, cfg=cfg, work_ns=work_ns,
-        deliver_ns=deliver_ns, trace=trace,
+        program=lambda wid: _HistWorker(wid, spec, topo, _CHUNK),
+        mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
@@ -131,10 +131,9 @@ def run_histogram(spec: HistogramSpec, *, scheme, g, topo, mode="sequential",
     result = HistogramResult(metrics, table, expected)
     if trace:
         result.trace = handle.trace
-    if verify:
-        result.verify()
-        if metrics.produced != w * spec.updates_per_worker:
-            raise OracleMismatch(
-                f"produced {metrics.produced} != "
-                f"{w * spec.updates_per_worker} expected updates")
+    result.verify()
+    if metrics.produced != w * spec.updates_per_worker:
+        raise OracleMismatch(
+            f"produced {metrics.produced} != "
+            f"{w * spec.updates_per_worker} expected updates")
     return result

@@ -26,6 +26,7 @@ from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
 
 _REQ = 0
 _RESP = 1
+_CHUNK = 64  # requests per insert_many call
 
 
 def table_value(index: int) -> int:
@@ -132,16 +133,14 @@ class IGResult(BenchResult):
 
 
 def run_ig(spec: IGSpec, *, scheme, g, topo, mode="sequential", cfg=None,
-           item_bytes=16, work_ns=100, deliver_ns=50, chunk=64, seed=None,
-           timeout_s=DEFAULT_TIMEOUT_S, flush_timeout_ns=None, verify=True,
-           trace=False) -> IGResult:
+           item_bytes=16, seed=None, timeout_s=DEFAULT_TIMEOUT_S,
+           flush_timeout_ns=None, trace=False) -> IGResult:
     spec.validate(topo)
     run_seed = spec.seed if seed is None else seed
     handle, _ = launch(
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
-        program=lambda wid: _IGWorker(wid, spec, topo, chunk),
-        mode=mode, seed=run_seed, cfg=cfg, work_ns=work_ns,
-        deliver_ns=deliver_ns, trace=trace,
+        program=lambda wid: _IGWorker(wid, spec, topo, _CHUNK),
+        mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
@@ -156,6 +155,5 @@ def run_ig(spec: IGSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         bad_values=sum(d.bad_values for d in drivers))
     if trace:
         result.trace = handle.trace
-    if verify:
-        result.verify()
+    result.verify()
     return result

@@ -155,15 +155,14 @@ class PholdResult(BenchResult):
 
 
 def run_phold(spec: PholdSpec, *, scheme, g, topo, mode="sequential",
-              cfg=None, item_bytes=16, work_ns=100, deliver_ns=50, seed=None,
+              cfg=None, item_bytes=16, seed=None,
               timeout_s=DEFAULT_TIMEOUT_S, flush_timeout_ns=None,
-              record_log=False, verify=True, trace=False) -> PholdResult:
+              record_log=False, trace=False) -> PholdResult:
     run_seed = spec.seed if seed is None else seed
     handle, _ = launch(
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _PholdWorker(wid, spec, topo, record_log),
-        mode=mode, seed=run_seed, cfg=cfg, work_ns=work_ns,
-        deliver_ns=deliver_ns, trace=trace,
+        mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
@@ -178,6 +177,5 @@ def run_phold(spec: PholdSpec, *, scheme, g, topo, mode="sequential",
                          recheck)
     if trace:
         result.trace = handle.trace
-    if verify:
-        result.verify()
+    result.verify()
     return result

@@ -22,6 +22,7 @@ from ..topology import Topology
 from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
 
 _ACK = -1  # payload marker; payload >= 0 is a data sequence number
+_CHUNK = 64  # inserts per sender step
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,8 @@ class PingAckResult(BenchResult):
 
 
 def run_pingack(spec: PingAckSpec, *, scheme, ppn, g=1024, mode="sequential",
-                cfg: TransportConfig = None, work_ns=100, deliver_ns=50,
-                chunk=64, seed=None, timeout_s=DEFAULT_TIMEOUT_S,
-                flush_timeout_ns=None, verify=True,
+                cfg: TransportConfig = None, seed=None,
+                timeout_s=DEFAULT_TIMEOUT_S, flush_timeout_ns=None,
                 trace=False) -> PingAckResult:
     """One sweep cell: two nodes, the given procs per node."""
     if spec.workers_per_node % ppn:
@@ -129,9 +129,8 @@ def run_pingack(spec: PingAckSpec, *, scheme, ppn, g=1024, mode="sequential",
     run_seed = spec.seed if seed is None else seed
     handle, _ = launch(
         topo=topo, scheme=scheme, g=g, item_bytes=spec.message_size,
-        program=lambda wid: _PingAckWorker(wid, spec, topo, chunk),
-        mode=mode, seed=run_seed, cfg=cfg, work_ns=work_ns,
-        deliver_ns=deliver_ns, trace=trace,
+        program=lambda wid: _PingAckWorker(wid, spec, topo, _CHUNK),
+        mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
@@ -157,8 +156,7 @@ def run_pingack(spec: PingAckSpec, *, scheme, ppn, g=1024, mode="sequential",
         acks=drivers[0].acks, expected_acks=wpn)
     if trace:
         result.trace = handle.trace
-    if verify:
-        result.verify()
+    result.verify()
     return result
 
 

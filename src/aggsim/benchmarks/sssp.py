@@ -156,16 +156,14 @@ def _digest(dist) -> str:
 
 
 def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
-             item_bytes=24, work_ns=100, deliver_ns=50, seed=None,
-             timeout_s=DEFAULT_TIMEOUT_S, flush_timeout_ns=None, verify=True,
-             trace=False) -> SSSPResult:
+             item_bytes=24, seed=None, timeout_s=DEFAULT_TIMEOUT_S,
+             flush_timeout_ns=None, trace=False) -> SSSPResult:
     spec.validate(topo)
     run_seed = spec.seed if seed is None else seed
     handle, _ = launch(
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _SSSPWorker(wid, spec, topo),
-        mode=mode, seed=run_seed, cfg=cfg, work_ns=work_ns,
-        deliver_ns=deliver_ns, trace=trace,
+        mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns)
 
     threshold = spec.threshold_delta
@@ -192,6 +190,5 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
     result = SSSPResult(metrics, dist, expected, phases)
     if trace:
         result.trace = handle.trace
-    if verify:
-        result.verify()
+    result.verify()
     return result

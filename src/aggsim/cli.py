@@ -247,6 +247,8 @@ def _csv_row(benchmark, result, wall_s):
 
 
 def _cmd_sweep(args):
+    if args.trace:
+        raise UsageError("--trace needs a single run, not a sweep")
     cell = _CELLS[args.benchmark]
     for token in args.schemes:
         if token not in _SCHEME_TOKENS:

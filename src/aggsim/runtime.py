@@ -26,10 +26,13 @@ and the produced item count (issued sequence numbers) equals the delivered
 count (sink calls returned); merge derives self-sends and per-scope inserts
 from the message log. run_phase and await_quiescence perform idle-flush
 rounds (flushing every buffer scope) whenever the run stalls short of that,
-so buffered items cannot be stranded. With a flush timeout set, each
-scheduling turn first flushes the worker's expired buffers, and a stalled
-sequential run jumps owners' clocks to their pending deadlines before it
-falls back to an idle-flush round.
+so buffered items cannot be stranded. The sequential engine stalls when a
+round of turns makes no progress; the threaded one when its exact count of
+outstanding work (workers not parked, plus queue entries not yet taken)
+reaches zero, which it cannot while a sink, step or flush still runs. With
+a flush timeout set, each scheduling turn first flushes the worker's expired
+buffers, and a stalled sequential run jumps owners' clocks to their pending
+deadlines before it falls back to an idle-flush round.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
@@ -44,6 +47,7 @@ MAX_THREADED_WORKERS workers (one OS thread each) before it starts any.
 from __future__ import annotations
 
 import gc
+import queue
 import random
 import threading
 import time
@@ -288,7 +292,6 @@ class _BaseRun:
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
-        self._comm_last = [0.0] * n
         self._arrivals = [] if record_arrivals else None
         self._quiesced = False
         self._tns_active = agg.flush_timeout_ns is not None
@@ -332,7 +335,7 @@ class _BaseRun:
                 "process": p,
                 "messages": self._comm_count[p],
                 "first_start_ns": self._comm_first[p],
-                "last_done_ns": self._comm_last[p],
+                "last_done_ns": self._comm_ready[p],
                 "busy_ns": self._comm_count[p] * self._cfg.comm_cost_ns,
             })
         return {"enabled": self._cfg.comm_enabled, "per_process": per}
@@ -419,7 +422,6 @@ class _BaseRun:
             if self._comm_count[po] == 0:
                 self._comm_first[po] = start
             self._comm_count[po] += 1
-            self._comm_last[po] = base
         return base + net
 
 
@@ -614,35 +616,19 @@ _T_STOP = 3
 _ACK_TIMEOUT_S = 10.0  # wait for workers to ack a flush round, task or stop
 
 
-class _TQueue:
-    __slots__ = ("dq", "lock", "cond")
-
-    def __init__(self):
-        self.dq = deque()
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-
-    def push(self, entry):
-        with self.lock:
-            self.dq.append(entry)
-            self.cond.notify()
-
-    def pop(self):
-        with self.lock:
-            return self.dq.popleft() if self.dq else None
-
-    def wait(self, timeout):
-        with self.lock:
-            if not self.dq:
-                self.cond.wait(timeout)
-
-    def __len__(self):
-        with self.lock:
-            return len(self.dq)
+class _TQueue(queue.SimpleQueue):
+    __len__ = queue.SimpleQueue.qsize
 
 
 class ThreadedRun(_BaseRun):
-    """One OS thread per worker; wall clocks; costs recorded, not slept."""
+    """One OS thread per worker; wall clocks; costs recorded, not slept.
+
+    _busy, guarded by _tlock, counts the workers not parked in a blocking
+    get plus the queue entries put and not yet taken (Dijkstra & Scholten,
+    IPL 1980). Workers put entries only while busy, so once _busy is 0 under
+    _tlock no sink, step or flush runs, and no buffer changes until the
+    coordinator puts an entry.
+    """
 
     mode = MODE_THREADED
     _context = _WallWorker
@@ -656,6 +642,8 @@ class ThreadedRun(_BaseRun):
                 f"{topo.total_workers}")
         self._epoch = time.monotonic_ns()
         self._tlock = threading.Lock()
+        self._idle = threading.Condition(self._tlock)
+        self._busy = topo.total_workers
         self._error = None
         self._stopped = False
         super().__init__(topo, agg, cfg, program, **kw)
@@ -666,6 +654,12 @@ class ThreadedRun(_BaseRun):
         for ctx in self._workers:
             ctx.thread.start()
 
+    def _put(self, wid, entry):
+        """Count entry as outstanding work and queue it for worker wid."""
+        with self._tlock:
+            self._busy += 1
+            self._workers[wid].queue.put(entry)
+
     # -- transport interface -------------------------------------------------
     def send(self, msg):
         plan = self._agg.on_receive(msg)
@@ -675,11 +669,12 @@ class ThreadedRun(_BaseRun):
             if self._arrivals is not None:
                 self._arrivals.append(
                     (msg[0], plan[0][0] // self._t, arrival))
-        for wid, group in plan:
-            self._workers[wid].queue.push((_T_DELIVER, arrival, group))
+            self._busy += len(plan)
+            for wid, group in plan:
+                self._workers[wid].queue.put((_T_DELIVER, arrival, group))
 
     def local_deliver(self, dest, items, now):
-        self._workers[dest].queue.push((_T_DELIVER, now, items))
+        self._put(dest, (_T_DELIVER, now, items))
 
     # -- worker thread --------------------------------------------------------
     def _deliver_batch(self, w, items):
@@ -700,57 +695,62 @@ class ThreadedRun(_BaseRun):
 
     def _wloop(self, w):
         agg = self._agg
+        idle = self._idle
         try:
             w.driver.on_start(w)
             q = w.queue
             tns = self._tns_active
+            # with a flush timeout, a parked worker wakes to flush expired
+            # buffers; without one, only a queue entry can give it work
+            park_s = 0.005 if tns else None
             while True:
                 if tns:
                     agg.flush_expired(w.wid, w.time_ns())
-                e = q.pop()
-                if e is not None:
-                    tag = e[0]
-                    if tag == _T_DELIVER:
-                        self._deliver_batch(w, e[2])
-                    elif tag == _T_FLUSH:
-                        agg.flush(w.wid, w.time_ns())
-                        e[1].set()
-                    elif tag == _T_TASK:
-                        e[3].append(e[1](w))
-                        e[2].set()
-                    else:
-                        break
-                elif not w.driver_done:
-                    if not w.driver.step(w):
-                        w.driver_done = True
+                try:
+                    e = q.get_nowait()
+                except queue.Empty:
+                    if not w.driver_done:
+                        if not w.driver.step(w):
+                            w.driver_done = True
+                        continue
+                    with idle:
+                        self._busy -= 1
+                        if not self._busy:
+                            idle.notify_all()
+                    try:
+                        # waking with an entry: busy again, entry taken
+                        e = q.get(timeout=park_s)
+                    except queue.Empty:
+                        with idle:
+                            self._busy += 1
+                        continue
                 else:
-                    q.wait(0.005)
+                    with idle:
+                        self._busy -= 1
+                tag = e[0]
+                if tag == _T_DELIVER:
+                    self._deliver_batch(w, e[2])
+                elif tag == _T_FLUSH:
+                    agg.flush(w.wid, w.time_ns())
+                    e[1].set()
+                elif tag == _T_TASK:
+                    e[3].append(e[1](w))
+                    e[2].set()
+                else:
+                    break
         except BaseException as exc:  # propagate through the coordinator
-            with self._tlock:
+            with idle:
                 if self._error is None:
                     self._error = exc
+                idle.notify_all()
 
     # -- coordinator ----------------------------------------------------------
-    def _snapshot(self):
-        prod = 0
-        deliv = 0
-        done = True
-        qempty = True
-        for w in self._workers:
-            prod += w.produced
-            deliv += w.delivered
-            if not w.driver_done:
-                done = False
-            if w.queue:
-                qempty = False
-        return (prod, deliv, done, qempty)
-
     def _flush_round(self):
         evs = []
         for owner in self._agg.flush_owners():
             ev = threading.Event()
             evs.append(ev)
-            self._workers[owner].queue.push((_T_FLUSH, ev))
+            self._put(owner, (_T_FLUSH, ev))
         for ev in evs:
             if not ev.wait(_ACK_TIMEOUT_S):
                 self._timed_out("flush round did not acknowledge")
@@ -761,22 +761,21 @@ class ThreadedRun(_BaseRun):
             raise self._error
 
     def _run_threaded(self, timeout_s):
+        """Wait until every worker is parked and no entry is outstanding;
+        while a buffer still holds an item, flush them all and wait again."""
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        prev = None
         while True:
+            with self._idle:
+                settled = self._idle.wait_for(
+                    lambda: not self._busy or self._error is not None,
+                    None if deadline is None else deadline - time.monotonic())
+                buffered = not self._busy and self._agg.total_buffered()
             self._raise_pending()
-            s = self._snapshot()
-            if s[2] and s[3]:
-                if s[0] == s[1]:
-                    s2 = self._snapshot()
-                    if s2 == s:
-                        return
-                elif prev == s and self._agg.total_buffered() > 0:
-                    self._flush_round()
-            prev = s
-            time.sleep(0.001)
-            if deadline is not None and time.monotonic() > deadline:
+            if not settled:
                 self._timed_out(f"run exceeded {timeout_s}s wall budget")
+            if not buffered:
+                return
+            self._flush_round()
 
     def _timed_out(self, what):
         diagnostics = self._diagnostics()
@@ -790,7 +789,7 @@ class ThreadedRun(_BaseRun):
             return
         self._stopped = True
         for w in self._workers:
-            w.queue.push((_T_STOP,))
+            self._put(w.wid, (_T_STOP,))
         deadline = time.monotonic() + _ACK_TIMEOUT_S
         for w in self._workers:
             w.thread.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -807,7 +806,7 @@ class ThreadedRun(_BaseRun):
             box = []
             evs.append(ev)
             boxes.append(box)
-            w.queue.push((_T_TASK, fn, ev, box))
+            self._put(w.wid, (_T_TASK, fn, ev, box))
         out = []
         for ev, box in zip(evs, boxes):
             if not ev.wait(_ACK_TIMEOUT_S):
@@ -819,9 +818,9 @@ class ThreadedRun(_BaseRun):
         self._run_threaded(timeout_s)
         self._shutdown()
         self._raise_pending()
-        if self._agg.total_buffered():
-            raise InternalInvariantError(
-                f"quiescent with non-empty buffers: {self._diagnostics()}")
+        d = self._diagnostics()
+        if d["produced"] != d["delivered"] or d["buffered_total"]:
+            raise InternalInvariantError(f"run ended short of quiescence: {d}")
         self._quiesced = True
         return self.summarize()
 

@@ -1,6 +1,6 @@
 """End-to-end tests for the five benchmark drivers.
 
-Each driver carries its own oracle (run with verify=True everywhere), so
+Each driver carries its own oracle, which every run_* call checks, so
 these tests focus on the hand-checkable small cases plus cross-scheme
 agreement on the correctness outputs.
 """

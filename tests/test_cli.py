@@ -283,6 +283,17 @@ def test_sweep_rejects_unknown_scheme_token(tmp_path):
     assert code == 2
 
 
+def test_sweep_refuses_trace(tmp_path, capsys):
+    # a sweep runs many cells and writes no trace file
+    path = tmp_path / "trace.jsonl"
+    out = tmp_path / "never.csv"
+    assert cli.parse_and_run(SWEEP_BASE + [
+        "--schemes", "ww", "--g-values", "64", "--out", str(out),
+        "--trace", str(path)]) == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not path.exists() and not out.exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_oracle_mismatch_exit_code(monkeypatch):

@@ -4,13 +4,16 @@ import threading
 import time
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsim import runtime
 from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import QuiescenceTimeout, UsageError
-from aggsim.benchmarks import HistogramSpec, run_histogram
+from aggsim.benchmarks import (HistogramSpec, SSSPSpec, random_graph,
+                               run_histogram, run_sssp)
 from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
                             WorkerProgram, spawn)
 from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
@@ -519,38 +522,99 @@ def test_threaded_task_timeout_stops_workers(monkeypatch):
     assert _joined(h) == before
 
 
-class _BlockingReply(WorkerProgram):
-    """Worker 0 sends worker 1 one item. Worker 1's sink buffers a reply
-    and then blocks until released, so it cannot ack the flush round that
-    the buffered reply calls for."""
-
-    def __init__(self, wid, release):
-        self.wid = wid
-        self.release = release
-        self.sent = False
-
-    def step(self, ctx):
-        if self.wid or self.sent:
-            return False
-        ctx.insert(1, None)
-        self.sent = True
-        return True
-
-    def on_item(self, ctx, item):
-        if self.wid:
-            ctx.insert(0, None)
-            self.release.wait(30)
-
-
 def test_threaded_flush_round_timeout_stops_workers(monkeypatch):
     monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 0.2)
     release = threading.Event()
+    topo = Topology(1, 2, 1)
+    agg = create_aggregator(SchemeKind.WW, topo, 64, 8)
+    flush = agg.flush
+
+    def blocking_flush(owner, now):
+        # owner 0 cannot ack the flush round its buffered item calls for
+        if owner == 0:
+            release.wait(30)
+        return flush(owner, now)
+
+    agg.flush = blocking_flush
     before = threading.active_count()
-    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 64, mode="threaded",
-               program=lambda wid: _BlockingReply(wid, release))
+    h = spawn(topo, agg, mode="threaded",
+              program=lambda wid: SingleStream(wid, 1))
     try:
         with pytest.raises(QuiescenceTimeout, match="flush round"):
             h.await_quiescence(timeout_s=30)
     finally:
         release.set()
     assert _joined(h) == before
+
+
+# ------------------------------------------------ threaded quiescence
+
+class _SlowReplySink(WorkerProgram):
+    """Worker 0 sends worker 3 one item; worker 3's sink inserts two
+    replies for worker 0, 50 ms apart."""
+
+    def __init__(self, wid):
+        self.wid = wid
+        self.sent = False
+
+    def step(self, ctx):
+        if self.wid or self.sent:
+            return False
+        ctx.insert(3, None)
+        self.sent = True
+        return True
+
+    def on_item(self, ctx, item):
+        if self.wid == 3:
+            ctx.insert(0, None)
+            time.sleep(0.05)
+            ctx.insert(0, None)
+
+
+def test_threaded_slow_sink_holds_the_flush_round():
+    # no flush round may start while a sink is still running, so both
+    # replies leave in one message
+    h = _spawn(Topology(1, 2, 2), SchemeKind.PP, 64, mode="threaded",
+               program=_SlowReplySink, trace=True)
+    h.await_quiescence(timeout_s=30)
+    assert [e["k"] for e in h.trace] == [1, 2]
+
+
+@st.composite
+def _topologies(draw):
+    nodes = draw(st.integers(1, 3))
+    ppn = draw(st.integers(1, 12 // nodes))
+    wpp = draw(st.integers(1, 12 // (nodes * ppn)))
+    return Topology(nodes, ppn, wpp)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(topo=_topologies(),
+       token=st.sampled_from(["ww", "wps", "wsp", "pp", "none"]),
+       g=st.integers(1, 64),
+       timeout_ns=st.one_of(st.none(), st.integers(1, 1_000_000)))
+def test_threaded_matches_sequential(topo, token, g, timeout_ns):
+    # inserts that do not depend on delivery order: both engines deliver
+    # the same multiset and agree on every count and oracle
+    kind, g_fixed = resolve_scheme(token)
+    w = topo.total_workers
+    modes = ("sequential", "threaded")
+    runs = []
+    for mode in modes:
+        h = _spawn(topo, kind, g_fixed or g, mode=mode, timeout_ns=timeout_ns,
+                   program=scatter(30, w), record_items=True)
+        m = h.await_quiescence(timeout_s=60)
+        seqs = sorted(h.delivered_seqs())
+        assert seqs == sorted(h.inserted_seqs())
+        runs.append((seqs, m.produced, m.delivered, m.self_sends))
+    assert runs[0] == runs[1]
+
+    kw = dict(scheme=token, g=g, topo=topo, flush_timeout_ns=timeout_ns)
+    hist = HistogramSpec(50, 64, seed=7)
+    tables = [run_histogram(hist, mode=mode, **kw) for mode in modes]
+    for r in tables:
+        assert np.array_equal(r.table, r.expected)
+    sssp = SSSPSpec(random_graph(48, 4, seed=7), threshold_delta=100, seed=7)
+    for mode in modes:
+        r = run_sssp(sssp, mode=mode, **kw)
+        assert np.array_equal(r.distances, r.expected)
