@@ -32,17 +32,23 @@ outstanding work (workers not parked, plus queue entries not yet taken)
 reaches zero, which it cannot while a sink, step or flush still runs. With
 a flush timeout set, each scheduling turn first flushes the worker's expired
 buffers, and a stalled sequential run jumps owners' clocks to their pending
-deadlines before it falls back to an idle-flush round.
+deadlines before it falls back to an idle-flush round. A parked threaded
+worker wakes at its scope's earliest deadline, and at least every _PARK_S.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
 the caller's setting on return, also when they raise. Without that, each
-full collection re-walks every Item waiting in buffers and delivery queues
-and frees nothing. The threaded engine leaves the collector alone, because
-the switch is process-wide and its worker threads run beside the caller.
-A custom driver that builds reference cycles per item holds them until
-the call returns. The threaded engine refuses topologies of more than
-MAX_THREADED_WORKERS workers (one OS thread each) before it starts any.
+collection re-walks every Item waiting in buffers and delivery queues and
+frees nothing. A caller that had the collector on gets it back with the
+call's survivors moved, unwalked, into the oldest generation, so the young
+collections the pause skipped do not walk them either; only where objects
+are frozen already (by the caller, or at interpreter start) is the
+collector just re-enabled. The threaded engine leaves the collector alone,
+because the switch is process-wide and its worker threads run beside the
+caller. A custom driver that builds reference cycles per item holds them
+until the next full collection. The threaded engine refuses topologies of
+more than MAX_THREADED_WORKERS workers (one OS thread each) before it
+starts any.
 """
 from __future__ import annotations
 
@@ -77,13 +83,26 @@ MAX_THREADED_WORKERS = 512  # one OS thread per worker in threaded mode
 
 @contextmanager
 def _collector_paused():
-    """Suspend the cyclic garbage collector; restore the caller's setting."""
+    """Suspend the cyclic garbage collector; restore the caller's setting.
+
+    A caller that had the collector on gets it back with the call's
+    survivors already in the oldest generation: gc.freeze() then
+    gc.unfreeze() splices every tracked object there without walking it and
+    resets the young-generation count, so no young collection re-walks them
+    at the next allocation. They are walked at the next full collection.
+    When objects are frozen already (by the caller, or at interpreter
+    start), that splice would unfreeze them too, so the collector is only
+    re-enabled.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -194,16 +213,18 @@ class _Worker:
             raise UsageError(f"cannot advance a clock by {ns} ns")
         self.now += ns
 
+    # An insert the aggregator refuses raises before the clock, the seq
+    # counter and the insert log move, so it leaves no trace in the run.
     def insert(self, dest: int, payload) -> None:
         now = self.now + self.work_ns
-        self.now = now
         s = self.seq_next
-        self.seq_next = s + self.seq_stride
-        if self.ins_log is not None:
-            self.ins_log.append(s)
         # tuple.__new__ builds the Item in C, skipping Item.__new__'s frame
         self._agg.insert(self.wid,
                          tuple.__new__(Item, (dest, payload, now, s)))
+        self.now = now
+        self.seq_next = s + self.seq_stride
+        if self.ins_log is not None:
+            self.ins_log.append(s)
 
     def insert_many(self, dests, payloads) -> None:
         """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
@@ -211,23 +232,26 @@ class _Worker:
         Item i is stamped now + (i+1)*work_ns and takes the i-th next seq;
         the clock ends at the last stamp, as after the scalar loop.
         """
+        wns = self.work_ns
+        self._insert_chunk(dests, payloads, count(self.now + wns, wns))
+
+    def _insert_chunk(self, dests, payloads, stamps):
+        """insert_many's body; item i is stamped with stamps' i-th value."""
         n = len(dests)
         if len(payloads) != n:
             raise UsageError(f"{n} destinations but {len(payloads)} payloads")
         if not n:
             return
-        wns = self.work_ns
         stride = self.seq_stride
         # tuple.__new__ builds each Item in C, skipping Item.__new__'s frame
         items = list(map(tuple.__new__, repeat(Item), zip(
-            dests, payloads, count(self.now + wns, wns),
-            count(self.seq_next, stride))))
+            dests, payloads, stamps, count(self.seq_next, stride))))
+        self._agg.insert_batch(self.wid, items)
         last = items[-1]
         self.now = last[2]
         self.seq_next = last[3] + stride
         if self.ins_log is not None:
             self.ins_log.extend(map(_SEQ, items))
-        self._agg.insert_batch(self.wid, items)
 
     def flush(self) -> int:
         return self._agg.flush(self.wid, self.time_ns())
@@ -237,7 +261,9 @@ class _WallWorker(_Worker):
     """Worker context on the wall clock (threaded engine).
 
     Wall time passes on its own, so now only carries the latest insert's
-    timestamp and advance has no effect beyond its argument check.
+    timestamp and advance has no effect beyond its argument check. Each item
+    is stamped with the wall time at which it is built, and a chunk is
+    checked whole before any of it is inserted.
     """
 
     __slots__ = ()
@@ -246,17 +272,10 @@ class _WallWorker(_Worker):
         return time.monotonic_ns() - self._epoch
 
     def insert(self, dest: int, payload) -> None:
-        # the shared body adds work_ns back, stamping the item at wall time
-        self.now = self.time_ns() - self.work_ns
-        _Worker.insert(self, dest, payload)
+        self.insert_many((dest,), (payload,))
 
     def insert_many(self, dests, payloads) -> None:
-        # item by item, so that each one carries its own wall stamp
-        if len(payloads) != len(dests):
-            raise UsageError(
-                f"{len(dests)} destinations but {len(payloads)} payloads")
-        for dest, payload in zip(dests, payloads):
-            self.insert(dest, payload)
+        self._insert_chunk(dests, payloads, iter(self.time_ns, None))
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +633,7 @@ _T_FLUSH = 1
 _T_TASK = 2
 _T_STOP = 3
 _ACK_TIMEOUT_S = 10.0  # wait for workers to ack a flush round, task or stop
+_PARK_S = 0.005  # longest park of a worker under a flush timeout
 
 
 class _TQueue(queue.SimpleQueue):
@@ -700,9 +720,7 @@ class ThreadedRun(_BaseRun):
             w.driver.on_start(w)
             q = w.queue
             tns = self._tns_active
-            # with a flush timeout, a parked worker wakes to flush expired
-            # buffers; without one, only a queue entry can give it work
-            park_s = 0.005 if tns else None
+            park_s = None  # without a timeout, only a queue entry brings work
             while True:
                 if tns:
                     agg.flush_expired(w.wid, w.time_ns())
@@ -713,6 +731,12 @@ class ThreadedRun(_BaseRun):
                         if not w.driver.step(w):
                             w.driver_done = True
                         continue
+                    if tns:
+                        # wake at the scope's earliest deadline; the cap
+                        # covers pp buffers that other workers fill
+                        ddl = agg.next_deadline(w.wid)
+                        park_s = _PARK_S if ddl is None else min(
+                            _PARK_S, max(0, ddl - w.time_ns()) * 1e-9)
                     with idle:
                         self._busy -= 1
                         if not self._busy:

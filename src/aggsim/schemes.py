@@ -278,6 +278,12 @@ class Aggregator:
         first. Only meaningful when flush_timeout_ns is set."""
         raise NotImplementedError
 
+    def next_deadline(self, worker: int) -> Optional[int]:
+        """Earliest timeout deadline among the buffers worker's flush_expired
+        covers, or None when they are empty or no timeout is set. Reads only
+        that scope, so an owner thread can ask while others insert."""
+        raise NotImplementedError
+
     def flush_expired(self, source: int, now: int) -> int:
         """Flush buffers in source's scope whose first item is older than the
         timeout. Returns messages emitted."""
@@ -386,6 +392,15 @@ class _WorkerBufferedAggregator(Aggregator):
                for buf in row.values()]
         out.sort()
         return [(owner, ddl) for ddl, owner in out]
+
+    def next_deadline(self, worker):
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return None
+        # list() copies the row in one C call, as in owner_buffered
+        oldest = min((buf[0][2] for buf in list(self._rows[worker].values())),
+                     default=None)
+        return None if oldest is None else oldest + tns
 
     def flush_expired(self, source, now):
         tns = self.flush_timeout_ns
@@ -553,6 +568,17 @@ class _PPAggregator(Aggregator):
                     out.append((buf[0][2] + tns, sp * t))
         out.sort()
         return [(owner, ddl) for ddl, owner in out]
+
+    def next_deadline(self, worker):
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return None
+        oldest = None
+        for b in self._shared[worker // self._t]:
+            with b.lock:
+                if b.items and (oldest is None or b.items[0][2] < oldest):
+                    oldest = b.items[0][2]
+        return None if oldest is None else oldest + tns
 
     def flush_expired(self, source, now):
         tns = self.flush_timeout_ns

@@ -306,6 +306,46 @@ def test_usage_validation():
                 h.await_quiescence(timeout_s=30)
 
 
+class _RejectedInsert(WorkerProgram):
+    """Worker 0 offers destination 99 (out of range) alone or inside a
+    chunk, catches the refusal, then sends worker 1 one item."""
+
+    def __init__(self, wid, batch):
+        self.wid = wid
+        self.batch = batch
+        self.done = False
+
+    def step(self, ctx):
+        if self.wid or self.done:
+            return False
+        self.done = True
+        with pytest.raises(UsageError):
+            if self.batch:
+                ctx.insert_many([1, 99], [None, None])
+            else:
+                ctx.insert(99, None)
+        ctx.insert(1, None)
+        return True
+
+    def on_item(self, ctx, item):
+        pass
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_rejected_insert_leaves_no_trace(mode, batch):
+    # a refused insert moves no clock, seq or log, and a refused chunk
+    # inserts none of its items, so the run still quiesces
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
+               program=lambda wid: _RejectedInsert(wid, batch),
+               record_items=True)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.produced == m.delivered == 1
+    assert h.inserted_seqs() == h.delivered_seqs() == [0]
+    if mode == "sequential":
+        assert h.workers[0].now == 100  # one work_ns step, the accepted one
+
+
 def test_broadcast_task_and_phases():
     h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, program=scatter(50, 4))
     h.run_phase(timeout_s=30)
@@ -345,7 +385,34 @@ def collector_on():
     (gc.enable if was_enabled else gc.disable)()
 
 
-def test_sequential_run_restores_collector(collector_on):
+@pytest.fixture
+def splices(monkeypatch):
+    """Records every gc.freeze and gc.unfreeze call, passing each through."""
+    calls = []
+
+    def recorded(name):
+        real = getattr(gc, name)
+
+        def call():
+            calls.append(name)
+            real()
+        return call
+
+    for name in ("freeze", "unfreeze"):
+        monkeypatch.setattr(gc, name, recorded(name))
+    return calls
+
+
+def handoffs(paused_calls):
+    """The splices that many paused calls make for a caller with the
+    collector on: one freeze-unfreeze each, or none where objects are frozen
+    already, which a splice would unfreeze."""
+    if gc.get_freeze_count():
+        return []
+    return ["freeze", "unfreeze"] * paused_calls
+
+
+def test_sequential_run_restores_collector(collector_on, splices):
     h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, program=scatter(50, 4))
     h.run_phase(timeout_s=30)
     assert gc.isenabled()
@@ -353,14 +420,17 @@ def test_sequential_run_restores_collector(collector_on):
     assert gc.isenabled()
     h.await_quiescence(timeout_s=30)
     assert gc.isenabled()
+    assert splices == handoffs(3)
 
 
-def test_collector_restored_when_driver_or_task_raises(collector_on):
+def test_collector_restored_when_driver_or_task_raises(collector_on,
+                                                       splices):
     h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4,
                program=lambda wid: _ExplodingStep())
     with pytest.raises(_Boom):
         h.await_quiescence(timeout_s=30)
     assert gc.isenabled()
+    assert splices == handoffs(1)
 
     def task(ctx):
         raise _Boom()
@@ -369,20 +439,23 @@ def test_collector_restored_when_driver_or_task_raises(collector_on):
     with pytest.raises(_Boom):
         h.broadcast_task(task)
     assert gc.isenabled()
+    assert splices == handoffs(2)
 
 
-def test_collector_left_off_for_a_caller_that_disabled_it(collector_on):
+def test_collector_left_off_for_a_caller_that_disabled_it(collector_on,
+                                                          splices):
     gc.disable()
     h = _spawn(Topology(1, 2, 2), SchemeKind.WPS, 8, program=scatter(50, 4))
     h.run_phase(timeout_s=30)
     h.broadcast_task(lambda ctx: None)
     h.await_quiescence(timeout_s=30)
     assert not gc.isenabled()
+    assert splices == []
 
 
 @pytest.mark.parametrize("mode,inside", [("sequential", {False}),
                                          ("threaded", {True})])
-def test_collector_state_inside_step(collector_on, mode, inside):
+def test_collector_state_inside_step(collector_on, splices, mode, inside):
     # the threaded engine never touches the process-wide switch
     seen = set()
     h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, mode=mode,
@@ -390,6 +463,67 @@ def test_collector_state_inside_step(collector_on, mode, inside):
     h.await_quiescence(timeout_s=60)
     assert seen == inside
     assert gc.isenabled()
+    assert splices == (handoffs(1) if mode == "sequential" else [])
+
+
+def test_frozen_objects_stay_frozen(collector_on):
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, program=scatter(50, 4))
+    own = not gc.get_freeze_count()  # else the interpreter started with some
+    if own:
+        gc.freeze()
+    try:
+        n = gc.get_freeze_count()
+        h.run_phase(timeout_s=30)
+        assert gc.get_freeze_count() == n
+        h.broadcast_task(lambda ctx: None)
+        assert gc.get_freeze_count() == n
+        h.await_quiescence(timeout_s=30)
+        assert gc.get_freeze_count() == n
+    finally:
+        if own:
+            gc.unfreeze()
+
+
+def test_phased_sssp_starts_no_collection(collector_on, monkeypatch):
+    """Survivors of a paused call reach the oldest generation unwalked.
+
+    Without the hand-off, the collections the pause skipped start at the
+    first allocations after run_phase and broadcast_task return, each
+    walking the items the call left buffered; this run started five or six.
+    """
+    window = [False]
+    starts = []
+    seq = runtime.SequentialRun
+    run_phase, await_quiescence = seq.run_phase, seq.await_quiescence
+
+    def opening(self, timeout_s=None):
+        window[0] = True
+        return run_phase(self, timeout_s)
+
+    def closing(self, timeout_s=None):
+        try:
+            return await_quiescence(self, timeout_s)
+        finally:
+            window[0] = False
+
+    def probe(phase, info):
+        if phase == "start" and window[0]:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(seq, "run_phase", opening)
+    monkeypatch.setattr(seq, "await_quiescence", closing)
+    spec = SSSPSpec(random_graph(3000, 8, seed=2), threshold_delta=50,
+                    seed=2)
+    gc.callbacks.append(probe)
+    try:
+        r = run_sssp(spec, scheme="ww", g=16, topo=Topology(2, 2, 4))
+    finally:
+        gc.callbacks.remove(probe)
+    assert r.phases == 7
+    if gc.get_freeze_count():
+        assert starts  # the fallback: the skipped collections still run
+    else:
+        assert starts == []
 
 
 def test_collector_pause_strands_no_per_item_garbage(collector_on):
@@ -545,6 +679,37 @@ def test_threaded_flush_round_timeout_stops_workers(monkeypatch):
     finally:
         release.set()
     assert _joined(h) == before
+
+
+# ------------------------------------------------ threaded flush timeout
+
+def test_threaded_park_ends_at_the_flush_deadline(monkeypatch):
+    # a parked owner wakes by its earliest buffer deadline, not after the
+    # 5 ms cap; read from the timeouts passed to its blocking gets
+    tns = 300_000
+    topo = Topology(1, 2, 1)
+    agg = create_aggregator(SchemeKind.WW, topo, 1024, 8)
+    agg.set_flush_timeout(tns)
+    parks = []
+    get = runtime._TQueue.get
+
+    def recording_get(q, block=True, timeout=None):
+        if threading.current_thread().name == "worker-0":
+            parks.append((timeout, agg.owner_buffered(0)))
+        return get(q, block, timeout)
+
+    monkeypatch.setattr(runtime._TQueue, "get", recording_get)
+    h = spawn(topo, agg, mode="threaded",
+              program=lambda wid: SingleStream(wid, 0))
+    for _ in range(20):
+        # worker 0 buffers one item for worker 1, then parks
+        h.broadcast_task(lambda ctx: ctx.wid or ctx.insert(1, None))
+        time.sleep(0.002)
+    assert h.await_quiescence(timeout_s=30).delivered == 20
+    assert all(t <= runtime._PARK_S for t, _ in parks)
+    waits = [t for t, buffered in parks if buffered]
+    assert waits
+    assert max(waits) <= tns * 1e-9
 
 
 # ------------------------------------------------ threaded quiescence

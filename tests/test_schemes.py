@@ -372,6 +372,26 @@ def test_pending_deadlines_sorted():
     assert agg.pending_deadlines() == [(2, 140)]
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_next_deadline_is_the_scopes_earliest(kind):
+    # each worker reads the earliest deadline of the buffers its
+    # flush_expired covers: its own row, or its process's pp row
+    topo = Topology(1, 3, 2)
+    agg, _ = make_agg(kind, topo, g=10, timeout_ns=100)
+    assert [agg.next_deadline(w) for w in range(6)] == [None] * 6
+    agg.insert(1, mk_item(4, 0, created_at=40))
+    agg.insert(1, mk_item(2, 1, created_at=10))
+    agg.insert(0, mk_item(5, 2, created_at=70))
+    want = {0: 170, 1: 110}
+    if kind is SchemeKind.PP:  # workers 0 and 1 share process 0's row
+        want = {0: 110, 1: 110}
+    assert [agg.next_deadline(w) for w in range(6)] == [
+        want.get(w) for w in range(6)]
+    agg.flush(1, 200)
+    left = None if kind is SchemeKind.PP else 170
+    assert [agg.next_deadline(0), agg.next_deadline(1)] == [left, None]
+
+
 def test_seal_clears_timeout_timer():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2, timeout_ns=100)
     agg.insert(0, mk_item(1, 0))
