@@ -64,11 +64,8 @@ class _HistWorker(WorkerProgram):
         self.pos = end
         return True
 
-    def on_item(self, ctx, item):
-        # cyclic deal: bin b maps to local slot (b - wid) / w
-        self.counts[(item[1] - self.wid) // self.w] += 1
-
     def on_items(self, ctx, items):
+        # cyclic deal: bin b maps to local slot (b - wid) / w
         counts = self.counts
         wid = self.wid
         w = self.w

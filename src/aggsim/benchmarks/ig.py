@@ -9,9 +9,10 @@ responses it receives.
 
 A worker issues each chunk of requests with one insert_many and stamps
 request i of the chunk with the chunk's start time plus i*work_ns. On the
-virtual clock that is exactly the time the request's insert begins. In
-threaded mode the inserts carry their own wall stamps, so a request's send
-stamp is that estimate, not the wall time its insert began.
+virtual clock that is exactly the time the request's insert begins. The
+sink answers a group's requests with one stamped chunk. In threaded mode
+the inserts carry their own wall stamps, so a request's send stamp is that
+estimate, not the wall time its insert began.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ class _IGWorker(WorkerProgram):
         self.send_ts = {}
         self.rtts = []
         self.bad_values = 0
-        self.responded = 0
 
     def on_start(self, ctx):
         spec = self.spec
@@ -92,17 +92,33 @@ class _IGWorker(WorkerProgram):
         self.issued = end
         return True
 
-    def on_item(self, ctx, item):
-        p = item[1]
-        if p[0] == _REQ:
-            _, requester, rid, idx = p
-            self.responded += 1
-            ctx.insert(requester, (_RESP, rid, idx, table_value(idx)))
-        else:
-            _, rid, idx, value = p
-            if value != table_value(idx):
-                self.bad_values += 1
-            self.rtts.append(ctx.time_ns() - self.send_ts.pop(rid))
+    def on_items(self, ctx, items):
+        # a request is delivered, then answered one work_ns later
+        dns = ctx.deliver_ns
+        wns = ctx.work_ns
+        times = []
+        dests = []
+        replies = []
+        stamps = []
+        t = ctx.time_ns()
+        for it in items:
+            t += dns
+            times.append(t)
+            p = it[1]
+            if p[0] == _REQ:
+                _, requester, rid, idx = p
+                t += wns
+                dests.append(requester)
+                replies.append((_RESP, rid, idx, table_value(idx)))
+                stamps.append(t)
+            else:
+                _, rid, idx, value = p
+                if value != table_value(idx):
+                    self.bad_values += 1
+                self.rtts.append(times[-1] - self.send_ts.pop(rid))
+        if dests:
+            ctx.insert_stamped(dests, replies, stamps)
+        return times
 
 
 class IGResult(BenchResult):

@@ -75,17 +75,19 @@ class _PholdWorker(WorkerProgram):
                 push(self.pending, (ts, self._tie, self.base + slot))
                 self._tie += 1
 
-    def on_item(self, ctx, item):
-        lp, ts = item[1]
-        slot = lp - self.base
-        if ts < self.max_ts[slot]:
-            self.ooo += 1
-        else:
-            self.max_ts[slot] = ts
-        if self.log is not None:
-            self.log.append((lp, ts))
-        heapq.heappush(self.pending, (ts, self._tie, lp))
-        self._tie += 1
+    def on_items(self, ctx, items):
+        # reads no clock and inserts nothing, so it returns no times
+        for it in items:
+            lp, ts = it[1]
+            slot = lp - self.base
+            if ts < self.max_ts[slot]:
+                self.ooo += 1
+            else:
+                self.max_ts[slot] = ts
+            if self.log is not None:
+                self.log.append((lp, ts))
+            heapq.heappush(self.pending, (ts, self._tie, lp))
+            self._tie += 1
 
     def step(self, ctx):
         pending = self.pending

@@ -67,9 +67,8 @@ class _PingAckWorker(WorkerProgram):
         if self.first_send_ns is None:
             self.first_send_ns = ctx.time_ns()
         end = min(self.sent + self.chunk, self.spec.messages_per_worker)
-        partner = self.partner
-        for i in range(self.sent, end):
-            ctx.insert(partner, i)
+        ctx.insert_many([self.partner] * (end - self.sent),
+                        range(self.sent, end))
         self.sent = end
         return True
 

@@ -141,14 +141,13 @@ class WorkerProgram:
     step() runs when the worker has no queued deliveries; it should do a
     bounded chunk of work and return True, or return False once the driver
     has no more self-generated work (delivery sinks may still run after
-    that). on_item is the delivery sink and is mandatory for any worker that
-    can receive items.
-
-    on_items(ctx, items) is an optional batch sink: when a driver defines it,
-    the sequential engine hands it each delivered group whole instead of
-    calling on_item per item. It is only for sinks that neither read the
-    clock nor insert, because the group's latency samples are taken and the
-    clock advanced before it runs. The threaded engine always calls on_item.
+    that). A worker that can receive items needs one delivery sink: on_item
+    per item, or the batch sink on_items(ctx, items), which both engines
+    hand each delivered group whole. A batch sink that neither reads the
+    clock nor inserts returns None; any other returns each item's delivery
+    time, the clock the per-item loop reads: s + (i+1)*deliver_ns +
+    work_ns*(inserts by earlier items) for item i of a group started at s,
+    with its inserts stamped in that sequence through ctx.insert_stamped.
     """
 
     on_items = None
@@ -176,12 +175,12 @@ class _Worker:
     """
 
     __slots__ = ("wid", "now", "queue", "driver", "driver_done", "batch_sink",
-                 "rng", "work_ns", "delivered", "shard", "seq_next",
-                 "seq_stride", "ins_log", "dl_log", "_agg", "_epoch",
+                 "rng", "work_ns", "deliver_ns", "delivered", "shard",
+                 "seq_next", "seq_stride", "dl_log", "_agg", "_epoch",
                  "thread")
 
-    def __init__(self, wid, rng, work_ns, shard, stride, record_items,
-                 agg, queue, epoch):
+    def __init__(self, wid, rng, work_ns, deliver_ns, shard, stride,
+                 record_items, agg, queue, epoch):
         self.wid = wid
         self.now = 0
         self.queue = queue
@@ -190,11 +189,11 @@ class _Worker:
         self.batch_sink = None
         self.rng = rng
         self.work_ns = work_ns
+        self.deliver_ns = deliver_ns
         self.delivered = 0
         self.shard = shard
         self.seq_next = wid
         self.seq_stride = stride
-        self.ins_log = [] if record_items else None
         self.dl_log = [] if record_items else None
         self._agg = agg
         self._epoch = epoch
@@ -213,45 +212,40 @@ class _Worker:
             raise UsageError(f"cannot advance a clock by {ns} ns")
         self.now += ns
 
-    # An insert the aggregator refuses raises before the clock, the seq
-    # counter and the insert log move, so it leaves no trace in the run.
     def insert(self, dest: int, payload) -> None:
-        now = self.now + self.work_ns
-        s = self.seq_next
-        # tuple.__new__ builds the Item in C, skipping Item.__new__'s frame
-        self._agg.insert(self.wid,
-                         tuple.__new__(Item, (dest, payload, now, s)))
-        self.now = now
-        self.seq_next = s + self.seq_stride
-        if self.ins_log is not None:
-            self.ins_log.append(s)
+        self.insert_many((dest,), (payload,))
 
     def insert_many(self, dests, payloads) -> None:
         """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
 
         Item i is stamped now + (i+1)*work_ns and takes the i-th next seq;
-        the clock ends at the last stamp, as after the scalar loop.
+        the clock ends at the last stamp.
         """
         wns = self.work_ns
-        self._insert_chunk(dests, payloads, count(self.now + wns, wns))
+        self.insert_stamped(dests, payloads, count(self.now + wns, wns))
 
-    def _insert_chunk(self, dests, payloads, stamps):
-        """insert_many's body; item i is stamped with stamps' i-th value."""
+    # The clock and the seq counter move only once the aggregator accepted
+    # the chunk, so a refused insert leaves no trace in the run.
+    def insert_stamped(self, dests, payloads, stamps) -> None:
+        """insert_many, with item i stamped stamps' i-th value."""
         n = len(dests)
         if len(payloads) != n:
             raise UsageError(f"{n} destinations but {len(payloads)} payloads")
         if not n:
             return
         stride = self.seq_stride
-        # tuple.__new__ builds each Item in C, skipping Item.__new__'s frame
-        items = list(map(tuple.__new__, repeat(Item), zip(
-            dests, payloads, stamps, count(self.seq_next, stride))))
+        # tuple.__new__ builds each Item in C, skipping Item.__new__'s frame;
+        # one item skips the iterators, which cost it more than the Item
+        if n == 1:
+            items = [tuple.__new__(Item, (dests[0], payloads[0],
+                                          next(iter(stamps)), self.seq_next))]
+        else:
+            items = list(map(tuple.__new__, repeat(Item), zip(
+                dests, payloads, stamps, count(self.seq_next, stride))))
         self._agg.insert_batch(self.wid, items)
         last = items[-1]
         self.now = last[2]
         self.seq_next = last[3] + stride
-        if self.ins_log is not None:
-            self.ins_log.extend(map(_SEQ, items))
 
     def flush(self) -> int:
         return self._agg.flush(self.wid, self.time_ns())
@@ -262,8 +256,8 @@ class _WallWorker(_Worker):
 
     Wall time passes on its own, so now only carries the latest insert's
     timestamp and advance has no effect beyond its argument check. Each item
-    is stamped with the wall time at which it is built, and a chunk is
-    checked whole before any of it is inserted.
+    is stamped with the wall time at which it is built, whatever stamps the
+    caller computed.
     """
 
     __slots__ = ()
@@ -271,11 +265,13 @@ class _WallWorker(_Worker):
     def time_ns(self) -> int:
         return time.monotonic_ns() - self._epoch
 
-    def insert(self, dest: int, payload) -> None:
-        self.insert_many((dest,), (payload,))
+    def insert_stamped(self, dests, payloads, stamps) -> None:
+        super().insert_stamped(dests, payloads, iter(self.time_ns, None))
 
-    def insert_many(self, dests, payloads) -> None:
-        self._insert_chunk(dests, payloads, iter(self.time_ns, None))
+
+def _miscounted(times, items):
+    return UsageError(f"batch sink returned {len(times)} delivery times "
+                      f"for {len(items)} items")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +316,7 @@ class _BaseRun:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(1, wid)))
             shard = LatencyShard(cap, (seed, 2, wid))
-            ctx = self._context(wid, rng, work_ns, shard, w,
+            ctx = self._context(wid, rng, work_ns, deliver_ns, shard, w,
                                 record_items, agg, self._queue(), self._epoch)
             ctx.driver = program(wid)
             ctx.batch_sink = ctx.driver.on_items
@@ -376,8 +372,7 @@ class _BaseRun:
     def inserted_seqs(self):
         out = []
         for w in self._workers:
-            if w.ins_log is not None:
-                out.extend(w.ins_log)
+            out.extend(range(w.wid, w.seq_next, w.seq_stride))
         return out
 
     def delivered_seqs(self):
@@ -497,15 +492,18 @@ class SequentialRun(_BaseRun):
             if batch_sink is not None:
                 # the same samples and clock as the per-item loop below
                 now = w.now
+                times = batch_sink(w, items)
+                if times is None:
+                    w.now = now + k * dns
+                    times = count(now + dns, dns) if k > 1 else (w.now,)
+                elif len(times) != k:
+                    raise _miscounted(times, items)
+                elif times[-1] > w.now:  # else the sink's last stamp
+                    w.now = times[-1]
                 if k == 1:
-                    now += dns
-                    sample(now - items[0][2])
+                    sample(times[0] - items[0][2])
                 else:
-                    pending.extend(map(sub, count(now + dns, dns),
-                                       map(_CREATED, items)))
-                    now += k * dns
-                w.now = now
-                batch_sink(w, items)
+                    pending.extend(map(sub, times, map(_CREATED, items)))
                 w.delivered += k
                 if dl_log is not None:
                     dl_log.extend(map(_SEQ, items))
@@ -629,10 +627,9 @@ class SequentialRun(_BaseRun):
 # ---------------------------------------------------------------------------
 
 _T_DELIVER = 0
-_T_FLUSH = 1
-_T_TASK = 2
-_T_STOP = 3
-_ACK_TIMEOUT_S = 10.0  # wait for workers to ack a flush round, task or stop
+_T_TASK = 1
+_T_STOP = 2
+_ACK_TIMEOUT_S = 10.0  # wait for workers to ack a task or stop
 _PARK_S = 0.005  # longest park of a worker under a flush timeout
 
 
@@ -647,7 +644,9 @@ class ThreadedRun(_BaseRun):
     get plus the queue entries put and not yet taken (Dijkstra & Scholten,
     IPL 1980). Workers put entries only while busy, so once _busy is 0 under
     _tlock no sink, step or flush runs, and no buffer changes until the
-    coordinator puts an entry.
+    coordinator puts an entry. Then it runs an idle-flush round itself,
+    sealing every buffer before it sends any, so no sink can refill a buffer
+    that the same round would ship early.
     """
 
     mode = MODE_THREADED
@@ -661,11 +660,12 @@ class ThreadedRun(_BaseRun):
                 f"{MAX_THREADED_WORKERS} workers; this topology has "
                 f"{topo.total_workers}")
         self._epoch = time.monotonic_ns()
-        self._tlock = threading.Lock()
+        self._tlock = threading.RLock()  # a flush round sends under it
         self._idle = threading.Condition(self._tlock)
         self._busy = topo.total_workers
         self._error = None
         self._stopped = False
+        self._held = None  # a flush round's sealed messages, not yet sent
         super().__init__(topo, agg, cfg, program, **kw)
         for ctx in self._workers:
             ctx.thread = threading.Thread(target=self._wloop, args=(ctx,),
@@ -682,6 +682,9 @@ class ThreadedRun(_BaseRun):
 
     # -- transport interface -------------------------------------------------
     def send(self, msg):
+        if self._held is not None:  # a flush round's seal: sent after all
+            self._held.append(msg)
+            return
         plan = self._agg.on_receive(msg)
         with self._tlock:
             self._account(msg)
@@ -698,20 +701,32 @@ class ThreadedRun(_BaseRun):
 
     # -- worker thread --------------------------------------------------------
     def _deliver_batch(self, w, items):
-        epoch = self._epoch
-        shard = w.shard
+        # a batch sink that returns no times had the group at the call
+        start = w.time_ns()
+        times = (w.batch_sink or self._item_sink)(w, items)
+        if times is None:
+            times = repeat(start)
+        elif len(times) != len(items):
+            raise _miscounted(times, items)
+        record = w.shard.record
+        for t, it in zip(times, items):
+            d = t - it[2]
+            record(d if d >= 0 else 0)
+        w.delivered += len(items)
+        if w.dl_log is not None:
+            w.dl_log.extend(map(_SEQ, items))
+        # deliveries may hand the driver new local work; poll it again
+        w.driver_done = False
+
+    @staticmethod
+    def _item_sink(w, items):
+        """on_item per item, as a batch sink timed by the wall clock."""
         on_item = w.driver.on_item
-        dl_log = w.dl_log
+        times = []
         for it in items:
-            d = time.monotonic_ns() - epoch - it[2]
-            shard.record(d if d >= 0 else 0)
+            times.append(w.time_ns())
             on_item(w, it)
-            w.delivered += 1
-            if dl_log is not None:
-                dl_log.append(it[3])
-        if items:
-            # deliveries may hand the driver new local work; poll it again
-            w.driver_done = False
+        return times
 
     def _wloop(self, w):
         agg = self._agg
@@ -754,9 +769,6 @@ class ThreadedRun(_BaseRun):
                 tag = e[0]
                 if tag == _T_DELIVER:
                     self._deliver_batch(w, e[2])
-                elif tag == _T_FLUSH:
-                    agg.flush(w.wid, w.time_ns())
-                    e[1].set()
                 elif tag == _T_TASK:
                     e[3].append(e[1](w))
                     e[2].set()
@@ -770,14 +782,17 @@ class ThreadedRun(_BaseRun):
 
     # -- coordinator ----------------------------------------------------------
     def _flush_round(self):
-        evs = []
-        for owner in self._agg.flush_owners():
-            ev = threading.Event()
-            evs.append(ev)
-            self._put(owner, (_T_FLUSH, ev))
-        for ev in evs:
-            if not ev.wait(_ACK_TIMEOUT_S):
-                self._timed_out("flush round did not acknowledge")
+        """Flush every scope, then send what that sealed; the caller holds
+        _tlock with _busy at 0, so no worker runs until the first send."""
+        agg = self._agg
+        held = self._held = []
+        try:
+            for owner in agg.flush_owners():
+                agg.flush(owner, self._workers[owner].time_ns())
+        finally:
+            self._held = None
+        for msg in held:
+            self.send(msg)
 
     def _raise_pending(self):
         if self._error is not None:
@@ -789,17 +804,24 @@ class ThreadedRun(_BaseRun):
         while a buffer still holds an item, flush them all and wait again."""
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
-            with self._idle:
-                settled = self._idle.wait_for(
-                    lambda: not self._busy or self._error is not None,
-                    None if deadline is None else deadline - time.monotonic())
-                buffered = not self._busy and self._agg.total_buffered()
+            try:
+                with self._idle:
+                    settled = self._idle.wait_for(
+                        lambda: not self._busy or self._error is not None,
+                        None if deadline is None
+                        else deadline - time.monotonic())
+                    buffered = (not self._busy and self._error is None
+                                and self._agg.total_buffered())
+                    if buffered:
+                        self._flush_round()
+            except BaseException:
+                self._shutdown()
+                raise
             self._raise_pending()
             if not settled:
                 self._timed_out(f"run exceeded {timeout_s}s wall budget")
             if not buffered:
                 return
-            self._flush_round()
 
     def _timed_out(self, what):
         diagnostics = self._diagnostics()
@@ -865,7 +887,8 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     program is a callable worker_id -> WorkerProgram. work_ns advances the
     inserting worker's virtual clock per insert; deliver_ns advances the
     destination's per delivered item (sequential mode only; wall clocks tick
-    on their own). Threaded mode refuses more than MAX_THREADED_WORKERS
+    on their own, so there the times a batch sink computes from both are
+    estimates). Threaded mode refuses more than MAX_THREADED_WORKERS
     workers. Returns the run handle; call await_quiescence on it.
     """
     engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL

@@ -204,16 +204,16 @@ class Aggregator:
         self.flush_timeout_ns = timeout_ns
 
     def _check(self, source: int, dest: int):
-        """Raise for a bad insert. insert() tests the same conditions inline
-        and calls this only when they fail."""
+        """Raise for a bad insert. insert_batch() tests the same conditions
+        on the whole chunk and calls this per item only when they fail."""
         if not 0 <= dest < self._w:
             raise UsageError(f"destination worker {dest} out of range")
         if self._transport is None:
             raise SetupError("aggregator not attached to a run")
 
     def _check_batch(self, source, items):
-        """Raise what the first failing insert() of items would raise. An
-        unbound aggregator refuses an empty chunk too."""
+        """Raise what the first bad item of items would raise. An unbound
+        aggregator refuses an empty chunk too."""
         dests = list(map(_DEST, items))
         if (dests and self._transport is not None and min(dests) >= 0
                 and max(dests) < self._w):
@@ -245,17 +245,15 @@ class Aggregator:
 
     # -- scheme API (subclasses) -------------------------------------------
     def insert(self, source: int, item: Item) -> None:
-        """Buffer item at source, or hand it to local delivery. The item's
-        created_at is the insert's time: it stamps a local delivery and a
-        seal on full, and starts the flush timeout of an empty buffer."""
-        raise NotImplementedError
+        """insert_batch of the one item."""
+        self.insert_batch(source, (item,))
 
     def insert_batch(self, source: int, items: Sequence[Item]) -> None:
-        """Insert one source's chunk in order.
-
-        Same effects, in the same order, as insert() per item. The chunk is
-        checked whole first, so a bad item leaves no effect at all.
-        """
+        """Buffer one source's chunk in order, or hand items to local
+        delivery. An item's created_at is its insert's time: it stamps a
+        local delivery and a seal on full, and starts the flush timeout of
+        an empty buffer. The chunk is checked whole first, so a bad item
+        leaves no effect at all."""
         raise NotImplementedError
 
     def flush(self, source: int, now: int) -> int:
@@ -322,23 +320,7 @@ class _WorkerBufferedAggregator(Aggregator):
     def total_buffered(self) -> int:
         return sum(map(self.owner_buffered, range(self._w)))
 
-    def insert(self, source, item):
-        dest = item[0]
-        if not (0 <= dest < self._w and self._transport is not None):
-            self._check(source, dest)
-        t = self._t
-        if dest // t == source // t:
-            self._transport.local_deliver(dest, (item,), item[2])
-            return
-        col = dest // self._width
-        buf = self._rows[source][col]
-        buf.append(item)
-        if len(buf) == self.g:
-            self._seal(source, (col,), CAUSE_FULL, item[2])
-
     def insert_batch(self, source, items):
-        # insert()'s body with its lookups hoisted out of the item loop.
-        # The chunk is checked whole first, so a bad item has no effect.
         self._check_batch(source, items)
         t = self._t
         width = self._width
@@ -469,31 +451,9 @@ class _PPAggregator(Aggregator):
     def total_buffered(self) -> int:
         return sum(len(b.items) for row in self._shared for b in row)
 
-    def insert(self, source, item):
-        dest = item[0]
-        if not (0 <= dest < self._w and self._transport is not None):
-            self._check(source, dest)
-        t = self._t
-        sp = source // t
-        dp = dest // t
-        if dp == sp:
-            self._transport.local_deliver(dest, (item,), item[2])
-            return
-        b = self._shared[sp][dp]
-        sealed = None
-        with b.lock:
-            buf = b.items
-            buf.append(item)
-            if len(buf) == self.g:
-                sealed = self._take(b, item[2])
-        if sealed is not None:
-            self._transport.send(tuple.__new__(CoalescedMessage, (
-                sp, dp, sealed[0], False, CAUSE_FULL, sealed[1], source)))
-
     def insert_batch(self, source, items):
-        # insert()'s body with its lookups hoisted out of the item loop. Each
-        # item takes its buffer's lock alone and a seal is emitted outside
-        # it, so seals and local deliveries interleave as in the scalar loop.
+        # Each item takes its buffer's lock alone and a seal is emitted
+        # outside it, so other workers' inserts interleave per item.
         self._check_batch(source, items)
         t = self._t
         sp = source // t

@@ -14,7 +14,8 @@ from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
                                       random_graph)
 from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
                                          run_histogram)
-from aggsim.benchmarks.ig import _REQ, IGSpec, _IGWorker, run_ig
+from aggsim.benchmarks.ig import (_REQ, _RESP, IGSpec, _IGWorker, run_ig,
+                                  table_value)
 from aggsim.benchmarks.phold import (_POPS_PER_TURN, _TS_EPS, PholdSpec,
                                      _PholdWorker, recount_out_of_order,
                                      run_phold)
@@ -74,8 +75,8 @@ def test_histogram_flush_starved_message_count_tracks_scope(scheme, msgs):
 
 
 class _ScalarHistWorker(_HistWorker):
-    """The histogram driver on the scalar path: an insert loop, and the
-    per-item sink only."""
+    """The histogram driver on the scalar path: an insert loop, and a
+    per-item sink."""
 
     on_items = None
 
@@ -87,6 +88,9 @@ class _ScalarHistWorker(_HistWorker):
             ctx.insert(b % self.w, b)
         self.pos = end
         return True
+
+    def on_item(self, ctx, item):
+        self.counts[(item[1] - self.wid) // self.w] += 1
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
@@ -156,8 +160,11 @@ def test_ig_every_request_answered_across_schemes():
 
 
 class _ScalarIGWorker(_IGWorker):
-    """The ig driver with its requests on the scalar path: read the clock,
-    then insert, one request at a time."""
+    """The ig driver on the scalar path: read the clock, then insert, one
+    request at a time; a per-item sink that answers each request with one
+    insert and reads the clock for each response."""
+
+    on_items = None
 
     def step(self, ctx):
         end = min(self.issued + self.chunk, len(self.indices))
@@ -170,11 +177,23 @@ class _ScalarIGWorker(_IGWorker):
         self.issued = end
         return True
 
+    def on_item(self, ctx, item):
+        p = item[1]
+        if p[0] == _REQ:
+            _, requester, rid, idx = p
+            ctx.insert(requester, (_RESP, rid, idx, table_value(idx)))
+        else:
+            _, rid, idx, value = p
+            if value != table_value(idx):
+                self.bad_values += 1
+            self.rtts.append(ctx.time_ns() - self.send_ts.pop(rid))
+
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
 def test_ig_batch_step_matches_scalar(scheme):
-    # requests through insert_many leave every output of the scalar loop
-    # unchanged: result JSON, rtt summary, item seqs and message trace
+    # requests through insert_many and replies through the batch sink leave
+    # every output of the scalar loops unchanged: result JSON, rtt summary,
+    # item seqs and message trace
     topo = Topology(2, 2, 2)
     spec = IGSpec(requests_per_worker=200, table_size=97, seed=6)
     # the C7 acceptance cell's transport: alpha, beta, comm context, header
@@ -193,7 +212,8 @@ def test_ig_batch_step_matches_scalar(scheme):
         rtts = [r for wk in h.workers for r in wk.driver.rtts]
         assert len(rtts) == 200 * topo.total_workers
         return (m.to_json(), summarize(rtts), h.inserted_seqs(),
-                h.delivered_seqs(), h.trace)
+                h.delivered_seqs(), h.trace,
+                [wk.now for wk in h.workers])
 
     for cfg in (c7, None):
         for timeout_ns in (None, 700):
@@ -204,6 +224,7 @@ def test_ig_batch_step_matches_scalar(scheme):
     r = run_ig(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
                timeout_s=60)
     assert r.matched == 200 * topo.total_workers and r.unmatched == 0
+    assert r.metrics.item_latency["count"] == r.metrics.delivered
 
 
 # --------------------------------------------------------------------- sssp
@@ -370,7 +391,21 @@ def test_phold_event_conservation_across_schemes():
 
 class _ScalarPholdWorker(_PholdWorker):
     """The PHOLD driver on the scalar path: one ctx.insert per successor,
-    right after its draws."""
+    right after its draws, and a per-item sink."""
+
+    on_items = None
+
+    def on_item(self, ctx, item):
+        lp, ts = item[1]
+        slot = lp - self.base
+        if ts < self.max_ts[slot]:
+            self.ooo += 1
+        else:
+            self.max_ts[slot] = ts
+        if self.log is not None:
+            self.log.append((lp, ts))
+        heapq.heappush(self.pending, (ts, self._tie, lp))
+        self._tie += 1
 
     def step(self, ctx):
         pending = self.pending
@@ -391,9 +426,10 @@ class _ScalarPholdWorker(_PholdWorker):
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
 def test_phold_batch_step_matches_scalar(scheme):
-    # steps through insert_many leave every output of the scalar loop
-    # unchanged: result JSON, recount, consumed events, arrival logs, item
-    # seqs, channel arrivals and message trace
+    # steps through insert_many and deliveries through the batch sink leave
+    # every output of the scalar loops unchanged: result JSON, recount,
+    # consumed events, arrival logs, item seqs, channel arrivals and message
+    # trace
     topo = Topology(2, 2, 2)
     spec = PholdSpec(lps_per_worker=16, initial_events_per_lp=4,
                      mean_increment=100.0, end_time=1500.0, seed=9)

@@ -12,8 +12,11 @@ from aggsim import runtime
 from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import QuiescenceTimeout, UsageError
-from aggsim.benchmarks import (HistogramSpec, SSSPSpec, random_graph,
-                               run_histogram, run_sssp)
+from aggsim.benchmarks import (HistogramSpec, IGSpec, PholdSpec, SSSPSpec,
+                               random_graph, run_histogram, run_sssp)
+from aggsim.benchmarks.histogram import _HistWorker
+from aggsim.benchmarks.ig import _IGWorker
+from aggsim.benchmarks.phold import _PholdWorker
 from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
                             WorkerProgram, spawn)
 from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
@@ -346,6 +349,54 @@ def test_rejected_insert_leaves_no_trace(mode, batch):
         assert h.workers[0].now == 100  # one work_ns step, the accepted one
 
 
+class _MiscountingSink(WorkerProgram):
+    """Worker 0 sends worker 1 one item; the batch sink returns one delivery
+    time too many."""
+
+    def __init__(self, wid):
+        self.wid = wid
+        self.sent = False
+
+    def step(self, ctx):
+        if self.wid or self.sent:
+            return False
+        ctx.insert(1, None)
+        self.sent = True
+        return True
+
+    def on_items(self, ctx, items):
+        return [ctx.time_ns()] * (len(items) + 1)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_batch_sink_must_time_every_item(mode):
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, mode=mode,
+               program=_MiscountingSink)
+    with pytest.raises(UsageError, match="2 delivery times for 1 items"):
+        h.await_quiescence(timeout_s=30)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_threaded_batch_sinks_deliver_each_item_once(kind):
+    # ig's sink inserts and returns times, the histogram's and PHOLD's
+    # return None; each item reaches its sink once and gives one sample
+    topo = Topology(1, 2, 2)
+    programs = (
+        lambda wid: _IGWorker(wid, IGSpec(300, 64, seed=2), topo, 16),
+        lambda wid: _HistWorker(wid, HistogramSpec(300, 64, seed=2), topo,
+                                16),
+        lambda wid: _PholdWorker(wid, PholdSpec(8, 2, 100.0, 1000.0, seed=2),
+                                 topo, False),
+    )
+    for program in programs:
+        h = _spawn(topo, kind, 8, mode="threaded", program=program,
+                   record_items=True)
+        m = h.await_quiescence(timeout_s=60)
+        assert m.delivered > 0
+        assert Counter(h.delivered_seqs()) == Counter(h.inserted_seqs())
+        assert m.item_latency["count"] == m.delivered
+
+
 def test_broadcast_task_and_phases():
     h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 8, program=scatter(50, 4))
     h.run_phase(timeout_s=30)
@@ -656,28 +707,21 @@ def test_threaded_task_timeout_stops_workers(monkeypatch):
     assert _joined(h) == before
 
 
-def test_threaded_flush_round_timeout_stops_workers(monkeypatch):
-    monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 0.2)
-    release = threading.Event()
+def test_threaded_flush_round_error_stops_workers():
+    # the coordinator runs the idle-flush round itself; a flush that raises
+    # there stops every worker before the error reaches the caller
     topo = Topology(1, 2, 1)
     agg = create_aggregator(SchemeKind.WW, topo, 64, 8)
-    flush = agg.flush
 
-    def blocking_flush(owner, now):
-        # owner 0 cannot ack the flush round its buffered item calls for
-        if owner == 0:
-            release.wait(30)
-        return flush(owner, now)
+    def failing_flush(owner, now):
+        raise RuntimeError("flush failed")
 
-    agg.flush = blocking_flush
+    agg.flush = failing_flush
     before = threading.active_count()
     h = spawn(topo, agg, mode="threaded",
               program=lambda wid: SingleStream(wid, 1))
-    try:
-        with pytest.raises(QuiescenceTimeout, match="flush round"):
-            h.await_quiescence(timeout_s=30)
-    finally:
-        release.set()
+    with pytest.raises(RuntimeError, match="flush failed"):
+        h.await_quiescence(timeout_s=30)
     assert _joined(h) == before
 
 
@@ -716,11 +760,12 @@ def test_threaded_park_ends_at_the_flush_deadline(monkeypatch):
 
 class _SlowReplySink(WorkerProgram):
     """Worker 0 sends worker 3 one item; worker 3's sink inserts two
-    replies for worker 0, 50 ms apart."""
+    replies for worker 0, 50 ms apart, and sets replied after the first."""
 
-    def __init__(self, wid):
+    def __init__(self, wid, replied=None):
         self.wid = wid
         self.sent = False
+        self.replied = replied
 
     def step(self, ctx):
         if self.wid or self.sent:
@@ -732,6 +777,8 @@ class _SlowReplySink(WorkerProgram):
     def on_item(self, ctx, item):
         if self.wid == 3:
             ctx.insert(0, None)
+            if self.replied is not None:
+                self.replied.set()
             time.sleep(0.05)
             ctx.insert(0, None)
 
@@ -741,6 +788,27 @@ def test_threaded_slow_sink_holds_the_flush_round():
     # replies leave in one message
     h = _spawn(Topology(1, 2, 2), SchemeKind.PP, 64, mode="threaded",
                program=_SlowReplySink, trace=True)
+    h.await_quiescence(timeout_s=30)
+    assert [e["k"] for e in h.trace] == [1, 2]
+
+
+def test_threaded_flush_round_seals_every_buffer_first():
+    # owner 2 flushes only once worker 3's sink has made its first reply,
+    # or after 0.5 s; a round that sends only after its last seal keeps that
+    # reply out of the round, so both replies still leave in one message
+    topo = Topology(1, 2, 2)
+    agg = create_aggregator(SchemeKind.PP, topo, 64, 8)
+    replied = threading.Event()
+    flush = agg.flush
+
+    def late_flush(owner, now):
+        if owner == 2:
+            replied.wait(0.5)
+        return flush(owner, now)
+
+    agg.flush = late_flush
+    h = spawn(topo, agg, mode="threaded", trace=True,
+              program=lambda wid: _SlowReplySink(wid, replied))
     h.await_quiescence(timeout_s=30)
     assert [e["k"] for e in h.trace] == [1, 2]
 
