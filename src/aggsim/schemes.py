@@ -151,8 +151,9 @@ def split_grouped(items: Sequence[Item]) -> list:
 class _SharedBuffer:
     """pp buffer shared by all workers of one source process.
 
-    Every operation runs under the buffer mutex, which linearizes the
-    append-and-seal protocol. items holds the buffered items, oldest first.
+    Every change runs under the buffer mutex, which linearizes the
+    append-and-seal protocol; a flush may peek at items without it first.
+    items holds the buffered items, oldest first.
     """
 
     __slots__ = ("items", "lock")
@@ -452,32 +453,59 @@ class _PPAggregator(Aggregator):
         return sum(len(b.items) for row in self._shared for b in row)
 
     def insert_batch(self, source, items):
-        # Each item takes its buffer's lock alone and a seal is emitted
-        # outside it, so other workers' inserts interleave per item.
-        self._check_batch(source, items)
+        # One pass splits the chunk by destination process into parts of
+        # chunk positions, each in chunk order; the part keys check the
+        # chunk. A remote part then takes its buffer's lock once, so other
+        # workers' inserts interleave per chunk, and the messages it seals
+        # are sent after every lock is released, in the chunk order of their
+        # filling items, as one-item chunks would send them.
         t = self._t
+        n = self._n
+        parts = {}
+        get = parts.get
+        ok = self._transport is not None
+        for i, it in enumerate(items):
+            dp = it[0] // t
+            p = get(dp)
+            if p is None:
+                if not 0 <= dp < n:
+                    ok = False
+                parts[dp] = p = []
+            p.append(i)
+        if not (ok and parts):
+            self._check_batch(source, items)
+            return
         sp = source // t
         row = self._shared[sp]
         g = self.g
         take = self._take
-        send = self._transport.send
-        new = tuple.__new__
-        local_deliver = self._transport.local_deliver
-        for it in items:
-            dp = it[0] // t
+        at = items.__getitem__
+        sealed = []  # (filling item's chunk position, dp, taken buffer)
+        for dp, pos in parts.items():
             if dp == sp:
-                local_deliver(it[0], (it,), it[2])
+                local_deliver = self._transport.local_deliver
+                for it in map(at, pos):
+                    local_deliver(it[0], (it,), it[2])
                 continue
+            part = list(map(at, pos))
             b = row[dp]
-            sealed = None
             with b.lock:
-                buf = b.items
-                buf.append(it)
-                if len(buf) == g:
-                    sealed = take(b, it[2])
-            if sealed is not None:
-                send(new(CoalescedMessage, (sp, dp, sealed[0], False,
-                                            CAUSE_FULL, sealed[1], source)))
+                lo = 0
+                end = g - len(b.items)
+                while end <= len(part):
+                    b.items.extend(part[lo:end])
+                    sealed.append((pos[end - 1], dp,
+                                   take(b, part[end - 1][2])))
+                    lo = end
+                    end += g
+                b.items.extend(part[lo:] if lo else part)
+        if sealed:
+            sealed.sort()  # the positions differ, so nothing else compares
+            send = self._transport.send
+            new = tuple.__new__
+            for _, dp, (batch, seal_ts) in sealed:
+                send(new(CoalescedMessage, (sp, dp, batch, False, CAUSE_FULL,
+                                            seal_ts, source)))
 
     @staticmethod
     def _take(b, now):
@@ -491,13 +519,25 @@ class _PPAggregator(Aggregator):
     def _flush_row(self, source, now, tns):
         """Ship the non-empty buffers of source's process in destination
         order, each straight to the transport; with tns set, only those
-        whose first item is tns old."""
+        whose first item is tns old.
+
+        Each buffer is first peeked at without its lock and skipped when
+        empty or not yet due. The peek copies at most the first item in one
+        C call, which no other thread can interleave with, and an item never
+        changes, so a skip is what a locked check at the peek would decide;
+        an insert after the peek waits for a later flush, as one after a
+        locked check would. A buffer the peek picks is checked again under
+        the lock.
+        """
         sp = source // self._t
         take = self._take
         send = self._transport.send
         new = tuple.__new__
         n = 0
         for dp, b in enumerate(self._shared[sp]):
+            head = b.items[:1]
+            if not head or (tns is not None and head[0][2] + tns > now):
+                continue
             with b.lock:
                 if not b.items or (tns is not None
                                    and b.items[0][2] + tns > now):

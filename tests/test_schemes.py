@@ -1,7 +1,9 @@
+import random
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +337,57 @@ def test_pp_seal_timestamp_covers_newest_item():
     assert tr.messages[-1].sent_at == 900
 
 
+
+class _CountingLock:
+    """A buffer lock that logs each acquisition under its buffer's key."""
+
+    def __init__(self, key, log):
+        self._lock = threading.Lock()
+        self._key = key
+        self._log = log
+
+    def __enter__(self):
+        self._log.append(self._key)
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def _count_locks(agg):
+    log = []
+    for sp, row in enumerate(agg._shared):
+        for dp, b in enumerate(row):
+            b.lock = _CountingLock((sp, dp), log)
+    return log
+
+
+def test_pp_locks_each_buffer_once_per_chunk():
+    # a chunk takes the lock of each remote process it reaches once, however
+    # its items interleave and however often a part fills its buffer; a
+    # flush_expired with nothing due takes none
+    topo = Topology(1, 4, 2)  # processes 0-3, two workers each
+    agg, tr = make_agg(SchemeKind.PP, topo, g=2, timeout_ns=100)
+    log = _count_locks(agg)
+    dests = [2, 4, 0, 3, 2, 6, 1, 2, 7, 3]  # process 1: five items
+    items = [mk_item(d, 30 - i, created_at=10 + i)
+             for i, d in enumerate(dests)]
+    agg.insert_batch(0, items)
+    assert sorted(log) == [(0, 1), (0, 2), (0, 3)]
+    # process 1 seals at positions 3 and 7, process 3 at position 8; the
+    # descending seqs would order them the other way
+    assert [(m.dest_scope, [it.seq for it in m.items]) for m in tr.messages
+            ] == [(1, [30, 27]), (1, [26, 23]), (3, [25, 22])]
+    assert [d for d, _, _ in tr.local] == [0, 1]
+    assert agg.owner_buffered(0) == 2  # one item each for processes 1, 2
+    log.clear()
+    assert agg.flush_expired(1, now=109) == 0  # the oldest is due at 110
+    assert agg.flush_expired(2, now=10**6) == 0  # process 1's row is empty
+    assert log == []
+    assert agg.flush_expired(0, now=111) == 1  # only process 2's buffer
+    assert log == [(0, 2)]
+
+
 def test_flush_owners_cover_each_buffer_once():
     topo = Topology(1, 2, 3)
     for kind in ALL_KINDS:
@@ -506,6 +559,42 @@ def test_insert_batch_matches_insert_loop(kind, data):
         assert a.grouping_stats.touches == b.grouping_stats.touches
 
 
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_pp_insert_batch_matches_one_item_chunks(data):
+    """A pp chunk may fill a buffer several times and fill several buffers;
+    its messages leave in the chunk order of their filling items whatever
+    the seqs, with the effects one-item chunks have."""
+    topo = Topology(1, 3, 2)
+    w = topo.total_workers
+    g = data.draw(st.integers(1, 6))
+    timeout_ns = data.draw(st.none() | st.integers(1, 50))
+    a, ta = make_agg(SchemeKind.PP, topo, g=g, timeout_ns=timeout_ns)
+    b, tb = make_agg(SchemeKind.PP, topo, g=g, timeout_ns=timeout_ns)
+    chunks = data.draw(st.lists(st.tuples(
+        st.integers(0, w - 1),
+        st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, 500)),
+                 max_size=4 * g),
+        st.booleans()), min_size=1, max_size=6))
+    seqs = iter(data.draw(st.permutations(
+        range(sum(len(dests) for _, dests, _ in chunks)))))
+    for now, (src, dests, expire) in zip(range(0, 600, 100), chunks):
+        items = [mk_item(d, next(seqs), created_at=c) for d, c in dests]
+        a.insert_batch(src, items)
+        for it in items:
+            b.insert_batch(src, [it])
+        if expire:
+            a.flush_expired(src, now + 60)
+            b.flush_expired(src, now + 60)
+        assert ta.messages == tb.messages
+        assert ta.local == tb.local
+        assert a.pending_deadlines() == b.pending_deadlines()
+        assert a.total_buffered() == b.total_buffered()
+        assert [a.owner_buffered(o) for o in range(w)] == [
+            b.owner_buffered(o) for o in range(w)]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_insert_batch_checks_whole_chunk_first(kind):
     topo = Topology(1, 2, 2)
@@ -564,6 +653,70 @@ def test_buffered_counts_readable_while_owners_fill(kind):
     assert agg.total_buffered() == 0
     assert sum(m.k for m in tr.messages) + len(tr.local) == w * n
 
+
+
+def test_pp_threaded_chunks_lose_nothing():
+    # four owners insert pp chunks into shared buffers while another thread
+    # flushes due buffers and reads deadlines and counts: every seq ends up
+    # in exactly one place, a message, a local delivery or a buffer
+    topo = Topology(1, 3, 2)  # owners 0, 1 share process 0's row
+    w = topo.total_workers
+    owners = (0, 1, 2, 3)
+    g = 3
+    n = 500  # chunks per owner
+    agg, tr = make_agg(SchemeKind.PP, topo, g=g, timeout_ns=50)
+    errors = []
+    done = threading.Event()
+    inserted = []
+
+    def owner(src):
+        try:
+            rng = random.Random(src)
+            seqs = iter(range(src, 10**9, len(owners)))
+            for _ in range(n):
+                items = [mk_item(rng.randrange(w), seq, created_at=seq)
+                         for seq in islice(seqs, rng.randint(1, 3 * g))]
+                agg.insert_batch(src, items)
+                inserted.extend(it.seq for it in items)
+        except Exception as exc:
+            errors.append(exc)
+
+    def poller():
+        try:
+            now = 0
+            while not done.is_set():
+                now += 40
+                for o in range(w):
+                    agg.flush_expired(o, now)
+                    agg.next_deadline(o)
+                    agg.owner_buffered(o)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=owner, args=(src,)) for src in owners]
+    poll = threading.Thread(target=poller)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        poll.start()
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        done.set()
+        poll.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads + [poll])
+    assert errors == []
+    for msg in tr.messages:
+        assert 1 <= msg.k <= g and (msg.cause == "full") == (msg.k == g)
+    assert {msg.cause for msg in tr.messages} == {"full", "flush"}
+    got = [it.seq for m in tr.messages for it in m.items]
+    got += [it.seq for _, items, _ in tr.local for it in items]
+    got += [it.seq for row in agg._shared for b in row for it in b.items]
+    assert len(got) == len(inserted) == len(set(inserted))
+    assert sorted(got) == sorted(inserted)
 
 # -- conservation under random traffic --------------------------------------
 @given(st.sampled_from(ALL_KINDS), st.data())
