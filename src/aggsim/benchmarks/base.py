@@ -1,7 +1,10 @@
 """Shared plumbing for the benchmark drivers."""
 from __future__ import annotations
 
+import hashlib
 import json
+
+import numpy as np
 
 from ..errors import UsageError
 from ..runtime import TransportConfig, spawn
@@ -56,6 +59,13 @@ class BenchResult:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
+
+
+def int64_digest(arr) -> str:
+    """SHA-256 of an array's values as contiguous int64, for a result's
+    correctness output."""
+    return hashlib.sha256(
+        np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()
 
 
 def positive(name, value):

@@ -14,7 +14,8 @@ import numpy as np
 from ..errors import OracleMismatch, UsageError
 from ..runtime import WorkerProgram
 from ..topology import Topology
-from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
+from .base import (BenchResult, DEFAULT_TIMEOUT_S, int64_digest, launch,
+                   positive)
 
 _CHUNK = 256  # updates per insert_many call
 
@@ -85,7 +86,7 @@ class HistogramResult(BenchResult):
         return {
             "table_size": int(self.table.size),
             "table_total": int(self.table.sum()),
-            "table_digest": _digest(self.table),
+            "table_digest": int64_digest(self.table),
             "oracle_ok": bool(np.array_equal(self.table, self.expected)),
         }
 
@@ -96,11 +97,6 @@ class HistogramResult(BenchResult):
                 f"histogram bin {bad}: got {int(self.table[bad])}, "
                 f"expected {int(self.expected[bad])}")
         return self
-
-
-def _digest(arr) -> str:
-    import hashlib
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 def run_histogram(spec: HistogramSpec, *, scheme, g, topo, mode="sequential",

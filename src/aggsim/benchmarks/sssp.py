@@ -19,7 +19,6 @@ are a list per worker, cheaper to index than numpy, made an array once.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass
 from itertools import chain
@@ -29,7 +28,8 @@ import numpy as np
 from ..errors import OracleMismatch, UsageError
 from ..runtime import WorkerProgram
 from ..topology import Topology
-from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
+from .base import (BenchResult, DEFAULT_TIMEOUT_S, int64_digest, launch,
+                   positive)
 from .graphs import Graph, INF, dijkstra
 
 _MAX_PHASES = 1_000_000  # defense against a zero-progress window bug
@@ -136,7 +136,9 @@ class SSSPResult(BenchResult):
             "vertices": int(self.distances.size),
             "reachable": reachable,
             "phases": self.phases,
-            "distance_digest": _digest(self.distances),
+            # unreachable as -1 so the sentinel value is not baked in
+            "distance_digest": int64_digest(
+                np.where(self.distances == INF, -1, self.distances)),
             "oracle_ok": bool(np.array_equal(self.distances, self.expected)),
         }
 
@@ -147,12 +149,6 @@ class SSSPResult(BenchResult):
                 f"sssp distance[{bad}] = {int(self.distances[bad])}, "
                 f"oracle {int(self.expected[bad])}")
         return self
-
-
-def _digest(dist) -> str:
-    # canonical form: unreachable as -1 so the sentinel value is not baked in
-    canon = np.where(dist == INF, -1, dist).astype(np.int64)
-    return hashlib.sha256(np.ascontiguousarray(canon).tobytes()).hexdigest()
 
 
 def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,

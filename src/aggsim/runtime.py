@@ -31,9 +31,12 @@ round of turns makes no progress; the threaded one when its exact count of
 outstanding work (workers not parked, plus queue entries not yet taken)
 reaches zero, which it cannot while a sink, step or flush still runs. With
 a flush timeout set, each scheduling turn first flushes the worker's expired
-buffers, and a stalled sequential run jumps owners' clocks to their pending
-deadlines before it falls back to an idle-flush round. A parked threaded
-worker wakes at its scope's earliest deadline, and at least every _PARK_S.
+buffers. A stalled sequential run then serves the deadlines before it falls
+back to an idle-flush round: it heaps each flush owner's next_deadline as
+(deadline, owner), and for the earliest moves that owner's clock up to the
+deadline, flushes its expired buffers and pushes its next deadline back,
+until none is left. A parked threaded worker wakes at its scope's
+next_deadline, and at least every _PARK_S.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
@@ -53,6 +56,7 @@ starts any.
 from __future__ import annotations
 
 import gc
+import heapq
 import queue
 import random
 import threading
@@ -560,16 +564,26 @@ class SequentialRun(_BaseRun):
         if self._is_quiescent():
             return False
         if self._tns_active:
-            pend = agg.pending_deadlines()
-            if pend:
-                emitted = 0
-                for owner, ddl in pend:
-                    w = self._workers[owner]
-                    if ddl > w.now:
-                        w.now = ddl
-                    emitted += agg.flush_expired(owner, w.now)
-                if emitted:
-                    return True
+            # each owner's earliest deadline, in (deadline, owner) order; an
+            # unstall fills no buffer, so an owner's next deadline changes
+            # only by its own flush
+            due = [(ddl, o) for o in agg.flush_owners()
+                   if (ddl := agg.next_deadline(o)) is not None]
+            heapq.heapify(due)
+            emitted = 0
+            while due:
+                ddl, owner = due[0]
+                w = self._workers[owner]
+                if ddl > w.now:
+                    w.now = ddl
+                emitted += agg.flush_expired(owner, w.now)
+                ddl = agg.next_deadline(owner)
+                if ddl is None:
+                    heapq.heappop(due)
+                else:
+                    heapq.heapreplace(due, (ddl, owner))
+            if emitted:
+                return True
         if agg.total_buffered() > 0:
             emitted = 0
             for owner in agg.flush_owners():

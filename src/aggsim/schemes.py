@@ -152,8 +152,8 @@ class _SharedBuffer:
     """pp buffer shared by all workers of one source process.
 
     Every change runs under the buffer mutex, which linearizes the
-    append-and-seal protocol; a flush may peek at items without it first.
-    items holds the buffered items, oldest first.
+    append-and-seal protocol; a flush and next_deadline may peek at the
+    first item without it. items holds the buffered items, oldest first.
     """
 
     __slots__ = ("items", "lock")
@@ -171,6 +171,11 @@ class Aggregator:
     second spawn on the same instance is refused. The transport offers
     send(msg), called once per sealed message, and local_deliver(dest,
     items, now), called once per same-process item.
+
+    The engines ask it per flush owner (flush_owners): owner_buffered, whose
+    sum is total_buffered, and next_deadline, the one deadline query. A
+    subclass supplies insert_batch, flush, flush_expired, owner_buffered and
+    next_deadline; on_receive is shared but for ww's.
     """
 
     kind: SchemeKind  # set by each scheme class
@@ -261,26 +266,28 @@ class Aggregator:
         raise NotImplementedError
 
     def on_receive(self, msg: CoalescedMessage) -> list:
-        """Delivery plan for an arrived message: [(worker, items), ...]."""
-        raise NotImplementedError
+        """Delivery plan for an arrived message: [(worker, items), ...],
+        grouped by destination worker here unless the sender grouped it."""
+        items = msg[2]
+        if msg[3]:
+            return split_grouped(items)
+        return split_grouped(group_items(items, self.topo,
+                                         self.grouping_stats))
 
     def owner_buffered(self, worker: int) -> int:
         """Items currently buffered in the scope worker would flush."""
         raise NotImplementedError
 
     def total_buffered(self) -> int:
-        raise NotImplementedError
+        return sum(map(self.owner_buffered, self.flush_owners()))
 
     # -- timeout flush support ----------------------------------------------
-    def pending_deadlines(self) -> list:
-        """[(flushing worker, deadline_ns)] for non-empty buffers, oldest
-        first. Only meaningful when flush_timeout_ns is set."""
-        raise NotImplementedError
-
     def next_deadline(self, worker: int) -> Optional[int]:
         """Earliest timeout deadline among the buffers worker's flush_expired
-        covers, or None when they are empty or no timeout is set. Reads only
-        that scope, so an owner thread can ask while others insert."""
+        covers, or None when they are empty or no timeout is set. It is the
+        one deadline query: it reads only that scope, so an owner thread can
+        ask while others insert, and the sequential engine walks the owners'
+        answers in (deadline, owner) order."""
         raise NotImplementedError
 
     def flush_expired(self, source: int, now: int) -> int:
@@ -317,9 +324,6 @@ class _WorkerBufferedAggregator(Aggregator):
     # whose iterator is made one call before sum() consumes it.
     def owner_buffered(self, worker: int) -> int:
         return sum(map(len, list(self._rows[worker].values())))
-
-    def total_buffered(self) -> int:
-        return sum(map(self.owner_buffered, range(self._w)))
 
     def insert_batch(self, source, items):
         self._check_batch(source, items)
@@ -366,16 +370,6 @@ class _WorkerBufferedAggregator(Aggregator):
         return self._seal(source, sorted(self._rows[source]), CAUSE_FLUSH,
                           now)
 
-    def pending_deadlines(self):
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return []
-        out = [(buf[0][2] + tns, owner)
-               for owner, row in enumerate(self._rows)
-               for buf in row.values()]
-        out.sort()
-        return [(owner, ddl) for ddl, owner in out]
-
     def next_deadline(self, worker):
         tns = self.flush_timeout_ns
         if tns is None:
@@ -411,13 +405,6 @@ class _ProcBufferedAggregator(_WorkerBufferedAggregator):
     _per_process = True
     _grouped = False
 
-    def on_receive(self, msg):
-        items = msg[2]
-        if msg[3]:
-            return split_grouped(items)
-        return split_grouped(group_items(items, self.topo,
-                                         self.grouping_stats))
-
 
 class _WPsAggregator(_ProcBufferedAggregator):
     kind = SchemeKind.WPS
@@ -448,9 +435,6 @@ class _PPAggregator(Aggregator):
     def owner_buffered(self, worker: int) -> int:
         row = self._shared[worker // self._t]
         return sum(len(b.items) for b in row)
-
-    def total_buffered(self) -> int:
-        return sum(len(b.items) for row in self._shared for b in row)
 
     def insert_batch(self, source, items):
         # One pass splits the chunk by destination process into parts of
@@ -551,33 +535,13 @@ class _PPAggregator(Aggregator):
     def flush(self, source, now):
         return self._flush_row(source, now, None)
 
-    def on_receive(self, msg):
-        return split_grouped(group_items(msg[2], self.topo,
-                                         self.grouping_stats))
-
-    def pending_deadlines(self):
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return []
-        t = self._t
-        out = []
-        for sp, row in enumerate(self._shared):
-            for b in row:
-                buf = b.items
-                if buf:
-                    out.append((buf[0][2] + tns, sp * t))
-        out.sort()
-        return [(owner, ddl) for ddl, owner in out]
-
     def next_deadline(self, worker):
+        # lock-free: the one-item peek of _flush_row reads each buffer's head
         tns = self.flush_timeout_ns
         if tns is None:
             return None
-        oldest = None
-        for b in self._shared[worker // self._t]:
-            with b.lock:
-                if b.items and (oldest is None or b.items[0][2] < oldest):
-                    oldest = b.items[0][2]
+        heads = [b.items[:1] for b in self._shared[worker // self._t]]
+        oldest = min((h[0][2] for h in heads if h), default=None)
         return None if oldest is None else oldest + tns
 
     def flush_expired(self, source, now):

@@ -192,6 +192,44 @@ def test_flush_timeout_delivers_mid_run():
     assert max_latency(10_000) < 50_000
 
 
+class _Staggered(WorkerProgram):
+    """Workers 0 and 1 fill buffers once, after an idle lead, then stop."""
+
+    PLAN = {0: (50, (2,)), 1: (0, (2, 3))}  # wid: (lead ns, destinations)
+
+    def __init__(self, wid):
+        self.todo = self.PLAN.get(wid)
+
+    def step(self, ctx):
+        if self.todo is None:
+            return False
+        lead, dests = self.todo
+        self.todo = None
+        ctx.advance(lead)
+        ctx.insert_many(dests, [None] * len(dests))
+        return True
+
+    def on_item(self, ctx, item):
+        pass
+
+
+def test_stalled_run_flushes_owners_in_deadline_order():
+    # owner 1's buffers are stamped 100 and 200 and owner 0's at 150, so
+    # their deadlines interleave; the stalled run must flush them at 1100,
+    # 1150 and 1200 in that order, which the shared comm context of
+    # process 0 then serves back to back
+    cfg = TransportConfig(comm_cost_ns=500.0, comm_enabled=True)
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WW, 1024, cfg=cfg,
+               timeout_ns=1000, program=_Staggered, trace=True)
+    h.await_quiescence(timeout_s=30)
+    assert [(e["sent_at"], e["origin"], e["dest_scope"], e["cause"])
+            for e in h.trace] == [(1100, 0, 2, "flush"), (1150, 0, 2, "flush"),
+                                  (1200, 0, 3, "flush")]
+    assert [h.workers[0].now, h.workers[1].now] == [1150, 1200]
+    row = h.comm_stats()["per_process"][0]
+    assert (row["first_start_ns"], row["last_done_ns"]) == (1100, 2600)
+
+
 class _Spinner(WorkerProgram):
     def step(self, ctx):
         ctx.advance(10)

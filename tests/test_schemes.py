@@ -19,6 +19,17 @@ from helpers import LoopbackTransport, make_agg, mk_item
 ALL_KINDS = list(SchemeKind)
 
 
+def buffer_heads(agg):
+    """(flush owner, destination scope, oldest item) of every non-empty
+    buffer, in that order: the items whose created_at sets the deadlines."""
+    if agg.kind is SchemeKind.PP:
+        t = agg.topo.workers_per_proc
+        return [(sp * t, dp, b.items[0]) for sp, row in enumerate(agg._shared)
+                for dp, b in enumerate(row) if b.items]
+    return sorted((src, col, buf[0]) for src, row in enumerate(agg._rows)
+                  for col, buf in row.items())
+
+
 # -- grouping -------------------------------------------------------------
 def test_group_items_stable_counting_sort():
     topo = Topology(1, 2, 3)  # workers 0..5, process 1 owns 3,4,5
@@ -365,7 +376,8 @@ def _count_locks(agg):
 def test_pp_locks_each_buffer_once_per_chunk():
     # a chunk takes the lock of each remote process it reaches once, however
     # its items interleave and however often a part fills its buffer; a
-    # flush_expired with nothing due takes none
+    # flush_expired with nothing due takes none, and next_deadline none at
+    # all, on a filled row or an empty one
     topo = Topology(1, 4, 2)  # processes 0-3, two workers each
     agg, tr = make_agg(SchemeKind.PP, topo, g=2, timeout_ns=100)
     log = _count_locks(agg)
@@ -381,7 +393,8 @@ def test_pp_locks_each_buffer_once_per_chunk():
     assert [d for d, _, _ in tr.local] == [0, 1]
     assert agg.owner_buffered(0) == 2  # one item each for processes 1, 2
     log.clear()
-    assert agg.flush_expired(1, now=109) == 0  # the oldest is due at 110
+    assert [agg.next_deadline(w) for w in range(8)] == [111] * 2 + [None] * 6
+    assert agg.flush_expired(1, now=109) == 0  # the oldest is due at 111
     assert agg.flush_expired(2, now=10**6) == 0  # process 1's row is empty
     assert log == []
     assert agg.flush_expired(0, now=111) == 1  # only process 2's buffer
@@ -415,14 +428,16 @@ def test_flush_expired_only_due_buffers(kind):
     assert agg.flush_expired(0, now=1000) == 0  # nothing left
 
 
-def test_pending_deadlines_sorted():
+def test_next_deadline_follows_each_owners_flush():
     agg, _ = make_agg(SchemeKind.WW, Topology(1, 3, 1), g=10, timeout_ns=100)
     agg.insert(2, mk_item(0, 0, created_at=40))
     agg.insert(0, mk_item(1, 1, created_at=10))
-    ddls = agg.pending_deadlines()
-    assert ddls == [(0, 110), (2, 140)]
+    assert [agg.next_deadline(o) for o in range(3)] == [110, None, 140]
+    assert buffer_heads(agg) == [(0, 1, mk_item(1, 1, created_at=10)),
+                                 (2, 0, mk_item(0, 0, created_at=40))]
     agg.flush(0, 50)
-    assert agg.pending_deadlines() == [(2, 140)]
+    assert [agg.next_deadline(o) for o in range(3)] == [None, None, 140]
+    assert buffer_heads(agg) == [(2, 0, mk_item(0, 0, created_at=40))]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -449,7 +464,8 @@ def test_seal_clears_timeout_timer():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2, timeout_ns=100)
     agg.insert(0, mk_item(1, 0))
     agg.insert(0, mk_item(1, 1, created_at=1))  # fills: timer must vanish
-    assert agg.pending_deadlines() == []
+    assert [agg.next_deadline(o) for o in range(2)] == [None, None]
+    assert buffer_heads(agg) == []
     assert agg.flush_expired(0, now=10**9) == 0
 
 
@@ -552,7 +568,9 @@ def test_insert_batch_matches_insert_loop(kind, data):
             b.flush_expired(src, now + 60)
         assert ta.messages == tb.messages
         assert ta.local == tb.local
-        assert a.pending_deadlines() == b.pending_deadlines()
+        assert [a.next_deadline(o) for o in range(6)] == [
+            b.next_deadline(o) for o in range(6)]
+        assert buffer_heads(a) == buffer_heads(b)
         assert a.total_buffered() == b.total_buffered()
         assert [a.owner_buffered(o) for o in range(6)] == [
             b.owner_buffered(o) for o in range(6)]
@@ -589,7 +607,9 @@ def test_pp_insert_batch_matches_one_item_chunks(data):
             b.flush_expired(src, now + 60)
         assert ta.messages == tb.messages
         assert ta.local == tb.local
-        assert a.pending_deadlines() == b.pending_deadlines()
+        assert [a.next_deadline(o) for o in range(w)] == [
+            b.next_deadline(o) for o in range(w)]
+        assert buffer_heads(a) == buffer_heads(b)
         assert a.total_buffered() == b.total_buffered()
         assert [a.owner_buffered(o) for o in range(w)] == [
             b.owner_buffered(o) for o in range(w)]
@@ -751,4 +771,5 @@ def test_exactly_once_hand_driven(kind, data):
             got.extend((d, it.seq) for it in items)
     assert Counter(got) == Counter(sent)
     assert agg.total_buffered() == 0
-    assert agg.pending_deadlines() == []
+    assert [agg.next_deadline(o) for o in range(4)] == [None] * 4
+    assert buffer_heads(agg) == []
