@@ -16,6 +16,7 @@ estimate, not the wall time its insert began.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import count
 
@@ -60,7 +61,7 @@ class _IGWorker(WorkerProgram):
         self.issued = 0
         self.indices = None
         self.send_ts = {}
-        self.rtts = []
+        self.rtts = array("q")
         self.bad_values = 0
 
     def on_start(self, ctx):
@@ -161,7 +162,7 @@ def run_ig(spec: IGSpec, *, scheme, g, topo, mode="sequential", cfg=None,
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]
-    rtts = []
+    rtts = array("q")
     for d in drivers:
         rtts.extend(d.rtts)
     result = IGResult(

@@ -2,19 +2,21 @@
 
 Message counters are recorded at the origin when a coalesced message is
 emitted; per-item latency samples are taken at delivery on the destination
-worker's shard. The sequential engine appends them to the shard's pending
-list and folds that list into the shard in chunks; every shard is folded
-when the shards are merged, once, at quiescence. A negative sample raises
-InternalInvariantError when it is folded, not when it is appended.
-Percentiles use the nearest-rank rule on a uniform reservoir (exact while
-sample counts stay under the cap), read by selection rather than a full
-sort.
+worker's shard. Both engines append them to the shard's pending buffer and
+fold that buffer into the shard in chunks; every shard is folded when the
+shards are merged, once, at quiescence. Pending and kept samples are int64
+buffers (array "q"), 8 bytes a sample, so no Python int per delivered item
+outlives the delivery. A negative sample raises InternalInvariantError when
+it is folded, not when it is appended. Percentiles use the nearest-rank rule
+on a uniform reservoir (exact while sample counts stay under the cap), read
+by selection rather than a full sort.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,53 +87,63 @@ def summarize(samples, total=None, count=None, maximum=None) -> dict:
 class LatencyShard:
     """One worker's latency samples: exact mean/max, capped uniform reservoir.
 
-    pending holds samples not yet applied. fold() applies them in order with
-    exactly the effect of record() on each (Vitter's Algorithm R: a sample
-    past the cap draws randrange(seen) and replaces that slot if it is below
-    the cap), so when a sample is folded does not change the result. A
-    negative sample stops the fold: the samples before it are applied, it
-    stays first in pending, and InternalInvariantError is raised.
+    pending holds the samples not yet applied and samples the reservoir;
+    both are int64 buffers (array "q"), 8 bytes a sample. fold() applies the
+    pending samples in order with exactly the effect of record() on each
+    (Vitter's Algorithm R: a sample past the cap draws randrange(seen) and
+    replaces that slot if it is below the cap), so when a sample is folded
+    does not change the result. total stays an exact Python int. A negative
+    sample stops the fold: the samples before it are applied, it stays
+    first in pending, and InternalInvariantError is raised.
     """
 
     __slots__ = ("samples", "seen", "total", "max", "cap", "_rng", "pending")
 
     def __init__(self, cap: int, seed_material):
-        self.samples = []
+        self.samples = array("q")
         self.seen = 0
         self.total = 0
         self.max = 0
         self.cap = cap
         # repr: str seeding is stable across runs; tuple seeding is not
         self._rng = random.Random(repr(seed_material))
-        self.pending = []
+        self.pending = array("q")
 
     def record(self, d: int) -> None:
         """Fold the pending samples, then d."""
         self.pending.append(d)
         self.fold()
 
+    # A numpy view exports p's buffer, and an exporting array cannot be
+    # resized: each view is dropped before p is cut.
     def fold(self) -> None:
         """Apply the pending samples in order and empty pending."""
         p = self.pending
         if not p:
             return
-        if min(p) < 0:
-            bad = next(i for i, d in enumerate(p) if d < 0)
-            self._apply(p[:bad])
-            del p[:bad]
-            raise InternalInvariantError(f"negative latency sample {p[0]}")
-        self._apply(p)
-        p.clear()
+        v = np.frombuffer(p, dtype=np.int64)
+        if v.min() >= 0:
+            del v
+            self._apply(p)
+            del p[:]
+            return
+        bad = int((v < 0).argmax())  # the first negative sample
+        del v
+        self._apply(p[:bad])
+        del p[:bad]
+        raise InternalInvariantError(f"negative latency sample {p[0]}")
 
     def _apply(self, ds) -> None:
-        """Apply the non-negative samples ds in order."""
+        """Apply the non-negative samples ds (an array "q") in order."""
         k = len(ds)
         if not k:
             return
+        v = np.frombuffer(ds, dtype=np.int64)
+        top = int(v.max())
+        # an int64 sum wraps silently; below this bound it cannot
+        self.total += int(v.sum()) if top * k < 2**63 else sum(ds)
         seen = self.seen
         self.seen = seen + k
-        self.total += sum(ds)
-        top = max(ds)
         if top > self.max:
             self.max = top
         s = self.samples
@@ -235,7 +247,7 @@ def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
     """
     if not quiesced:
         raise UsageError("summarize called before quiescence")
-    samples = []
+    samples = array("q")
     total = 0
     count = 0
     maximum = 0

@@ -61,10 +61,12 @@ import queue
 import random
 import threading
 import time
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, repeat
+from numbers import Integral
 from operator import itemgetter, sub
 
 import numpy as np
@@ -212,8 +214,9 @@ class _Worker:
         return self.now
 
     def advance(self, ns: int) -> None:
-        if ns < 0:
-            raise UsageError(f"cannot advance a clock by {ns} ns")
+        # an int64 sample buffer takes no float: keep the clock integer
+        if not isinstance(ns, Integral) or ns < 0:
+            raise UsageError(f"cannot advance a clock by {ns!r} ns")
         self.now += ns
 
     def insert(self, dest: int, payload) -> None:
@@ -276,6 +279,19 @@ class _WallWorker(_Worker):
 def _miscounted(times, items):
     return UsageError(f"batch sink returned {len(times)} delivery times "
                       f"for {len(items)} items")
+
+
+def _unsampled(times, items):
+    """The UsageError naming the first delivery time that is not an integer
+    ns within int64, or whose latency sample is not."""
+    for t, it in zip(times, items):
+        try:
+            array("q", (t, t - it[2]))
+        except (TypeError, OverflowError):
+            break
+    return UsageError(f"batch sink returned delivery time {t!r} for an item "
+                      f"sent at {it[2]!r}; delivery times are integer ns, "
+                      "and each time and latency sample must fit in int64")
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +518,17 @@ class SequentialRun(_BaseRun):
                     times = count(now + dns, dns) if k > 1 else (w.now,)
                 elif len(times) != k:
                     raise _miscounted(times, items)
+                elif times[-1] >= 2**63:  # the clock stays int64 too
+                    raise _unsampled(times, items)
                 elif times[-1] > w.now:  # else the sink's last stamp
                     w.now = times[-1]
-                if k == 1:
-                    sample(times[0] - items[0][2])
-                else:
-                    pending.extend(map(sub, times, map(_CREATED, items)))
+                try:
+                    if k == 1:
+                        sample(times[0] - items[0][2])
+                    else:
+                        pending.extend(map(sub, times, map(_CREATED, items)))
+                except (TypeError, OverflowError):
+                    raise _unsampled(times, items) from None
                 w.delivered += k
                 if dl_log is not None:
                     dl_log.extend(map(_SEQ, items))
@@ -722,10 +743,18 @@ class ThreadedRun(_BaseRun):
             times = repeat(start)
         elif len(times) != len(items):
             raise _miscounted(times, items)
-        record = w.shard.record
-        for t, it in zip(times, items):
-            d = t - it[2]
-            record(d if d >= 0 else 0)
+        else:
+            # checked before the clamp below, which would hide a float
+            try:
+                times = array("q", times)
+            except (TypeError, OverflowError):
+                raise _unsampled(times, items) from None
+        pending = w.shard.pending
+        # wall estimates can precede a send stamp: clamp at 0
+        pending.extend(map(max, map(sub, times, map(_CREATED, items)),
+                           repeat(0)))
+        if len(pending) >= _FOLD_SAMPLES:
+            w.shard.fold()
         w.delivered += len(items)
         if w.dl_log is not None:
             w.dl_log.extend(map(_SEQ, items))

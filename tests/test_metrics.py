@@ -99,7 +99,7 @@ def test_shard_rejects_negative():
 
 
 def _shard_state(shard):
-    return (shard.samples, shard.seen, shard.total, shard.max,
+    return (list(shard.samples), shard.seen, shard.total, shard.max,
             shard._rng.getstate())
 
 
@@ -159,11 +159,18 @@ def test_fold_equals_record_loop(cap, pre, t0, step, groups, data):
             return
         if data.draw(st.booleans()):
             folded.fold()
-            assert folded.pending == []
+            assert len(folded.pending) == 0
             assert _shard_state(folded) == _shard_state(scalar)
     folded.fold()
     assert _shard_state(folded) == _shard_state(scalar)
     assert _shard_state(recorded) == _shard_state(scalar)
+
+
+def _merge(shards):
+    log = MessageLog(n_scopes=1, trace=False)
+    return merge(log, shards, scheme="ww", mode="sequential", seed=0,
+                 topo={}, g=1, item_bytes=8, produced=0, delivered=0,
+                 runtime_ns=0)
 
 
 def test_negative_sample_raises_at_fold():
@@ -176,14 +183,12 @@ def test_negative_sample_raises_at_fold():
     with pytest.raises(InternalInvariantError):
         shard.fold()
     assert _shard_state(shard) == before
-    log = MessageLog(n_scopes=1, trace=False)
     with pytest.raises(InternalInvariantError):
-        merge(log, [shard], scheme="ww", mode="sequential", seed=0, topo={},
-              g=1, item_bytes=8, produced=0, delivered=0, runtime_ns=0)
+        _merge([shard])
 
 
 class _PendingProbe(_HistWorker):
-    """Histogram driver that checks its shard's pending list on every
+    """Histogram driver that checks its shard's pending buffer on every
     delivered group."""
 
     def on_items(self, ctx, items):
@@ -201,8 +206,69 @@ def test_sequential_run_keeps_pending_bounded_and_folds_at_merge():
     m = h.await_quiescence(timeout_s=60)
     assert m.delivered == 20_000 * topo.total_workers
     assert m.item_latency["count"] == m.delivered
-    assert all(wk.shard.pending == [] for wk in h.workers)
+    assert all(len(wk.shard.pending) == 0 for wk in h.workers)
     assert sum(wk.shard.seen for wk in h.workers) == m.delivered
+
+
+def test_threaded_run_keeps_pending_bounded():
+    # each worker receives more than _FOLD_SAMPLES items, so its worker
+    # thread folds mid-run, and every sample still reaches the merge
+    topo = Topology(1, 2, 2)
+    spec = HistogramSpec(updates_per_worker=8_000, table_size=4096, seed=3)
+    agg = create_aggregator("wps", topo, 64, 16)
+    h = spawn(topo, agg, mode="threaded",
+              program=lambda wid: _PendingProbe(wid, spec, topo, 512),
+              seed=3)
+    m = h.await_quiescence(timeout_s=60)
+    assert all(wk.delivered > _FOLD_SAMPLES for wk in h.workers)
+    assert m.delivered == 8_000 * topo.total_workers
+    assert m.item_latency["count"] == m.delivered
+    assert all(len(wk.shard.pending) == 0 for wk in h.workers)
+
+
+def test_shard_total_is_exact_past_int64():
+    # an int64 sum of these two samples would wrap to -2**63
+    folded = LatencyShard(cap=4, seed_material=0)
+    folded.pending.extend([2**62, 2**62])
+    folded.fold()
+    assert folded.total == 2**63
+    assert folded.total / folded.seen == 2**62
+    merged = LatencyShard(cap=4, seed_material=0)
+    merged.pending.extend([2**62, 2**62])
+    lat = _merge([merged]).item_latency
+    assert merged.total == 2**63
+    assert lat == {"count": 2, "mean_ns": 2**62, "p50_ns": 2**62,
+                   "p99_ns": 2**62, "max_ns": 2**62}
+
+
+@given(st.lists(st.tuples(st.integers(1, 12),
+                          st.lists(st.integers(0, 10**6), max_size=40),
+                          st.integers(0, 40)),
+                min_size=1, max_size=5))
+def test_merge_equals_summarize_over_record_loops(specs):
+    """merge over shards, each folded part way and past its cap or not,
+    gives summarize over the record loops' reservoirs and exact counts."""
+    shards = []
+    refs = []
+    for i, (cap, ds, cut) in enumerate(specs):
+        shard = LatencyShard(cap, ("m", i))
+        ref = _RecordLoop(cap, ("m", i))
+        shard.pending.extend(ds[:cut])
+        shard.fold()
+        shard.pending.extend(ds[cut:])  # folded by merge
+        for d in ds:
+            ref.record(d)
+        shards.append(shard)
+        refs.append(ref)
+    count = sum(r.seen for r in refs)
+    want = summarize([d for r in refs for d in r.samples],
+                     total=sum(r.total for r in refs), count=count,
+                     maximum=max(r.max for r in refs) if count else None)
+    lat = _merge(shards).item_latency
+    assert lat == want
+    if count:
+        assert all(type(lat[k]) is int
+                   for k in ("p50_ns", "p99_ns", "max_ns"))
 
 
 def _msg(k, cause, src=0, dest_scope=1, t=2):

@@ -321,6 +321,12 @@ class _Rewinder(WorkerProgram):
         return True
 
 
+class _HalfStep(WorkerProgram):
+    def step(self, ctx):
+        ctx.advance(0.5)
+        return True
+
+
 class _Mismatched(WorkerProgram):
     def step(self, ctx):
         ctx.insert_many([0, 1], [None])
@@ -337,10 +343,10 @@ def test_usage_validation():
         spawn(topo, agg2, mode="warp", program=lambda wid: _Spinner())
     with pytest.raises(UsageError):
         TransportConfig(alpha_ns=-1)
-    # a driver may not move its clock backwards, nor pass insert_many
-    # unequal lists, in either engine
+    # a driver may not move its clock backwards or by a fraction of a ns,
+    # nor pass insert_many unequal lists, in either engine
     for mode in ("sequential", "threaded"):
-        for driver in (_Rewinder, _Mismatched):
+        for driver in (_Rewinder, _HalfStep, _Mismatched):
             h = _spawn(topo, SchemeKind.WW, 4, mode=mode,
                        program=lambda wid, d=driver: d())
             with pytest.raises(UsageError):
@@ -411,6 +417,29 @@ def test_batch_sink_must_time_every_item(mode):
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, mode=mode,
                program=_MiscountingSink)
     with pytest.raises(UsageError, match="2 delivery times for 1 items"):
+        h.await_quiescence(timeout_s=30)
+
+
+class _BadTimesSink(_MiscountingSink):
+    """As _MiscountingSink, but the batch sink returns the time `bad` for
+    every item."""
+
+    def __init__(self, wid, bad):
+        super().__init__(wid)
+        self.bad = bad
+
+    def on_items(self, ctx, items):
+        return [self.bad] * len(items)
+
+
+@pytest.mark.parametrize("bad", [1500.0, 2**63])
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_batch_sink_times_are_int64_ns(mode, bad):
+    # a float time or one past int64 is refused as a usage error, not
+    # surfaced as the sample buffer's TypeError or OverflowError
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, mode=mode,
+               program=lambda wid: _BadTimesSink(wid, bad))
+    with pytest.raises(UsageError, match=f"delivery time {bad!r} "):
         h.await_quiescence(timeout_s=30)
 
 
