@@ -40,10 +40,6 @@ class Graph:
     def m(self) -> int:
         return int(self.heads.size)
 
-    def out_edges(self, u):
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.heads[lo:hi], self.weights[lo:hi]
-
 
 def random_graph(n: int, out_degree: int, seed: int,
                  max_weight: int = 100) -> Graph:

@@ -108,8 +108,11 @@ class _SSSPWorker(WorkerProgram):
 
     # called between phases via broadcast_task
     def release(self, ctx, new_threshold):
+        """Insert the deferred updates below new_threshold; returns how many
+        were deferred before it, so 0 everywhere ends the run."""
         self.threshold = new_threshold
         heap = self.deferred
+        found = len(heap)
         size = self.block_size
         dests = []
         updates = []
@@ -118,7 +121,7 @@ class _SSSPWorker(WorkerProgram):
             dests.append(v // size)
             updates.append((v, d))
         ctx.insert_many(dests, updates)
-        return len(heap)
+        return found
 
 
 class SSSPResult(BenchResult):
@@ -169,13 +172,12 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         phases += 1
         if phases > _MAX_PHASES:
             raise OracleMismatch("threshold window made no progress")
-        # quiescent here, so the heaps are the complete remaining work
-        if not any(handle.broadcast_task(
-                lambda ctx: len(ctx.driver.deferred))):
-            break
+        # quiescent here, so the heaps are the complete remaining work; a
+        # release into empty heaps inserts nothing
         threshold += spec.threshold_delta
-        handle.broadcast_task(
-            lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))
+        if not any(handle.broadcast_task(
+                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))):
+            break
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]

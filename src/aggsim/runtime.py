@@ -9,10 +9,12 @@ Run modes:
   real; transport costs are recorded but not slept.
 
 Both engines share one worker context, one per-message cost and accounting
-path, and the handle surface; they differ only in the clock, the delivery
-queue and how a message is enqueued. An aggregator calls the engine's
-send(msg) once per sealed message, in emit order; it is the transport's only
-per-message entry.
+path, one delivery path (_drain, which takes each item's latency sample),
+and the handle surface; they differ only in the clock, the delivery queue
+and how a message is enqueued. The threaded engine hands _drain each group
+as it takes it, with the worker's clock set to the wall time of the take.
+An aggregator calls the engine's send(msg) once per sealed message, in emit
+order; it is the transport's only per-message entry.
 
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
@@ -80,7 +82,7 @@ MODE_SEQUENTIAL = "sequential"
 MODE_THREADED = "threaded"
 RUN_MODES = (MODE_SEQUENTIAL, MODE_THREADED)
 
-_DELIVER_BUDGET = 256  # max items drained per worker turn (sequential)
+_DELIVER_BUDGET = 256  # max items drained per worker turn
 _FOLD_SAMPLES = 4096  # pending latency samples that trigger a fold
 _CREATED = itemgetter(2)
 _SEQ = itemgetter(3)
@@ -229,12 +231,23 @@ class _Worker:
         the clock ends at the last stamp.
         """
         wns = self.work_ns
-        self.insert_stamped(dests, payloads, count(self.now + wns, wns))
+        self._insert(dests, payloads, count(self.now + wns, wns))
+
+    def insert_stamped(self, dests, payloads, stamps) -> None:
+        """insert_many, with item i stamped stamps[i], an int within int64."""
+        if len(stamps) != len(dests):
+            raise UsageError(f"{len(dests)} destinations but {len(stamps)} "
+                             "stamps")
+        try:
+            checked = array("q", stamps)
+        except (TypeError, OverflowError):
+            raise _unstamped(stamps) from None
+        self._insert(dests, payloads, checked)
 
     # The clock and the seq counter move only once the aggregator accepted
-    # the chunk, so a refused insert leaves no trace in the run.
-    def insert_stamped(self, dests, payloads, stamps) -> None:
-        """insert_many, with item i stamped stamps' i-th value."""
+    # the chunk, so a refused insert leaves no trace in the run. The stamps
+    # are ints: spawn checks work_ns, insert_stamped the stamps it is given.
+    def _insert(self, dests, payloads, stamps) -> None:
         n = len(dests)
         if len(payloads) != n:
             raise UsageError(f"{n} destinations but {len(payloads)} payloads")
@@ -261,10 +274,12 @@ class _Worker:
 class _WallWorker(_Worker):
     """Worker context on the wall clock (threaded engine).
 
-    Wall time passes on its own, so now only carries the latest insert's
-    timestamp and advance has no effect beyond its argument check. Each item
-    is stamped with the wall time at which it is built, whatever stamps the
-    caller computed.
+    time_ns reads the wall clock, and each item is stamped with the wall
+    time at which it is built, whatever stamps the caller computed. now is
+    the clock the shared delivery path reads: the worker sets it to the
+    wall time at which it takes a group, and deliveries (deliver_ns per
+    item), advance and inserts (their last wall stamp) move it from there,
+    so a group's latency samples are estimates anchored at its take.
     """
 
     __slots__ = ()
@@ -272,8 +287,14 @@ class _WallWorker(_Worker):
     def time_ns(self) -> int:
         return time.monotonic_ns() - self._epoch
 
-    def insert_stamped(self, dests, payloads, stamps) -> None:
-        super().insert_stamped(dests, payloads, iter(self.time_ns, None))
+    def _insert(self, dests, payloads, stamps) -> None:
+        super()._insert(dests, payloads, iter(self.time_ns, None))
+
+
+def _unstamped(stamps):
+    t = next(t for t in stamps
+             if not isinstance(t, Integral) or not -2**63 <= t < 2**63)
+    return UsageError(f"insert stamp {t!r} is not an integer ns within int64")
 
 
 def _miscounted(times, items):
@@ -458,48 +479,12 @@ class _BaseRun:
             self._comm_count[po] += 1
         return base + net
 
-
-# ---------------------------------------------------------------------------
-# sequential engine
-# ---------------------------------------------------------------------------
-
-class SequentialRun(_BaseRun):
-    """Deterministic single-thread engine over virtual time."""
-
-    mode = MODE_SEQUENTIAL
-
-    def __init__(self, topo, agg, cfg, program, **kw):
-        super().__init__(topo, agg, cfg, program, **kw)
-        self._chan_last = {}
-        self._sched = random.Random(repr((self._seed, 0x5EED)))
-        for ctx in self._workers:
-            ctx.driver.on_start(ctx)
-
-    # -- transport interface (called by the aggregator) --------------------
-    def send(self, msg):
-        """Deliver one sealed message: the transport's only per-message
-        entry. Every scheme calls it once per message, in emit order."""
-        plan = self._agg.on_receive(msg)
-        arrival = int(self._account(msg) + 0.5)
-        ch = (msg[0], plan[0][0] // self._t)
-        last = self._chan_last.get(ch)
-        if last is not None and arrival < last:
-            arrival = last
-        self._chan_last[ch] = arrival
-        if self._arrivals is not None:
-            self._arrivals.append((*ch, arrival))
-        workers = self._workers
-        for wid, group in plan:
-            workers[wid].queue.append((arrival, group))
-
-    def local_deliver(self, dest, items, now):
-        self._workers[dest].queue.append((now, items))
-
-    # -- stepping -----------------------------------------------------------
-    def _drain(self, w, budget):
+    # -- delivery: the one path of both engines ---------------------------
+    def _drain(self, w, queue, budget):
+        """Deliver queue's (arrival, items) entries to worker w, whole, until
+        budget items are done; returns whether any was."""
         dns = self._deliver_ns
         done = 0
-        queue = w.queue
         pending = w.shard.pending
         sample = pending.append
         dl_log = w.dl_log
@@ -550,6 +535,44 @@ class SequentialRun(_BaseRun):
                 w.shard.fold()
         return done > 0
 
+
+# ---------------------------------------------------------------------------
+# sequential engine
+# ---------------------------------------------------------------------------
+
+class SequentialRun(_BaseRun):
+    """Deterministic single-thread engine over virtual time."""
+
+    mode = MODE_SEQUENTIAL
+
+    def __init__(self, topo, agg, cfg, program, **kw):
+        super().__init__(topo, agg, cfg, program, **kw)
+        self._chan_last = {}
+        self._sched = random.Random(repr((self._seed, 0x5EED)))
+        for ctx in self._workers:
+            ctx.driver.on_start(ctx)
+
+    # -- transport interface (called by the aggregator) --------------------
+    def send(self, msg):
+        """Deliver one sealed message: the transport's only per-message
+        entry. Every scheme calls it once per message, in emit order."""
+        plan = self._agg.on_receive(msg)
+        arrival = int(self._account(msg) + 0.5)
+        ch = (msg[0], plan[0][0] // self._t)
+        last = self._chan_last.get(ch)
+        if last is not None and arrival < last:
+            arrival = last
+        self._chan_last[ch] = arrival
+        if self._arrivals is not None:
+            self._arrivals.append((*ch, arrival))
+        workers = self._workers
+        for wid, group in plan:
+            workers[wid].queue.append((arrival, group))
+
+    def local_deliver(self, dest, items, now):
+        self._workers[dest].queue.append((now, items))
+
+    # -- stepping -----------------------------------------------------------
     def _round(self, order):
         workers = self._workers
         agg = self._agg
@@ -561,7 +584,7 @@ class SequentialRun(_BaseRun):
             if tns and agg.flush_expired(wid, w.now):
                 progress = True
             if w.queue:
-                if self._drain(w, _DELIVER_BUDGET):
+                if self._drain(w, w.queue, _DELIVER_BUDGET):
                     progress = True
             elif not w.driver_done:
                 if w.driver.step(w):
@@ -723,54 +746,17 @@ class ThreadedRun(_BaseRun):
         plan = self._agg.on_receive(msg)
         with self._tlock:
             self._account(msg)
-            arrival = time.monotonic_ns() - self._epoch
             if self._arrivals is not None:
-                self._arrivals.append(
-                    (msg[0], plan[0][0] // self._t, arrival))
+                self._arrivals.append((msg[0], plan[0][0] // self._t,
+                                       time.monotonic_ns() - self._epoch))
             self._busy += len(plan)
             for wid, group in plan:
-                self._workers[wid].queue.put((_T_DELIVER, arrival, group))
+                self._workers[wid].queue.put((_T_DELIVER, group))
 
     def local_deliver(self, dest, items, now):
-        self._put(dest, (_T_DELIVER, now, items))
+        self._put(dest, (_T_DELIVER, items))
 
     # -- worker thread --------------------------------------------------------
-    def _deliver_batch(self, w, items):
-        # a batch sink that returns no times had the group at the call
-        start = w.time_ns()
-        times = (w.batch_sink or self._item_sink)(w, items)
-        if times is None:
-            times = repeat(start)
-        elif len(times) != len(items):
-            raise _miscounted(times, items)
-        else:
-            # checked before the clamp below, which would hide a float
-            try:
-                times = array("q", times)
-            except (TypeError, OverflowError):
-                raise _unsampled(times, items) from None
-        pending = w.shard.pending
-        # wall estimates can precede a send stamp: clamp at 0
-        pending.extend(map(max, map(sub, times, map(_CREATED, items)),
-                           repeat(0)))
-        if len(pending) >= _FOLD_SAMPLES:
-            w.shard.fold()
-        w.delivered += len(items)
-        if w.dl_log is not None:
-            w.dl_log.extend(map(_SEQ, items))
-        # deliveries may hand the driver new local work; poll it again
-        w.driver_done = False
-
-    @staticmethod
-    def _item_sink(w, items):
-        """on_item per item, as a batch sink timed by the wall clock."""
-        on_item = w.driver.on_item
-        times = []
-        for it in items:
-            times.append(w.time_ns())
-            on_item(w, it)
-        return times
-
     def _wloop(self, w):
         agg = self._agg
         idle = self._idle
@@ -811,7 +797,9 @@ class ThreadedRun(_BaseRun):
                         self._busy -= 1
                 tag = e[0]
                 if tag == _T_DELIVER:
-                    self._deliver_batch(w, e[2])
+                    # the group arrives at its take, on the wall clock
+                    now = w.now = w.time_ns()
+                    self._drain(w, deque([(now, e[1])]), _DELIVER_BUDGET)
                 elif tag == _T_TASK:
                     e[3].append(e[1](w))
                     e[2].set()
@@ -928,12 +916,18 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     """Create worker contexts, wire the aggregator, and start the run.
 
     program is a callable worker_id -> WorkerProgram. work_ns advances the
-    inserting worker's virtual clock per insert; deliver_ns advances the
-    destination's per delivered item (sequential mode only; wall clocks tick
-    on their own, so there the times a batch sink computes from both are
-    estimates). Threaded mode refuses more than MAX_THREADED_WORKERS
-    workers. Returns the run handle; call await_quiescence on it.
+    inserting worker's clock per insert and deliver_ns the destination's per
+    delivered item, in both engines; both must be non-negative ints. In
+    threaded mode a delivered group starts at the wall time its worker takes
+    it, so its items' delivery times and latency samples are estimates
+    anchored there, and inserts are stamped with the wall clock. Threaded
+    mode refuses more than MAX_THREADED_WORKERS workers. Returns the run
+    handle; call await_quiescence on it.
     """
+    for name, ns in (("work_ns", work_ns), ("deliver_ns", deliver_ns)):
+        # the clock and every stamp insert_many derives from it stay ints
+        if not isinstance(ns, int) or ns < 0:
+            raise UsageError(f"{name} must be a non-negative int, got {ns!r}")
     engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL
               else ThreadedRun)
     return engine(topo, agg, cfg, program, seed=seed, work_ns=work_ns,

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from aggsim import runtime
 from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
-from aggsim.errors import QuiescenceTimeout, UsageError
+from aggsim.errors import (InternalInvariantError, QuiescenceTimeout,
+                           UsageError)
 from aggsim.benchmarks import (HistogramSpec, IGSpec, PholdSpec, SSSPSpec,
                                random_graph, run_histogram, run_sssp)
 from aggsim.benchmarks.histogram import _HistWorker
@@ -441,6 +442,115 @@ def test_batch_sink_times_are_int64_ns(mode, bad):
                program=lambda wid: _BadTimesSink(wid, bad))
     with pytest.raises(UsageError, match=f"delivery time {bad!r} "):
         h.await_quiescence(timeout_s=30)
+
+
+class _StampRecorder(WorkerProgram):
+    """Worker 0 sends worker 1 `n` items in one chunk; worker 1's batch sink
+    records each group's send stamps and returns None."""
+
+    def __init__(self, wid, n):
+        self.wid = wid
+        self.n = n
+        self.groups = []
+
+    def step(self, ctx):
+        if self.wid or self.n == 0:
+            return False
+        ctx.insert_many([1] * self.n, [None] * self.n)
+        self.n = 0
+        return True
+
+    def on_items(self, ctx, items):
+        self.groups.append([it.created_at for it in items])
+
+
+def test_threaded_none_sink_samples_follow_the_sequential_rule():
+    # item i of a group taken at s is delivered at s + (i+1)*deliver_ns, so
+    # sample_i + created_at_i - (i+1)*deliver_ns is s for every item
+    n = 8
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, n, mode="threaded",
+               program=lambda wid: _StampRecorder(wid, n), deliver_ns=50)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.delivered == n
+    (group,) = h.workers[1].driver.groups
+    samples = h.workers[1].shard.samples
+    assert len(group) == len(samples) == n
+    starts = {d + c - (i + 1) * 50
+              for i, (d, c) in enumerate(zip(samples, group))}
+    assert len(starts) == 1
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_threaded_sink_time_before_the_send_raises(mode):
+    # a delivery time before the item's send stamp is a negative sample,
+    # which raises when it is folded, in the threaded engine too
+    class _Early(_MiscountingSink):
+        def on_items(self, ctx, items):
+            return [it.created_at - 1 for it in items]
+
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, mode=mode,
+               program=_Early)
+    with pytest.raises(InternalInvariantError,
+                       match="negative latency sample -1"):
+        h.await_quiescence(timeout_s=30)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("arg,bad", [("work_ns", 0.5), ("deliver_ns", 0.5),
+                                     ("work_ns", -5), ("deliver_ns", -1),
+                                     ("work_ns", None)])
+def test_spawn_refuses_non_int_clock_steps(mode, arg, bad):
+    def program(wid):
+        raise AssertionError("a context was built")
+    with pytest.raises(UsageError, match=f"{arg} must be a non-negative "
+                                         f"int, got {bad!r}"):
+        _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
+               program=program, **{arg: bad})
+
+
+class _BadStamp(WorkerProgram):
+    """Worker 0 offers worker 1 a chunk stamped `stamps`, checks that the
+    refusal moved no clock, seq or buffer, then sends one item."""
+
+    def __init__(self, wid, stamps):
+        self.wid = wid
+        self.stamps = stamps
+        self.done = False
+
+    def step(self, ctx):
+        if self.wid or self.done:
+            return False
+        self.done = True
+        now, seq = ctx.now, ctx.seq_next
+        with pytest.raises(UsageError) as err:
+            ctx.insert_stamped([1, 1], [None, None], self.stamps)
+        assert (ctx.now, ctx.seq_next) == (now, seq)
+        assert ctx._agg.total_buffered() == 0
+        self.error = str(err.value)
+        ctx.insert(1, None)
+        return True
+
+    def on_item(self, ctx, item):
+        pass
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("stamps,error", [
+    ([100, 100.5], "insert stamp 100.5 is not"),
+    ([None, 100], "insert stamp None is not"),
+    ([100, 2**63], f"insert stamp {2**63} is not"),
+    ([-2**63 - 1, 100], f"insert stamp {-2**63 - 1} is not"),
+    ([100], "2 destinations but 1 stamps"),
+], ids=["float", "none", "past-int64", "below-int64", "short"])
+def test_insert_stamped_refuses_non_int64_stamps(mode, stamps, error):
+    # checked before anything moves; the threaded engine checks the stamps
+    # it then replaces with wall times
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
+               program=lambda wid: _BadStamp(wid, stamps), record_items=True)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.produced == m.delivered == 1
+    assert h.inserted_seqs() == h.delivered_seqs() == [0]
+    assert h.workers[0].driver.error.startswith(error)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
