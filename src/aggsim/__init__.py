@@ -25,12 +25,13 @@ from .runtime import (MODE_SEQUENTIAL, MODE_THREADED, RUN_MODES, RunHandle,
                       TransportConfig, WorkerProgram, parse_mode, spawn)
 from .schemes import (CAUSE_FLUSH, CAUSE_FULL, CoalescedMessage, SchemeKind,
                       create_aggregator, group_items, split_grouped)
-from .topology import Item, Topology, node_of, process_of, workers_of
+from .topology import (Batch, Item, Topology, node_of, process_of,
+                       workers_of)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggError", "CAUSE_FLUSH", "CAUSE_FULL", "CoalescedMessage",
+    "AggError", "Batch", "CAUSE_FLUSH", "CAUSE_FULL", "CoalescedMessage",
     "CostInputs", "InternalInvariantError", "Item", "MODE_SEQUENTIAL",
     "MODE_THREADED", "OracleMismatch", "QuiescenceTimeout", "RUN_MODES",
     "RunHandle", "RunMetrics", "SchemeKind", "SetupError", "Topology",

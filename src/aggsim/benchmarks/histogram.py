@@ -4,20 +4,27 @@ Every worker inserts updates_per_worker increments to uniformly random bins;
 bins are dealt to workers cyclically (bin b lives on worker b mod w). The
 oracle is a direct bincount over every worker's pre-drawn bin stream, so the
 final table must match it exactly for any scheme, mode, or buffer size.
+
+The updates travel as int64 columns: each step inserts a slice of the
+pre-drawn array with ctx.insert_columns, as a column chunk (a Batch of the
+columns dest, payload, created_at and seq), and the sink adds one bincount
+per delivered Batch group. Groups that reach it as lists of Items
+(same-process updates, pp, the threaded engine) are counted one by one.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import OracleMismatch, UsageError
 from ..runtime import WorkerProgram
-from ..topology import Topology
+from ..topology import Batch, Topology
 from .base import (BenchResult, DEFAULT_TIMEOUT_S, int64_digest, launch,
                    positive)
 
-_CHUNK = 256  # updates per insert_many call
+_CHUNK = 256  # updates per insert_columns call
 
 
 @dataclass(frozen=True)
@@ -44,15 +51,18 @@ class _HistWorker(WorkerProgram):
         self.pos = 0
         self.bins = None
         self.counts = None
+        self._table = None
 
     def on_start(self, ctx):
         spec = self.spec
-        # pre-draw the whole stream; lists beat numpy scalars in the hot loop
-        draws = ctx.rng.integers(0, spec.table_size,
-                                 size=spec.updates_per_worker)
-        self.bins = draws.tolist()
+        # pre-draw the whole stream as one int64 array
+        self.bins = ctx.rng.integers(0, spec.table_size,
+                                     size=spec.updates_per_worker)
         n_owned = (spec.table_size - self.wid + self.w - 1) // self.w
-        self.counts = [0] * n_owned
+        # an int64 buffer that Items index one slot at a time, and that
+        # _table, numpy's view of it, adds whole Batch groups into
+        self.counts = array("q", bytes(8 * n_owned))
+        self._table = np.frombuffer(self.counts, dtype=np.int64)
 
     def step(self, ctx):
         pos = self.pos
@@ -60,16 +70,20 @@ class _HistWorker(WorkerProgram):
         if pos >= end:
             return False
         chunk = self.bins[pos:end]
-        w = self.w
-        ctx.insert_many([b % w for b in chunk], chunk)
+        ctx.insert_columns(chunk % self.w, chunk)
         self.pos = end
         return True
 
     def on_items(self, ctx, items):
-        # cyclic deal: bin b maps to local slot (b - wid) / w
+        # cyclic deal: bin b maps to local slot (b - wid) / w, which is
+        # b // w for every bin b this worker owns
+        w = self.w
+        if type(items) is Batch:
+            slots = np.bincount(items.payload // w)
+            self._table[:slots.size] += slots
+            return
         counts = self.counts
         wid = self.wid
-        w = self.w
         for it in items:
             counts[(it[1] - wid) // w] += 1
 

@@ -16,6 +16,12 @@ as it takes it, with the worker's clock set to the wall time of the take.
 An aggregator calls the engine's send(msg) once per sealed message, in emit
 order; it is the transport's only per-message entry.
 
+Items travel as a list of Items, or on the column path as a Batch of int64
+columns: a column chunk from ctx.insert_columns stays a Batch through the
+ww/wps/wsp buffers, the message and the delivery group, and _drain takes
+such a group's latency samples in one vector op. Same-process items, pp
+and the threaded engine take a column chunk as Items.
+
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
 its origin process's single comm context for comm_cost_ns; that context is a
@@ -76,7 +82,7 @@ import numpy as np
 from .errors import InternalInvariantError, QuiescenceTimeout, UsageError
 from .metrics import DEFAULT_SAMPLES_CAP, LatencyShard, MessageLog, merge
 from .schemes import CAUSE_FULL, Aggregator
-from .topology import Item, Topology
+from .topology import Batch, Item, Topology
 
 MODE_SEQUENTIAL = "sequential"
 MODE_THREADED = "threaded"
@@ -156,6 +162,12 @@ class WorkerProgram:
     time, the clock the per-item loop reads: s + (i+1)*deliver_ns +
     work_ns*(inserts by earlier items) for item i of a group started at s,
     with its inserts stamped in that sequence through ctx.insert_stamped.
+
+    A group is a list of Items, or a Batch when it came through ww, wps or
+    wsp from column chunks: the Batches of int64 columns that
+    ctx.insert_columns builds from two arrays. A Batch iterates as Items,
+    so a sink that loops over Items takes either. Same-process items, pp
+    and the threaded engine deliver a column chunk's items as Items.
     """
 
     on_items = None
@@ -233,6 +245,28 @@ class _Worker:
         wns = self.work_ns
         self._insert(dests, payloads, count(self.now + wns, wns))
 
+    def insert_columns(self, dests, payloads) -> None:
+        """insert_many of two int64 arrays, as one column chunk: a Batch
+        stamped with numpy arithmetic, now + work_ns*(1..n) and seqs
+        seq_next + stride*(0..n-1), with no Item per item. The aggregator
+        takes it as a Batch, so the columns travel on to the sink."""
+        n = _column_count(dests, payloads)
+        if not n:
+            return
+        wns = self.work_ns
+        stride = self.seq_stride
+        data = np.empty((4, n), dtype=np.int64)
+        data[0] = dests
+        data[1] = payloads
+        ramp = np.arange(n, dtype=np.int64)
+        np.multiply(ramp, wns, out=data[2])
+        data[2] += self.now + wns
+        np.multiply(ramp, stride, out=data[3])
+        data[3] += self.seq_next
+        self._agg.insert_columns(self.wid, Batch(data))
+        self.now += n * wns
+        self.seq_next += n * stride
+
     def insert_stamped(self, dests, payloads, stamps) -> None:
         """insert_many, with item i stamped stamps[i], an int within int64."""
         if len(stamps) != len(dests):
@@ -289,6 +323,26 @@ class _WallWorker(_Worker):
 
     def _insert(self, dests, payloads, stamps) -> None:
         super()._insert(dests, payloads, iter(self.time_ns, None))
+
+    def insert_columns(self, dests, payloads) -> None:
+        # as Items, each stamped with the wall time at which it is built
+        _column_count(dests, payloads)
+        self.insert_many(dests.tolist(), payloads.tolist())
+
+
+def _column_count(dests, payloads) -> int:
+    """len(dests) of two equal-length 1-d int64 arrays; else UsageError."""
+    for a in (dests, payloads):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.int64
+                and a.ndim == 1):
+            what = (f"a {a.ndim}-d {a.dtype} array"
+                    if isinstance(a, np.ndarray) else type(a).__name__)
+            raise UsageError(f"insert_columns takes 1-d int64 arrays, got "
+                             f"{what}")
+    if len(payloads) != len(dests):
+        raise UsageError(f"{len(dests)} destinations but {len(payloads)} "
+                         "payloads")
+    return len(dests)
 
 
 def _unstamped(stamps):
@@ -482,7 +536,8 @@ class _BaseRun:
     # -- delivery: the one path of both engines ---------------------------
     def _drain(self, w, queue, budget):
         """Deliver queue's (arrival, items) entries to worker w, whole, until
-        budget items are done; returns whether any was."""
+        budget items are done; returns whether any was. A Batch group whose
+        sink returns None takes its samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -500,6 +555,20 @@ class _BaseRun:
                 times = batch_sink(w, items)
                 if times is None:
                     w.now = now + k * dns
+                    if type(items) is Batch and w.now < 2**63:
+                        # the samples below, now + (i+1)*dns - created_at,
+                        # in one vector op: each fits in int64, as the clock
+                        # does and a column chunk's stamps are >= 0
+                        ramp = np.arange(1, k + 1, dtype=np.int64)
+                        ramp *= dns
+                        ramp += now
+                        ramp -= items.created_at
+                        pending.frombytes(ramp.tobytes())
+                        w.delivered += k
+                        if dl_log is not None:
+                            dl_log.extend(items.seq.tolist())
+                        done += k
+                        continue
                     times = count(now + dns, dns) if k > 1 else (w.now,)
                 elif len(times) != k:
                     raise _miscounted(times, items)

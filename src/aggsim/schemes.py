@@ -29,18 +29,30 @@ Every seal builds its CoalescedMessage with tuple.__new__ and hands it
 straight to transport.send, one call per message, in emit order: a flush
 seals in ascending destination order. For ww/wps/wsp one helper, _seal,
 does that for a list of columns.
+
+A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
+int64 columns (insert_columns). ww/wps/wsp split a column chunk by column
+with one stable argsort; a buffer it fills keeps the chunk's column slices
+and seals them into one Batch, which the message carries and on_receive
+groups with one stable argsort of dest, so a delivery group may be a
+Batch or a list of Items. The chunk's same-process items still go to
+local_deliver one Item at a time. A buffer that both kinds of chunk fill
+seals into a list of Items. pp takes a column chunk as Items, and the
+threaded engine inserts one as Items, so its aggregator sees only lists.
 """
 from __future__ import annotations
 
 import threading
 from collections import defaultdict
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import SetupError, UsageError
-from .topology import Item, Topology
+from .topology import Batch, Item, Topology
 
 CAUSE_FULL = "full"
 CAUSE_FLUSH = "flush"
@@ -119,9 +131,10 @@ class GroupingStats:
             self.calls += 1
 
 
-def group_items(items: Sequence[Item], topo: Topology,
-                stats: Optional[GroupingStats] = None) -> list:
-    """Stable sort of a batch by destination worker.
+def group_items(items, topo: Topology,
+                stats: Optional[GroupingStats] = None):
+    """Stable sort of a batch by destination worker: a list of Items
+    sorted by dest, or a Batch by one stable argsort of its dest column.
 
     All destinations must live in one process. Relative order per
     destination is preserved, as by a counting sort over the t local
@@ -130,22 +143,107 @@ def group_items(items: Sequence[Item], topo: Topology,
     if not items:
         return []
     t = topo.workers_per_proc
-    first = items[0][0]
+    columns = type(items) is Batch
+    first = int(items.dest[0]) if columns else items[0][0]
     if not 0 <= first < topo.total_workers:
         raise UsageError(f"destination {first} out of range")
-    out = sorted(items, key=_DEST)
+    if columns:
+        dest = items.dest
+        low, high = int(dest.min()), int(dest.max())
+    else:
+        out = sorted(items, key=_DEST)
+        low, high = out[0][0], out[-1][0]
     base = (first // t) * t
-    if out[0][0] < base or out[-1][0] >= base + t:
+    if low < base or high >= base + t:
         raise UsageError(
             "group_items batch spans more than one destination process")
+    if columns:
+        out = Batch(items.data.take(_stable_order(dest - base, t), axis=1))
     if stats is not None:
         stats.add(len(items) + t)
     return out
 
 
-def split_grouped(items: Sequence[Item]) -> list:
-    """Split a dest-contiguous batch into (worker, run) pairs, in order."""
+def split_grouped(items) -> list:
+    """Split a dest-contiguous batch into (worker, run) pairs, in order: a
+    Batch into Batch slices, cut where its dest column changes."""
+    if type(items) is Batch:
+        dest = items.dest
+        cuts = (np.flatnonzero(dest[1:] != dest[:-1]) + 1).tolist()
+        starts = [0, *cuts]
+        return [(d, items[s:e]) for d, s, e in zip(
+            dest[starts].tolist(), starts, [*cuts, len(dest)])]
     return [(d, list(run)) for d, run in groupby(items, key=_DEST)]
+
+
+def _stable_order(keys, bound):
+    """keys.argsort(kind="stable") for int keys in [0, bound). numpy
+    radix-sorts integers of 16 bits or less, several times faster than it
+    merge-sorts int64, so keys that fit are cast first."""
+    if bound <= 1 << 8:
+        keys = keys.astype(np.uint8)
+    elif bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return keys.argsort(kind="stable")
+
+
+def _head(buf) -> int:
+    """created_at of a ww/wps/wsp buffer's oldest item."""
+    return buf[0][2] if type(buf) is list else buf.head()
+
+
+def _extend(row, col, part):
+    """Append the (4, m) column slice part to row's buffer col, which it
+    creates, or turns from a list of Items into _Slices, as needed."""
+    buf = row.get(col)
+    if buf is None:
+        row[col] = _Slices([part], part.shape[1])
+        return
+    if type(buf) is list:  # a list chunk's items come first
+        buf = row[col] = _Slices([buf], len(buf))
+    buf.parts.append(part)
+    buf.n += part.shape[1]
+
+
+class _Slices:
+    """A ww/wps/wsp buffer that a column chunk filled.
+
+    parts holds its items in order, as (4, m) column slices of the chunks
+    and, when a list chunk's items followed, lists of Items; n counts the
+    items. It has the list buffer's append and len, so a list chunk's item
+    loop fills it as it fills a list, and seal() makes it one Batch, or a
+    list of Items when any part is one.
+    """
+
+    __slots__ = ("parts", "n")
+
+    def __init__(self, parts, n):
+        self.parts = parts
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def append(self, item) -> None:
+        parts = self.parts
+        if type(parts[-1]) is not list:
+            parts.append([])
+        parts[-1].append(item)
+        self.n += 1
+
+    def head(self) -> int:
+        first = self.parts[0]
+        return first[0][2] if type(first) is list else int(first[2, 0])
+
+    def seal(self):
+        parts = self.parts
+        if list in map(type, parts):
+            items = []
+            for p in parts:
+                items.extend(p if type(p) is list else Batch(p))
+            return items
+        return Batch(parts[0] if len(parts) == 1
+                     else np.concatenate(parts, axis=1))
 
 
 class _SharedBuffer:
@@ -220,10 +318,18 @@ class Aggregator:
     def _check_batch(self, source, items):
         """Raise what the first bad item of items would raise. An unbound
         aggregator refuses an empty chunk too."""
-        dests = list(map(_DEST, items))
-        if (dests and self._transport is not None and min(dests) >= 0
-                and max(dests) < self._w):
-            return
+        w = self._w
+        if items and self._transport is not None:
+            if len(items) == 1:
+                if 0 <= items[0][0] < w:
+                    return
+            elif 0 <= min(map(_DEST, items)) and max(map(_DEST, items)) < w:
+                return
+        self._refuse(source, map(_DEST, items))
+
+    def _refuse(self, source, dests):
+        """Raise what the first bad destination of a chunk would raise, or
+        SetupError when the aggregator is unbound; return when neither."""
         for d in dests:
             self._check(source, d)
         if self._transport is None:
@@ -261,6 +367,11 @@ class Aggregator:
         an empty buffer. The chunk is checked whole first, so a bad item
         leaves no effect at all."""
         raise NotImplementedError
+
+    def insert_columns(self, source: int, batch: Batch) -> None:
+        """insert_batch of a column chunk, with the same effects. This one
+        takes it as Items; ww/wps/wsp buffer its columns."""
+        self.insert_batch(source, list(batch))
 
     def flush(self, source: int, now: int) -> int:
         raise NotImplementedError
@@ -344,12 +455,69 @@ class _WorkerBufferedAggregator(Aggregator):
             if len(buf) == g:
                 self._seal(source, (col,), CAUSE_FULL, it[2])
 
+    def insert_columns(self, source, batch):
+        # One stable argsort of the columns splits the chunk into runs, each
+        # in chunk order. The runs' buffer fills are sealed in the chunk
+        # order of their filling items, each sent at that item's stamp, as
+        # the item loop sends them; what is left of each run is then
+        # buffered. Same-process items go to local_deliver as one-item Item
+        # entries, in chunk order.
+        data = batch.data
+        dest = data[0]
+        if not (dest.size and self._transport is not None
+                and dest.min() >= 0 and dest.max() < self._w):
+            self._refuse(source, dest.tolist())
+            return  # an empty chunk
+        width = self._width
+        col = dest // width if width > 1 else dest
+        order = _stable_order(col, self._cols)
+        data = data.take(order, axis=1)
+        t = self._t
+        lo = (source // t) * t // width     # source process's columns
+        hi = lo + t // width
+        g = self.g
+        row = self._rows[source]
+        local = None   # the run of same-process columns, [start, end)
+        fills = []     # (filling item's chunk position, col, start, end)
+        rests = []     # (col, start, end) left buffered
+        e = 0
+        for c, m in enumerate(np.bincount(col).tolist()):
+            if not m:
+                continue
+            s = e
+            e += m
+            if lo <= c < hi:
+                local = (s if local is None else local[0], e)
+                continue
+            f = s + g - len(row.get(c, ()))
+            while f <= e:
+                fills.append((int(order[f - 1]), c, s, f))
+                s = f
+                f += g
+            if s < e:
+                rests.append((c, s, e))
+        if local is not None:
+            s, e = local
+            items = data[:, s:e]
+            if hi - lo > 1:  # ww: back to chunk order across destinations
+                items = items[:, order[s:e].argsort()]
+            local_deliver = self._transport.local_deliver
+            for it in map(tuple.__new__, repeat(Item), zip(*items.tolist())):
+                local_deliver(it[0], (it,), it[2])
+        fills.sort()  # the positions differ, so nothing else compares
+        for _, c, s, f in fills:
+            _extend(row, c, data[:, s:f])
+            self._seal(source, (c,), CAUSE_FULL, int(data[2, f - 1]))
+        for c, s, e in rests:
+            _extend(row, c, data[:, s:e])
+
     def _seal(self, source, cols, cause, now):
         """Take source's buffers cols out of its row, in order, and send each
         at now as one message, straight to the transport. Returns len(cols).
 
         A full seal passes its one column, flush the sorted row and
-        flush_expired the sorted due columns. wsp groups each batch here.
+        flush_expired the sorted due columns. wsp groups each batch here,
+        and a buffer filled by a column chunk seals into one Batch.
         """
         pop = self._rows[source].pop
         send = self._transport.send
@@ -360,6 +528,8 @@ class _WorkerBufferedAggregator(Aggregator):
         topo, stats = self.topo, self.grouping_stats
         for col in cols:
             batch = pop(col)
+            if type(batch) is _Slices:
+                batch = batch.seal()
             if at_source:
                 batch = group_items(batch, topo, stats)
             send(new(CoalescedMessage, (origin, col, batch, grouped, cause,
@@ -375,7 +545,7 @@ class _WorkerBufferedAggregator(Aggregator):
         if tns is None:
             return None
         # list() copies the row in one C call, as in owner_buffered
-        oldest = min((buf[0][2] for buf in list(self._rows[worker].values())),
+        oldest = min(map(_head, list(self._rows[worker].values())),
                      default=None)
         return None if oldest is None else oldest + tns
 
@@ -385,7 +555,7 @@ class _WorkerBufferedAggregator(Aggregator):
         if tns is None or not row:
             return 0
         return self._seal(source, sorted(
-            col for col, buf in row.items() if buf[0][2] + tns <= now),
+            col for col, buf in row.items() if _head(buf) + tns <= now),
             CAUSE_FLUSH, now)
 
 
@@ -395,8 +565,9 @@ class _WWAggregator(_WorkerBufferedAggregator):
     kind = SchemeKind.WW
 
     def on_receive(self, msg):
-        # single destination: trivially contiguous
-        return [(msg[1], list(msg[2]))]
+        # single destination: trivially contiguous; a Batch passes whole
+        items = msg[2]
+        return [(msg[1], items if type(items) is Batch else list(items))]
 
 
 class _ProcBufferedAggregator(_WorkerBufferedAggregator):

@@ -4,10 +4,14 @@ Workers, processes, and nodes carry dense zero-based global indices with a
 row-major mapping: workers [p*t, (p+1)*t) belong to process p (t workers per
 process), processes [n*ppn, (n+1)*ppn) belong to node n. All timestamps are
 integer nanoseconds so latency sums never accumulate float drift.
+
+An item travels either as an Item tuple in a list, or as one row of a Batch,
+whose int64 columns hold many items with integer payloads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, NamedTuple
 
 from .errors import UsageError
@@ -91,3 +95,36 @@ class Item(NamedTuple):
     payload: Any
     created_at: int
     seq: int
+
+
+class Batch:
+    """Items as int64 columns: data is one (4, k) array whose rows are the
+    Item fields dest, payload, created_at and seq, for k items in order.
+
+    ctx.insert_columns makes one per chunk, and on the column path a buffer
+    seals into one, a message carries one and a delivery group is one.
+    len() counts its items, and a slice is a Batch of the same columns'
+    slices, a view. An index or an iteration gives Items of Python ints, so
+    a sink that loops over Items reads a Batch as it reads a list of them.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = data
+
+    dest = property(lambda self: self.data[0])
+    payload = property(lambda self: self.data[1])
+    created_at = property(lambda self: self.data[2])
+    seq = property(lambda self: self.data[3])
+
+    def __len__(self) -> int:
+        return self.data.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Batch(self.data[:, i])
+        return Item(*self.data[:, i].tolist())
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(Item), zip(*self.data.tolist()))

@@ -118,6 +118,17 @@ def test_histogram_batch_path_matches_scalar(scheme):
                 assert batch == run(_ScalarHistWorker, g, chunk, timeout_ns)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_threaded_column_histogram_meets_oracle(scheme):
+    # the threaded engine takes each column chunk as Items stamped with the
+    # wall clock; run_histogram checks the table against its oracle
+    topo = Topology(2, 2, 2)
+    spec = HistogramSpec(updates_per_worker=3000, table_size=1024, seed=12)
+    r = run_histogram(spec, scheme=scheme, g=64, topo=topo, mode="threaded")
+    assert r.extra()["oracle_ok"] is True
+    assert r.metrics.produced == r.metrics.delivered == 3000 * 8
+
+
 def test_histogram_rejects_table_smaller_than_worker_count():
     with pytest.raises(UsageError):
         run_histogram(HistogramSpec(updates_per_worker=10, table_size=4,

@@ -21,7 +21,7 @@ from aggsim.benchmarks.phold import _PholdWorker
 from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
                             WorkerProgram, spawn)
 from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
-from aggsim.topology import Topology
+from aggsim.topology import Batch, Item, Topology
 
 ALL_KINDS = list(SchemeKind)
 
@@ -551,6 +551,128 @@ def test_insert_stamped_refuses_non_int64_stamps(mode, stamps, error):
     assert m.produced == m.delivered == 1
     assert h.inserted_seqs() == h.delivered_seqs() == [0]
     assert h.workers[0].driver.error.startswith(error)
+
+
+class _BadColumns(WorkerProgram):
+    """Worker 0 offers worker 1 the column chunk (dests, payloads), checks
+    that the refusal moved no clock, seq or buffer, then sends one item."""
+
+    def __init__(self, wid, dests, payloads):
+        self.wid = wid
+        self.chunk = (dests, payloads)
+        self.done = False
+
+    def step(self, ctx):
+        if self.wid or self.done:
+            return False
+        self.done = True
+        now, seq = ctx.now, ctx.seq_next
+        with pytest.raises(UsageError) as err:
+            ctx.insert_columns(*self.chunk)
+        assert (ctx.now, ctx.seq_next) == (now, seq)
+        assert ctx._agg.total_buffered() == 0
+        self.error = str(err.value)
+        ctx.insert(1, None)
+        return True
+
+    def on_item(self, ctx, item):
+        pass
+
+
+_I64 = np.array([1, 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("dests,payloads,error", [
+    ([1, 1], _I64, "insert_columns takes 1-d int64 arrays, got list"),
+    (_I64, _I64.astype(np.float64), "insert_columns takes 1-d int64 arrays"),
+    (_I64.reshape(1, 2), _I64, "insert_columns takes 1-d int64 arrays"),
+    (_I64, _I64[:1], "2 destinations but 1 payloads"),
+    (np.array([1, 2], dtype=np.int64), _I64, "destination worker 2 out"),
+], ids=["list", "float", "2-d", "short", "bad-dest"])
+def test_insert_columns_refuses_bad_chunks(mode, dests, payloads, error):
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
+               program=lambda wid: _BadColumns(wid, dests, payloads),
+               record_items=True)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.produced == m.delivered == 1
+    assert h.workers[0].driver.error.startswith(error)
+
+
+class _GroupSink(WorkerProgram):
+    """Records each delivered item's row and the clock its sink starts at;
+    on_items returns times(ctx, items), None when times is None."""
+
+    def __init__(self, wid, times=None, batch=True):
+        self.times = times
+        self.seen = []
+        if not batch:
+            self.on_items = None
+
+    def on_items(self, ctx, items):
+        self.seen.append((ctx.time_ns(), [tuple(it) for it in items]))
+        return None if self.times is None else self.times(ctx, items)
+
+    def on_item(self, ctx, item):
+        self.seen.append((ctx.time_ns(), [tuple(item)]))
+
+
+def _drain_groups(groups, dns, record_items, **sink):
+    """Queue groups, as (arrival, items), for worker 1 of a fresh sequential
+    run with its clock at 1000, and drain them under _DELIVER_BUDGET.
+    Returns what the drain changed."""
+    topo = Topology(1, 1, 2)
+    h = spawn(topo, create_aggregator("ww", topo, 4, 8), seed=0,
+              program=lambda wid: _GroupSink(wid, **sink), deliver_ns=dns,
+              record_items=record_items)
+    w = h.workers[1]
+    w.now = 1000
+    w.queue.extend(groups)
+    h._drain(w, w.queue, runtime._DELIVER_BUDGET)
+    return (w.shard.pending.tolist(), w.now, w.delivered, w.dl_log,
+            w.driver.seen, len(w.queue))
+
+
+def _group(k, first_seq):
+    """k items for worker 1: a list of Items and the same rows as a Batch."""
+    items = [Item(1, 7 * i - 3, 20 * i, first_seq + 2 * i) for i in range(k)]
+    return items, Batch(np.array([list(c) for c in zip(*items)],
+                                 dtype=np.int64).reshape(4, k))
+
+
+@pytest.mark.parametrize("dns", [0, 50])
+@pytest.mark.parametrize("sizes", [(1, 3), (300, 2), (5, 1)])
+@pytest.mark.parametrize("record_items", [False, True])
+def test_drain_of_a_batch_group_matches_the_item_loop(dns, sizes, record_items):
+    # the first group arrives before the clock, the second after it; a
+    # group past _DELIVER_BUDGET is drained whole and ends the turn
+    (l1, b1), (l2, b2) = _group(sizes[0], 0), _group(sizes[1], 1000)
+    loop = _drain_groups([(900, l1), (4000, l2)], dns, record_items,
+                         batch=False)
+    for times in (None,
+                  lambda ctx, items: [ctx.time_ns() + (i + 1) * dns + i
+                                      for i in range(len(items))]):
+        want = _drain_groups([(900, l1), (4000, l2)], dns, record_items,
+                             times=times)
+        got = _drain_groups([(900, b1), (4000, b2)], dns, record_items,
+                            times=times)
+        assert got == want
+        if times is None:
+            assert got[:4] == loop[:4]
+    assert got[5] == (1 if sizes[0] > runtime._DELIVER_BUDGET else 0)
+
+
+@pytest.mark.parametrize("times,error", [
+    (lambda ctx, items: [ctx.time_ns()] * (len(items) + 1),
+     "batch sink returned 4 delivery times for 3 items"),
+    (lambda ctx, items: [1500.0] * len(items),
+     "batch sink returned delivery time 1500.0 "),
+    (lambda ctx, items: [2**63] * len(items),
+     f"batch sink returned delivery time {2**63} "),
+])
+def test_drain_of_a_batch_group_checks_sink_times(times, error):
+    with pytest.raises(UsageError, match=error):
+        _drain_groups([(0, _group(3, 0)[1])], 50, False, times=times)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

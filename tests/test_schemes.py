@@ -5,14 +5,16 @@ import tracemalloc
 from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, memory_overhead
 from aggsim.errors import SetupError, UsageError
 from aggsim.schemes import (CoalescedMessage, GroupingStats, SchemeKind,
                             create_aggregator, group_items, split_grouped)
-from aggsim.topology import Topology
+from aggsim.topology import Batch, Item, Topology
 
 from helpers import LoopbackTransport, make_agg, mk_item
 
@@ -773,3 +775,144 @@ def test_exactly_once_hand_driven(kind, data):
     assert agg.total_buffered() == 0
     assert [agg.next_deadline(o) for o in range(4)] == [None] * 4
     assert buffer_heads(agg) == []
+
+
+# -- column chunks -----------------------------------------------------------
+def _rows(items):
+    """(dest, payload, created_at, seq) of each item of a list or a Batch."""
+    return [tuple(it) for it in items]
+
+
+def _outputs(agg, tr):
+    """What a run sees of an aggregator, in order: each sent message's
+    slots and item rows, and each local delivery."""
+    return ([(m.origin, m.dest_scope, m.grouped, m.cause, m.sent_at,
+              m.src_worker, _rows(m.items)) for m in tr.messages],
+            [(d, _rows(items), now) for d, items, now in tr.local])
+
+
+@given(st.sampled_from(["ww", "wps", "wsp", "pp", "none"]),
+       st.sampled_from([Topology(1, 3, 2), Topology(2, 1, 3),
+                        Topology(1, 1, 4), Topology(2, 2, 2)]),
+       st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_column_chunks_match_item_chunks(scheme, topo, mixed, data):
+    """insert_columns has insert_batch's effects on the same chunk: the same
+    messages (slots and item rows), local deliveries, deadlines, counts,
+    delivery plans and grouping touches. With mixed, some chunks go in as
+    lists, so both kinds fill the same buffers."""
+    kind, g = resolve_scheme(scheme)
+    g = g or data.draw(st.sampled_from([1, 2, 5, 64]), label="g")
+    timeout_ns = data.draw(st.none() | st.integers(1, 400), label="timeout")
+    w = topo.total_workers
+    a, ta = make_agg(kind, topo, g=g, timeout_ns=timeout_ns)
+    b, tb = make_agg(kind, topo, g=g, timeout_ns=timeout_ns)
+    now = [0] * w
+    seq_next = list(range(w))
+    for _ in range(data.draw(st.integers(1, 10), label="chunks")):
+        src = data.draw(st.integers(0, w - 1))
+        n = data.draw(st.sampled_from([0, 1, 1, 2, 7, 40, 150]))
+        dests = data.draw(st.lists(st.integers(0, w - 1), min_size=n,
+                                   max_size=n))
+        payloads = data.draw(st.lists(st.integers(-5, 10**6), min_size=n,
+                                      max_size=n))
+        # stamped as a worker stamps a chunk with work_ns 10
+        created = [now[src] + 10 * (i + 1) for i in range(n)]
+        seqs = [seq_next[src] + w * i for i in range(n)]
+        now[src] += 10 * n
+        seq_next[src] += w * n
+        items = [Item(*row) for row in zip(dests, payloads, created, seqs)]
+        if mixed and data.draw(st.booleans()):
+            a.insert_batch(src, items)
+        else:
+            a.insert_columns(src, Batch(np.array(
+                [dests, payloads, created, seqs], dtype=np.int64)
+                .reshape(4, n)))
+        b.insert_batch(src, items)
+        op = data.draw(st.sampled_from(["none", "flush", "expire"]))
+        if op == "flush":
+            assert a.flush(src, now[src]) == b.flush(src, now[src])
+        elif op == "expire":
+            at = now[src] + data.draw(st.integers(0, 400))
+            assert a.flush_expired(src, at) == b.flush_expired(src, at)
+        assert _outputs(a, ta) == _outputs(b, tb)
+        assert [a.next_deadline(o) for o in range(w)] == [
+            b.next_deadline(o) for o in range(w)]
+        assert [a.owner_buffered(o) for o in range(w)] == [
+            b.owner_buffered(o) for o in range(w)]
+    for o in a.flush_owners():
+        assert a.flush(o, 10**6) == b.flush(o, 10**6)
+    assert _outputs(a, ta) == _outputs(b, tb)
+    assert a.total_buffered() == b.total_buffered() == 0
+    if not mixed:  # the columns travel as a Batch, except through pp
+        assert all((type(m.items) is Batch) == (kind is not SchemeKind.PP)
+                   for m in ta.messages)
+    plans = [[[(d, _rows(group)) for d, group in agg.on_receive(m)]
+              for m in tr.messages] for agg, tr in ((a, ta), (b, tb))]
+    assert plans[0] == plans[1]
+    assert all(type(d) is int for plan in plans[0] for d, _ in plan)
+    assert (a.grouping_stats.touches, a.grouping_stats.calls) == (
+        b.grouping_stats.touches, b.grouping_stats.calls)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_insert_columns_checks_whole_chunk_first(kind):
+    # a column chunk is refused as its list chunk is, before any effect
+    topo = Topology(1, 2, 2)
+    agg, tr = make_agg(kind, topo, g=1)
+
+    def chunk(dests):
+        n = len(dests)
+        return Batch(np.array([dests, [7] * n, range(n), range(n)],
+                              dtype=np.int64).reshape(4, n))
+
+    for dests in ([2, 0, 4], [-1, 2], [3, 9, -2]):
+        with pytest.raises(UsageError) as want:
+            agg.insert_batch(0, list(chunk(dests)))
+        with pytest.raises(UsageError) as got:
+            agg.insert_columns(0, chunk(dests))
+        assert str(got.value) == str(want.value)
+    assert tr.messages == [] and tr.local == []
+    assert agg.total_buffered() == 0
+    agg.insert_columns(0, chunk([]))
+    assert tr.messages == [] and tr.local == []
+    unbound = create_aggregator(kind, topo, 1, 8)
+    for dests in ([2, 0], []):
+        with pytest.raises(SetupError):
+            unbound.insert_columns(0, chunk(dests))
+    with pytest.raises(UsageError, match="destination worker 5"):
+        unbound.insert_columns(0, chunk([5, 0]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_check_batch_one_item_chunk(kind):
+    # a one-item chunk is checked on its one destination
+    topo = Topology(1, 2, 2)
+    agg, tr = make_agg(kind, topo, g=1)
+    for bad in (4, -1):
+        with pytest.raises(UsageError, match=f"destination worker {bad} "):
+            agg.insert_batch(0, [mk_item(bad, 0)])
+    agg.insert_batch(0, [mk_item(3, 0)])
+    assert len(tr.messages) == 1
+    with pytest.raises(SetupError):
+        create_aggregator(kind, topo, 1, 8).insert_batch(0, [mk_item(3, 0)])
+
+
+def test_group_items_of_a_batch_sorts_like_the_list():
+    topo = Topology(1, 2, 3)
+    items = [mk_item(4, 0, payload=1), mk_item(3, 1, payload=2),
+             mk_item(4, 2, payload=3), mk_item(5, 3, payload=4),
+             mk_item(3, 4, payload=5)]
+    batch = Batch(np.array(list(zip(*items)), dtype=np.int64))
+    sa, sb = GroupingStats(), GroupingStats()
+    grouped = group_items(batch, topo, sa)
+    assert type(grouped) is Batch
+    assert _rows(grouped) == _rows(group_items(items, topo, sb))
+    assert sa.touches == sb.touches == 5 + 3
+    assert [(d, _rows(run)) for d, run in split_grouped(grouped)] == [
+        (d, _rows(run)) for d, run in split_grouped(sorted(
+            items, key=lambda it: it.dest))]
+    for bad in ([3, 2], [4, 6]):
+        with pytest.raises(UsageError):
+            group_items(Batch(np.array([bad, [0, 0], [0, 0], [0, 1]],
+                                       dtype=np.int64)), topo)
