@@ -10,11 +10,10 @@ Run modes:
 
 Both engines share one worker context, one per-message cost and accounting
 path, one delivery path (_drain, which takes each item's latency sample),
-and the handle surface; they differ only in the clock, the delivery queue
-and how a message is enqueued. The threaded engine hands _drain each group
-as it takes it, with the worker's clock set to the wall time of the take.
-An aggregator calls the engine's send(msg) once per sealed message, in emit
-order; it is the transport's only per-message entry.
+one quiescence path and the handle surface; they differ only in the
+clock, the delivery queue, how a message is enqueued and how a run stalls
+and stops. The threaded engine hands _drain each group as it takes it,
+with the worker's clock set to the wall time of the take.
 
 Items travel as a list of Items, or on the column path as a Batch of int64
 columns: a column chunk from ctx.insert_columns stays a Batch through the
@@ -30,21 +29,24 @@ per ns per process. Channels between process pairs are FIFO: arrival stamps
 are clamped monotone per (origin process, destination process) pair.
 
 Quiescence holds when every driver is done, every delivery queue is empty,
-and the produced item count (issued sequence numbers) equals the delivered
-count (sink calls returned); merge derives self-sends and per-scope inserts
-from the message log. run_phase and await_quiescence perform idle-flush
-rounds (flushing every buffer scope) whenever the run stalls short of that,
-so buffered items cannot be stranded. The sequential engine stalls when a
-round of turns makes no progress; the threaded one when its exact count of
-outstanding work (workers not parked, plus queue entries not yet taken)
-reaches zero, which it cannot while a sink, step or flush still runs. With
-a flush timeout set, each scheduling turn first flushes the worker's expired
-buffers. A stalled sequential run then serves the deadlines before it falls
-back to an idle-flush round: it heaps each flush owner's next_deadline as
-(deadline, owner), and for the earliest moves that owner's clock up to the
-deadline, flushes its expired buffers and pushes its next deadline back,
-until none is left. A parked threaded worker wakes at its scope's
-next_deadline, and at least every _PARK_S.
+the produced item count (issued sequence numbers) equals the delivered
+count (sink calls returned) and nothing is buffered; merge derives
+self-sends and per-scope inserts from the message log. Each engine's loop
+(_run) goes until the run stalls: the sequential one when a round of turns
+makes no progress, the threaded one when its exact count of outstanding
+work (workers not parked, plus queue entries not yet taken) reaches zero,
+which it cannot while a sink, step or flush still runs. It then runs the
+shared idle-flush round, which seals every buffer before it sends any, and
+goes on while the round sends. run_phase and await_quiescence then apply
+one end check; await_quiescence, or a failed check, first stops the engine
+(_stop), which joins the threaded workers. With a flush timeout set, each
+scheduling turn first flushes the worker's expired buffers. A stalled
+sequential run then serves the deadlines before it falls back to the
+idle-flush round: it heaps each flush owner's next_deadline as (deadline,
+owner), and for the earliest moves that owner's clock up to the deadline,
+flushes its expired buffers and pushes its next deadline back, until none
+is left. A parked threaded worker wakes at its scope's next_deadline, and
+at least every _PARK_S.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
@@ -479,22 +481,81 @@ class _BaseRun:
 
     def _diagnostics(self) -> dict:
         workers = self._workers
+        agg = self._agg
+        by_owner = {o: n for o in agg.flush_owners()
+                    if (n := agg.owner_buffered(o))}
         return {
             "produced": sum(w.produced for w in workers),
             "delivered": sum(w.delivered for w in workers),
             "drivers_pending": [w.wid for w in workers if not w.driver_done],
             "queue_depths": {w.wid: len(w.queue) for w in workers
                              if w.queue},
-            "buffered_total": self._agg.total_buffered(),
-            "buffered_by_owner": {o: self._agg.owner_buffered(o)
-                                  for o in self._agg.flush_owners()
-                                  if self._agg.owner_buffered(o)},
+            "buffered_total": sum(by_owner.values()),
+            "buffered_by_owner": by_owner,
         }
 
     def _runtime_ns(self):
         raise NotImplementedError
 
+    # -- quiescence: the one idle-flush round and end check ----------------
+    def run_phase(self, timeout_s=None):
+        """Run to quiescence (with idle-flush rounds) without finalizing."""
+        self._settle(timeout_s, False)
+
+    def await_quiescence(self, timeout_s=None):
+        self._settle(timeout_s, True)
+        self._quiesced = True
+        return self.summarize()
+
+    def _settle(self, timeout_s, final):
+        # stop when final or short of quiescence; a worker's error goes first
+        self._run(timeout_s)
+        short = None if self._is_quiescent() else self._diagnostics()
+        if final or short:
+            self._stop()
+        if short:
+            raise InternalInvariantError(
+                f"run ended short of quiescence: {short}")
+
+    def _is_quiescent(self):
+        workers = self._workers
+        agg = self._agg
+        return (all(w.driver_done and not w.queue for w in workers)
+                and sum(w.produced for w in workers)
+                == sum(w.delivered for w in workers)
+                and not any(map(agg.owner_buffered, agg.flush_owners())))
+
+    def _flush_round(self):
+        """Flush every owner at its time_ns(), then send what that sealed,
+        in seal order; returns the messages sent. Sending only after the
+        last seal, no sink it wakes can refill a buffer of the round."""
+        agg = self._agg
+        workers = self._workers
+        held = self._held = []
+        try:
+            for owner in agg.flush_owners():
+                agg.flush(owner, workers[owner].time_ns())
+        finally:
+            self._held = None
+        for msg in held:
+            self._transmit(msg)
+        return len(held)
+
+    def _stop(self):
+        pass
+
     # -- transport: per-message cost and accounting ------------------------
+    _held = None  # an idle-flush round's sealed messages, not yet sent
+
+    def send(self, msg):
+        """The transport's only per-message entry, called once per sealed
+        message in emit order; an idle-flush round holds its messages."""
+        held = self._held
+        if held is None:
+            self._transmit(msg)
+        else:
+            held.append(msg)
+
     def _account(self, msg) -> float:
         """Record msg's items, bytes, network cost and comm-context
         occupancy.
@@ -622,9 +683,7 @@ class SequentialRun(_BaseRun):
             ctx.driver.on_start(ctx)
 
     # -- transport interface (called by the aggregator) --------------------
-    def send(self, msg):
-        """Deliver one sealed message: the transport's only per-message
-        entry. Every scheme calls it once per message, in emit order."""
+    def _transmit(self, msg):
         plan = self._agg.on_receive(msg)
         arrival = int(self._account(msg) + 0.5)
         ch = (msg[0], plan[0][0] // self._t)
@@ -662,16 +721,6 @@ class SequentialRun(_BaseRun):
                     w.driver_done = True
         return progress
 
-    def _is_quiescent(self):
-        prod = 0
-        deliv = 0
-        for w in self._workers:
-            if not w.driver_done or w.queue:
-                return False
-            prod += w.produced
-            deliv += w.delivered
-        return prod == deliv
-
     def _try_unstall(self):
         agg = self._agg
         if self._is_quiescent():
@@ -697,14 +746,7 @@ class SequentialRun(_BaseRun):
                     heapq.heapreplace(due, (ddl, owner))
             if emitted:
                 return True
-        if agg.total_buffered() > 0:
-            emitted = 0
-            for owner in agg.flush_owners():
-                emitted += agg.flush(owner, self._workers[owner].now)
-            if emitted:
-                return True
-        raise InternalInvariantError(
-            f"stalled without quiescence: {self._diagnostics()}")
+        return self._flush_round() > 0
 
     def _run(self, timeout_s):
         t0 = time.monotonic()
@@ -725,25 +767,10 @@ class SequentialRun(_BaseRun):
                             self._diagnostics())
 
     # -- handle surface -----------------------------------------------------
-    def run_phase(self, timeout_s=None):
-        """Run to quiescence (with idle-flush rounds) without finalizing."""
-        self._run(timeout_s)
-
     def broadcast_task(self, fn):
         """Run fn(ctx) once on every worker context; returns the results."""
         with _collector_paused():
             return [fn(w) for w in self._workers]
-
-    def await_quiescence(self, timeout_s=None):
-        self._run(timeout_s)
-        if not self._is_quiescent():
-            raise InternalInvariantError("run loop exited without quiescence")
-        if self._agg.total_buffered():
-            raise InternalInvariantError(
-                "quiescent with non-empty buffers: "
-                f"{self._diagnostics()}")
-        self._quiesced = True
-        return self.summarize()
 
     def _runtime_ns(self):
         return max((w.now for w in self._workers), default=0)
@@ -771,9 +798,8 @@ class ThreadedRun(_BaseRun):
     get plus the queue entries put and not yet taken (Dijkstra & Scholten,
     IPL 1980). Workers put entries only while busy, so once _busy is 0 under
     _tlock no sink, step or flush runs, and no buffer changes until the
-    coordinator puts an entry. Then it runs an idle-flush round itself,
-    sealing every buffer before it sends any, so no sink can refill a buffer
-    that the same round would ship early.
+    coordinator puts an entry. _run then runs the shared idle-flush round
+    under _tlock; _stop joins the workers and raises a worker's error.
     """
 
     mode = MODE_THREADED
@@ -792,7 +818,6 @@ class ThreadedRun(_BaseRun):
         self._busy = topo.total_workers
         self._error = None
         self._stopped = False
-        self._held = None  # a flush round's sealed messages, not yet sent
         super().__init__(topo, agg, cfg, program, **kw)
         for ctx in self._workers:
             ctx.thread = threading.Thread(target=self._wloop, args=(ctx,),
@@ -808,10 +833,7 @@ class ThreadedRun(_BaseRun):
             self._workers[wid].queue.put(entry)
 
     # -- transport interface -------------------------------------------------
-    def send(self, msg):
-        if self._held is not None:  # a flush round's seal: sent after all
-            self._held.append(msg)
-            return
+    def _transmit(self, msg):
         plan = self._agg.on_receive(msg)
         with self._tlock:
             self._account(msg)
@@ -881,27 +903,14 @@ class ThreadedRun(_BaseRun):
                 idle.notify_all()
 
     # -- coordinator ----------------------------------------------------------
-    def _flush_round(self):
-        """Flush every scope, then send what that sealed; the caller holds
-        _tlock with _busy at 0, so no worker runs until the first send."""
-        agg = self._agg
-        held = self._held = []
-        try:
-            for owner in agg.flush_owners():
-                agg.flush(owner, self._workers[owner].time_ns())
-        finally:
-            self._held = None
-        for msg in held:
-            self.send(msg)
-
     def _raise_pending(self):
         if self._error is not None:
             self._shutdown()
             raise self._error
 
-    def _run_threaded(self, timeout_s):
-        """Wait until every worker is parked and no entry is outstanding;
-        while a buffer still holds an item, flush them all and wait again."""
+    def _run(self, timeout_s):
+        """Wait until every worker is parked and no entry is outstanding,
+        then run the idle-flush round; again while the round sends."""
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
             try:
@@ -910,24 +919,25 @@ class ThreadedRun(_BaseRun):
                         lambda: not self._busy or self._error is not None,
                         None if deadline is None
                         else deadline - time.monotonic())
-                    buffered = (not self._busy and self._error is None
-                                and self._agg.total_buffered())
-                    if buffered:
-                        self._flush_round()
+                    sent = (not self._busy and self._error is None
+                            and self._flush_round())
             except BaseException:
                 self._shutdown()
                 raise
             self._raise_pending()
             if not settled:
                 self._timed_out(f"run exceeded {timeout_s}s wall budget")
-            if not buffered:
+            if not sent:
                 return
 
     def _timed_out(self, what):
         diagnostics = self._diagnostics()
-        self._shutdown()
-        self._raise_pending()  # a worker's own error takes precedence
+        self._stop()  # a worker's own error takes precedence
         raise QuiescenceTimeout(what, diagnostics)
+
+    def _stop(self):
+        self._shutdown()
+        self._raise_pending()
 
     def _shutdown(self):
         # a worker still busy after the deadline stops once it is done
@@ -941,9 +951,6 @@ class ThreadedRun(_BaseRun):
             w.thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # -- handle surface --------------------------------------------------------
-    def run_phase(self, timeout_s=None):
-        self._run_threaded(timeout_s)
-
     def broadcast_task(self, fn):
         evs = []
         boxes = []
@@ -959,16 +966,6 @@ class ThreadedRun(_BaseRun):
                 self._timed_out("task did not acknowledge")
             out.append(box[0])
         return out
-
-    def await_quiescence(self, timeout_s=None):
-        self._run_threaded(timeout_s)
-        self._shutdown()
-        self._raise_pending()
-        d = self._diagnostics()
-        if d["produced"] != d["delivered"] or d["buffered_total"]:
-            raise InternalInvariantError(f"run ended short of quiescence: {d}")
-        self._quiesced = True
-        return self.summarize()
 
     def _runtime_ns(self):
         return time.monotonic_ns() - self._epoch

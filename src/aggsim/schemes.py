@@ -270,8 +270,8 @@ class Aggregator:
     send(msg), called once per sealed message, and local_deliver(dest,
     items, now), called once per same-process item.
 
-    The engines ask it per flush owner (flush_owners): owner_buffered, whose
-    sum is total_buffered, and next_deadline, the one deadline query. A
+    The engines ask it per flush owner (flush_owners): owner_buffered, the
+    items in that owner's scope, and next_deadline, the one deadline query. A
     subclass supplies insert_batch, flush, flush_expired, owner_buffered and
     next_deadline; on_receive is shared but for ww's.
     """
@@ -388,9 +388,6 @@ class Aggregator:
     def owner_buffered(self, worker: int) -> int:
         """Items currently buffered in the scope worker would flush."""
         raise NotImplementedError
-
-    def total_buffered(self) -> int:
-        return sum(map(self.owner_buffered, self.flush_owners()))
 
     # -- timeout flush support ----------------------------------------------
     def next_deadline(self, worker: int) -> Optional[int]:
@@ -565,9 +562,9 @@ class _WWAggregator(_WorkerBufferedAggregator):
     kind = SchemeKind.WW
 
     def on_receive(self, msg):
-        # single destination: trivially contiguous; a Batch passes whole
-        items = msg[2]
-        return [(msg[1], items if type(items) is Batch else list(items))]
+        # single destination: trivially contiguous; each message owns its
+        # list or Batch, so the group takes it whole
+        return [(msg[1], msg[2])]
 
 
 class _ProcBufferedAggregator(_WorkerBufferedAggregator):

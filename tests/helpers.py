@@ -1,4 +1,5 @@
-"""Test plumbing: a loopback transport for driving aggregators by hand."""
+"""Test plumbing: a loopback transport for driving aggregators by hand,
+and a whole-aggregator buffered count."""
 from aggsim.schemes import create_aggregator
 from aggsim.topology import Item
 
@@ -24,6 +25,12 @@ def make_agg(kind, topo, g, item_bytes=8, timeout_ns=None):
     transport = LoopbackTransport()
     agg.bind(transport)
     return agg, transport
+
+
+def total_buffered(agg):
+    """Items buffered in the whole aggregator: owner_buffered summed over
+    its flush owners."""
+    return sum(map(agg.owner_buffered, agg.flush_owners()))
 
 
 def mk_item(dest, seq, created_at=0, payload=None):

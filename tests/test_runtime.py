@@ -23,6 +23,8 @@ from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
 from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
 from aggsim.topology import Batch, Item, Topology
 
+from helpers import total_buffered
+
 ALL_KINDS = list(SchemeKind)
 
 
@@ -525,7 +527,7 @@ class _BadStamp(WorkerProgram):
         with pytest.raises(UsageError) as err:
             ctx.insert_stamped([1, 1], [None, None], self.stamps)
         assert (ctx.now, ctx.seq_next) == (now, seq)
-        assert ctx._agg.total_buffered() == 0
+        assert total_buffered(ctx._agg) == 0
         self.error = str(err.value)
         ctx.insert(1, None)
         return True
@@ -570,7 +572,7 @@ class _BadColumns(WorkerProgram):
         with pytest.raises(UsageError) as err:
             ctx.insert_columns(*self.chunk)
         assert (ctx.now, ctx.seq_next) == (now, seq)
-        assert ctx._agg.total_buffered() == 0
+        assert total_buffered(ctx._agg) == 0
         self.error = str(err.value)
         ctx.insert(1, None)
         return True
@@ -1022,6 +1024,27 @@ def test_threaded_flush_round_error_stops_workers():
     with pytest.raises(RuntimeError, match="flush failed"):
         h.await_quiescence(timeout_s=30)
     assert _joined(h) == before
+
+
+@pytest.mark.parametrize("call", ["run_phase", "await_quiescence"])
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_flush_round_that_ships_nothing_ends_sequential_or_threaded(mode,
+                                                                    call):
+    # a flush that seals nothing leaves the item buffered; the round then
+    # sends nothing, so either engine leaves its loop and the shared end
+    # check raises, instead of flushing again until the wall budget runs
+    # out, and no worker thread is left behind
+    topo = Topology(1, 2, 1)
+    agg = create_aggregator(SchemeKind.WW, topo, 64, 8)
+    agg.flush = lambda owner, now: 0
+    before = threading.active_count()
+    h = spawn(topo, agg, mode=mode, program=lambda wid: SingleStream(wid, 1))
+    with pytest.raises(InternalInvariantError,
+                       match="run ended short of quiescence") as err:
+        getattr(h, call)(timeout_s=10)
+    assert "'buffered_by_owner': {0: 1}" in str(err.value)
+    if mode == "threaded":
+        assert _joined(h) == before
 
 
 # ------------------------------------------------ threaded flush timeout

@@ -16,7 +16,7 @@ from aggsim.schemes import (CoalescedMessage, GroupingStats, SchemeKind,
                             create_aggregator, group_items, split_grouped)
 from aggsim.topology import Batch, Item, Topology
 
-from helpers import LoopbackTransport, make_agg, mk_item
+from helpers import LoopbackTransport, make_agg, mk_item, total_buffered
 
 ALL_KINDS = list(SchemeKind)
 
@@ -197,7 +197,7 @@ def test_rejects_out_of_range_dest(kind):
             agg.insert(0, mk_item(dest, 0))
         assert str(got.value) == str(want.value)
     assert tr.messages == [] and tr.local == []
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -257,7 +257,7 @@ def test_ww_fills_and_flushes():
     assert agg.owner_buffered(0) == 1
     assert agg.flush(0, now=50) == 1
     assert tr.messages[-1].cause == "flush" and tr.messages[-1].k == 1
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     # all four items were buffered at worker 0 and left in its messages
     assert [(m.src_worker, m.k) for m in tr.messages] == [(0, 3), (0, 1)]
 
@@ -269,7 +269,7 @@ def test_same_process_bypasses_buffers():
         agg.insert(0, item)
         assert tr.messages == []
         assert tr.local == [(3, (item,), 5)]
-        assert agg.total_buffered() == 0
+        assert total_buffered(agg) == 0
 
 
 def test_wps_buffers_per_dest_process():
@@ -322,7 +322,7 @@ def test_pp_shares_buffer_across_source_workers():
     agg.insert(1, mk_item(3, 3, created_at=13))
     [msg] = tr.messages
     assert msg.k == 4 and msg.origin == 0 and msg.dest_scope == 1
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     plan = agg.on_receive(msg)
     assert sorted(d for d, _ in plan) == [2, 3]
     assert sum(len(items) for _, items in plan) == 4
@@ -411,7 +411,7 @@ def test_flush_owners_cover_each_buffer_once():
         agg.insert(5, mk_item(1, 1))
         total = sum(agg.flush(owner, 0) for owner in agg.flush_owners())
         assert total == 2
-        assert agg.total_buffered() == 0
+        assert total_buffered(agg) == 0
 
 
 # -- timeout flushing -------------------------------------------------------
@@ -426,7 +426,7 @@ def test_flush_expired_only_due_buffers(kind):
     assert tr.messages[-1].cause == "flush"
     assert agg.owner_buffered(0) == 1
     assert agg.flush_expired(0, now=500) == 1
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     assert agg.flush_expired(0, now=1000) == 0  # nothing left
 
 
@@ -538,7 +538,7 @@ def test_flush_sends_one_message_per_buffer_in_dest_order(kind, g, data):
             assert msg.items == buf
             assert msg.sent_at == (max(now, *(it.created_at for it in buf))
                                    if pp else now)
-    assert agg.total_buffered() == sum(map(len, model.values()))
+    assert total_buffered(agg) == sum(map(len, model.values()))
     if not expire:
         assert not model
 
@@ -573,7 +573,7 @@ def test_insert_batch_matches_insert_loop(kind, data):
         assert [a.next_deadline(o) for o in range(6)] == [
             b.next_deadline(o) for o in range(6)]
         assert buffer_heads(a) == buffer_heads(b)
-        assert a.total_buffered() == b.total_buffered()
+        assert total_buffered(a) == total_buffered(b)
         assert [a.owner_buffered(o) for o in range(6)] == [
             b.owner_buffered(o) for o in range(6)]
         assert a.grouping_stats.touches == b.grouping_stats.touches
@@ -612,7 +612,7 @@ def test_pp_insert_batch_matches_one_item_chunks(data):
         assert [a.next_deadline(o) for o in range(w)] == [
             b.next_deadline(o) for o in range(w)]
         assert buffer_heads(a) == buffer_heads(b)
-        assert a.total_buffered() == b.total_buffered()
+        assert total_buffered(a) == total_buffered(b)
         assert [a.owner_buffered(o) for o in range(w)] == [
             b.owner_buffered(o) for o in range(w)]
 
@@ -626,7 +626,7 @@ def test_insert_batch_checks_whole_chunk_first(kind):
         with pytest.raises(UsageError):
             agg.insert_batch(0, good + [mk_item(bad, 2)])
     assert tr.messages == [] and tr.local == []
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     unbound = create_aggregator(kind, topo, 1, 8)
     for chunk in (good, []):
         with pytest.raises(SetupError):
@@ -661,7 +661,7 @@ def test_buffered_counts_readable_while_owners_fill(kind):
         for th in threads:
             th.start()
         while any(th.is_alive() for th in threads):
-            agg.total_buffered()
+            total_buffered(agg)
             for o in range(w):
                 agg.owner_buffered(o)
     finally:
@@ -672,7 +672,7 @@ def test_buffered_counts_readable_while_owners_fill(kind):
     assert errors == []
     for o in agg.flush_owners():
         agg.flush(o, 0)
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     assert sum(m.k for m in tr.messages) + len(tr.local) == w * n
 
 
@@ -772,7 +772,7 @@ def test_exactly_once_hand_driven(kind, data):
         for d, items in agg.on_receive(msg):
             got.extend((d, it.seq) for it in items)
     assert Counter(got) == Counter(sent)
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     assert [agg.next_deadline(o) for o in range(4)] == [None] * 4
     assert buffer_heads(agg) == []
 
@@ -843,7 +843,7 @@ def test_column_chunks_match_item_chunks(scheme, topo, mixed, data):
     for o in a.flush_owners():
         assert a.flush(o, 10**6) == b.flush(o, 10**6)
     assert _outputs(a, ta) == _outputs(b, tb)
-    assert a.total_buffered() == b.total_buffered() == 0
+    assert total_buffered(a) == total_buffered(b) == 0
     if not mixed:  # the columns travel as a Batch, except through pp
         assert all((type(m.items) is Batch) == (kind is not SchemeKind.PP)
                    for m in ta.messages)
@@ -873,7 +873,7 @@ def test_insert_columns_checks_whole_chunk_first(kind):
             agg.insert_columns(0, chunk(dests))
         assert str(got.value) == str(want.value)
     assert tr.messages == [] and tr.local == []
-    assert agg.total_buffered() == 0
+    assert total_buffered(agg) == 0
     agg.insert_columns(0, chunk([]))
     assert tr.messages == [] and tr.local == []
     unbound = create_aggregator(kind, topo, 1, 8)
