@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -69,6 +71,8 @@ def int64_digest(arr) -> str:
 
 
 def positive(name, value):
-    if int(value) != value or value < 1:
+    """value as an int; UsageError unless it is a finite whole number >= 1."""
+    if not (isinstance(value, Real) and 1 <= value < math.inf
+            and int(value) == value):
         raise UsageError(f"{name} must be a positive integer")
     return int(value)

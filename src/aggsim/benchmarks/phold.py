@@ -20,6 +20,7 @@ ctx.insert per successor.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,10 @@ class PholdSpec:
     def __post_init__(self):
         positive("lps_per_worker", self.lps_per_worker)
         positive("initial_events_per_lp", self.initial_events_per_lp)
-        if self.mean_increment <= 0:
-            raise UsageError("mean_increment must be > 0")
-        if self.end_time <= 0:
-            raise UsageError("end_time must be > 0")
+        if not 0 < self.mean_increment < math.inf:
+            raise UsageError("mean_increment must be finite and > 0")
+        if not 0 < self.end_time < math.inf:
+            raise UsageError("end_time must be finite and > 0")
 
 
 class _PholdWorker(WorkerProgram):

@@ -194,12 +194,9 @@ def _cmd_pingack(args):
                        workers_per_node=args.workers_per_node,
                        procs_per_node=tuple(args.procs_per_node),
                        seed=args.seed)
-    kw = dict(scheme=args.scheme, g=args.g, mode=args.mode, cfg=_cfg(args),
-              seed=args.seed, timeout_s=args.timeout,
-              flush_timeout_ns=args.flush_timeout)
+    kw = _run_kwargs(args, args.scheme, args.g)
     if single:
-        result = run_pingack(spec, ppn=args.procs_per_node[0],
-                             trace=bool(args.trace), **kw)
+        result = run_pingack(spec, ppn=args.procs_per_node[0], **kw)
         _emit(args, result.to_json())
         _emit_trace(args, result)
     else:

@@ -40,8 +40,8 @@ class CostInputs:
         if self.z < 0:
             raise UsageError("z must be >= 0")
         for name in ("alpha_ns", "beta_ns_per_byte", "fill_rate_per_ns"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be finite and >= 0")
 
 
 def memory_overhead(kind: SchemeKind, inputs: CostInputs) -> dict:

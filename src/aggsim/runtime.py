@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 import queue
 import random
 import threading
@@ -140,8 +141,8 @@ class TransportConfig:
     def __post_init__(self):
         for name in ("alpha_ns", "beta_ns_per_byte", "comm_cost_ns",
                      "header_bytes"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be finite and >= 0")
 
 
 def parse_mode(token: str) -> str:

@@ -30,6 +30,13 @@ straight to transport.send, one call per message, in emit order: a flush
 seals in ascending destination order. For ww/wps/wsp one helper, _seal,
 does that for a list of columns.
 
+The queries the engines make are the same for every layout, so Aggregator
+writes them once: flush, flush_expired, next_deadline, owner_buffered and
+buffers_per_owner. A buffer family (ww/wps/wsp's per-worker rows, pp's
+shared rows) supplies only where items wait: _buffers, a lock-free snapshot
+of a scope's non-empty buffers, and _flush_row, which picks a scope's due
+buffers and seals them.
+
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
 int64 columns (insert_columns). ww/wps/wsp split a column chunk by column
 with one stable argsort; a buffer it fills keeps the chunk's column slices
@@ -250,8 +257,8 @@ class _SharedBuffer:
     """pp buffer shared by all workers of one source process.
 
     Every change runs under the buffer mutex, which linearizes the
-    append-and-seal protocol; a flush and next_deadline may peek at the
-    first item without it. items holds the buffered items, oldest first.
+    append-and-seal protocol; a flush may peek at the first item without
+    it, and next_deadline and owner_buffered read the list without it. items holds the buffered items, oldest first.
     """
 
     __slots__ = ("items", "lock")
@@ -271,9 +278,12 @@ class Aggregator:
     items, now), called once per same-process item.
 
     The engines ask it per flush owner (flush_owners): owner_buffered, the
-    items in that owner's scope, and next_deadline, the one deadline query. A
-    subclass supplies insert_batch, flush, flush_expired, owner_buffered and
-    next_deadline; on_receive is shared but for ww's.
+    items in that owner's scope, and next_deadline, the one deadline query.
+    Those two, flush, flush_expired and buffers_per_owner are written here,
+    once for every layout. A subclass supplies insert_batch, _buffers (a
+    lock-free snapshot of a scope's non-empty buffers) and _flush_row (the
+    seal of a scope's buffers, all of them or the due ones), and sets _cols;
+    on_receive is shared but for ww's.
     """
 
     kind: SchemeKind  # set by each scheme class
@@ -337,7 +347,8 @@ class Aggregator:
 
     # -- introspection ------------------------------------------------------
     def buffers_per_owner(self) -> int:
-        raise NotImplementedError
+        """Buffers one flush owner's scope allocates: one per column."""
+        return self._cols
 
     def allocated_bytes(self) -> dict:
         """Modeled buffer bytes: every allocated buffer holds g slots of
@@ -374,7 +385,10 @@ class Aggregator:
         self.insert_batch(source, list(batch))
 
     def flush(self, source: int, now: int) -> int:
-        raise NotImplementedError
+        """Ship every non-empty buffer in source's scope, in destination
+        order, each departing at now (pp: no earlier than its newest item).
+        Returns messages emitted."""
+        return self._flush_row(source, now, None)
 
     def on_receive(self, msg: CoalescedMessage) -> list:
         """Delivery plan for an arrived message: [(worker, items), ...],
@@ -387,7 +401,7 @@ class Aggregator:
 
     def owner_buffered(self, worker: int) -> int:
         """Items currently buffered in the scope worker would flush."""
-        raise NotImplementedError
+        return sum(map(len, self._buffers(worker)))
 
     # -- timeout flush support ----------------------------------------------
     def next_deadline(self, worker: int) -> Optional[int]:
@@ -396,11 +410,29 @@ class Aggregator:
         one deadline query: it reads only that scope, so an owner thread can
         ask while others insert, and the sequential engine walks the owners'
         answers in (deadline, owner) order."""
-        raise NotImplementedError
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return None
+        oldest = min(map(_head, self._buffers(worker)), default=None)
+        return None if oldest is None else oldest + tns
 
     def flush_expired(self, source: int, now: int) -> int:
-        """Flush buffers in source's scope whose first item is older than the
-        timeout. Returns messages emitted."""
+        """Flush buffers in source's scope whose first item is at least the
+        timeout old, as flush does. Returns messages emitted."""
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return 0
+        return self._flush_row(source, now, tns)
+
+    def _buffers(self, worker: int) -> list:
+        """The non-empty buffers in worker's scope, copied without a lock;
+        each has len() and an oldest item that _head reads."""
+        raise NotImplementedError
+
+    def _flush_row(self, source: int, now: int, tns: Optional[int]) -> int:
+        """Seal the buffers in source's scope whose first item is tns old,
+        or every non-empty one when tns is None, as flush ships them.
+        Returns messages emitted."""
         raise NotImplementedError
 
 
@@ -422,16 +454,13 @@ class _WorkerBufferedAggregator(Aggregator):
         self._cols = self._w // self._width
         self._rows = [defaultdict(list) for _ in range(self._w)]
 
-    def buffers_per_owner(self) -> int:
-        return self._cols
-
-    # The threaded coordinator reads these while owner threads fill and seal
-    # their rows. list() copies a row in one C call, which no other thread
-    # can interleave with. Iterating the live dict over several bytecodes
-    # could see it change size and raise; so can sum(map(len, row.values())),
+    # The threaded coordinator reads rows while owner threads fill and seal
+    # them. list() copies a row in one C call, which no other thread can
+    # interleave with. Iterating the live dict over several bytecodes could
+    # see it change size and raise; so can sum(map(len, row.values())),
     # whose iterator is made one call before sum() consumes it.
-    def owner_buffered(self, worker: int) -> int:
-        return sum(map(len, list(self._rows[worker].values())))
+    def _buffers(self, worker):
+        return list(self._rows[worker].values())
 
     def insert_batch(self, source, items):
         self._check_batch(source, items)
@@ -533,26 +562,13 @@ class _WorkerBufferedAggregator(Aggregator):
                                         now, source)))
         return len(cols)
 
-    def flush(self, source, now):
-        return self._seal(source, sorted(self._rows[source]), CAUSE_FLUSH,
-                          now)
-
-    def next_deadline(self, worker):
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return None
-        # list() copies the row in one C call, as in owner_buffered
-        oldest = min(map(_head, list(self._rows[worker].values())),
-                     default=None)
-        return None if oldest is None else oldest + tns
-
-    def flush_expired(self, source, now):
-        tns = self.flush_timeout_ns
+    def _flush_row(self, source, now, tns):
         row = self._rows[source]
-        if tns is None or not row:
+        if not row:
             return 0
         return self._seal(source, sorted(
-            col for col, buf in row.items() if _head(buf) + tns <= now),
+            row if tns is None else
+            (col for col, buf in row.items() if _head(buf) + tns <= now)),
             CAUSE_FLUSH, now)
 
 
@@ -594,15 +610,16 @@ class _PPAggregator(Aggregator):
 
     def __init__(self, topo, g, item_bytes):
         super().__init__(topo, g, item_bytes)
-        n = self._n
+        n = self._cols = self._n
         self._shared = [[_SharedBuffer() for _ in range(n)] for _ in range(n)]
 
-    def buffers_per_owner(self) -> int:
-        return self._n
-
-    def owner_buffered(self, worker: int) -> int:
-        row = self._shared[worker // self._t]
-        return sum(len(b.items) for b in row)
+    def _buffers(self, worker):
+        # Lock-free: each buffer's list is read once. An insert only extends
+        # a list and a take replaces it with a new one, so a list never
+        # empties in place and its oldest item never changes; a snapshot
+        # list stays non-empty with the head it was read with.
+        return [items for b in self._shared[worker // self._t]
+                if (items := b.items)]
 
     def insert_batch(self, source, items):
         # One pass splits the chunk by destination process into parts of
@@ -699,24 +716,6 @@ class _PPAggregator(Aggregator):
                                         seal_ts, source)))
             n += 1
         return n
-
-    def flush(self, source, now):
-        return self._flush_row(source, now, None)
-
-    def next_deadline(self, worker):
-        # lock-free: the one-item peek of _flush_row reads each buffer's head
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return None
-        heads = [b.items[:1] for b in self._shared[worker // self._t]]
-        oldest = min((h[0][2] for h in heads if h), default=None)
-        return None if oldest is None else oldest + tns
-
-    def flush_expired(self, source, now):
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return 0
-        return self._flush_row(source, now, tns)
 
 
 _SCHEME_CLASSES = {cls.kind: cls for cls in (

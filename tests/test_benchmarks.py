@@ -5,6 +5,7 @@ these tests focus on the hand-checkable small cases plus cross-scheme
 agreement on the correctness outputs.
 """
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -497,6 +498,16 @@ def test_pingack_sweep_keeps_volume_constant():
         assert r.metrics.transport_cost_ns == 0  # comm disabled by default
         assert r.egress == []
         assert r.span_ns > 0 and r.throughput_per_ns is not None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_specs_refuse_non_finite(value):
+    with pytest.raises(UsageError, match="must be a positive integer"):
+        HistogramSpec(value, 64)
+    with pytest.raises(UsageError, match="mean_increment must be finite"):
+        PholdSpec(lps_per_worker=1, mean_increment=value)
+    with pytest.raises(UsageError, match="end_time must be finite"):
+        PholdSpec(lps_per_worker=1, end_time=value)
 
 
 def test_pingack_rejects_indivisible_ppn():

@@ -174,6 +174,19 @@ def test_env_var_sets_default_and_flag_wins(capsys, monkeypatch):
     assert d["g"] == 16
 
 
+@pytest.mark.parametrize("argv", [
+    ["histogram", "--alpha", "nan"] + SMALL,
+    ["histogram", "--comm-cost", "inf"] + SMALL,
+    ["predict", "--scheme", "ww", "--g", "8", "--m", "8", "--N", "2",
+     "--t", "2", "--alpha", "nan"],
+    ["phold", "--mean-increment", "nan", "--lps", "2"] + SMALL[4:],
+], ids=["histogram-alpha", "histogram-comm-cost", "predict-alpha",
+        "phold-mean-increment"])
+def test_non_finite_costs_and_times_exit_2(capsys, argv):
+    assert cli.parse_and_run(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_env_var_bad_scheme_still_usage_error(monkeypatch):
     monkeypatch.setenv("AGG_SCHEME", "bogus")
     assert cli.parse_and_run(["histogram"] + SMALL[:-6]) == 2

@@ -103,6 +103,9 @@ def test_grouping_cost():
 @pytest.mark.parametrize("field,value", [
     ("g", 0), ("m", 0), ("n_processes", 0), ("workers_per_proc", 0),
     ("z", -1), ("alpha_ns", -1.0), ("beta_ns_per_byte", -0.5),
+    ("alpha_ns", math.nan), ("alpha_ns", math.inf),
+    ("beta_ns_per_byte", math.nan), ("beta_ns_per_byte", math.inf),
+    ("fill_rate_per_ns", math.nan), ("fill_rate_per_ns", math.inf),
 ])
 def test_inputs_validated(field, value):
     kw = dict(g=1, m=1, n_processes=1, workers_per_proc=1)

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import threading
 import time
@@ -354,6 +355,14 @@ def test_usage_validation():
                        program=lambda wid, d=driver: d())
             with pytest.raises(UsageError):
                 h.await_quiescence(timeout_s=30)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha_ns", "beta_ns_per_byte",
+                                   "comm_cost_ns"])
+def test_transport_config_refuses_non_finite(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be finite"):
+        TransportConfig(**{field: value})
 
 
 class _RejectedInsert(WorkerProgram):

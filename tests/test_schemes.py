@@ -403,6 +403,38 @@ def test_pp_locks_each_buffer_once_per_chunk():
     assert log == [(0, 2)]
 
 
+class _SwapLock:
+    """A buffer lock whose acquisition replaces the buffer's items, as
+    another worker's flush and insert would between a peek and the lock."""
+
+    def __init__(self, buf, items):
+        self._lock = threading.Lock()
+        self._buf = buf
+        self._items = items
+
+    def __enter__(self):
+        self._buf.items = self._items
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_pp_flush_expired_checks_again_under_the_lock():
+    # at 150 the lock-free peek picks the buffer (its item of 10 was due at
+    # 110), but by the time the lock is held the buffer holds a fresh item of
+    # 120, due at 220; the check under the lock leaves it buffered
+    agg, tr = make_agg(SchemeKind.PP, Topology(1, 2, 1), g=4, timeout_ns=100)
+    agg.insert(0, mk_item(1, 0, created_at=10))
+    b = agg._shared[0][1]
+    fresh = mk_item(1, 1, created_at=120)
+    b.lock = _SwapLock(b, [fresh])
+    assert agg.flush_expired(0, now=150) == 0
+    assert tr.messages == []
+    assert b.items == [fresh]
+    assert agg.next_deadline(0) == 220
+
+
 def test_flush_owners_cover_each_buffer_once():
     topo = Topology(1, 2, 3)
     for kind in ALL_KINDS:
