@@ -19,7 +19,10 @@ Items travel as a list of Items, or on the column path as a Batch of int64
 columns: a column chunk from ctx.insert_columns stays a Batch through the
 ww/wps/wsp buffers, the message and the delivery group, and _drain takes
 such a group's latency samples in one vector op. Same-process items, pp
-and the threaded engine take a column chunk as Items.
+and the threaded engine take a column chunk as Items. Each insert hands its
+same-process items to the engine's local_deliver in one call, and each
+engine queues every item as a one-item entry that arrives at its insert's
+time.
 
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
@@ -500,7 +503,9 @@ class _BaseRun:
 
     # -- quiescence: the one idle-flush round and end check ----------------
     def run_phase(self, timeout_s=None):
-        """Run to quiescence (with idle-flush rounds) without finalizing."""
+        """Run to quiescence (with idle-flush rounds) without finalizing.
+        timeout_s, the wall-clock budget, is None (no budget) or a finite
+        number of seconds > 0, as for await_quiescence."""
         self._settle(timeout_s, False)
 
     def await_quiescence(self, timeout_s=None):
@@ -509,6 +514,11 @@ class _BaseRun:
         return self.summarize()
 
     def _settle(self, timeout_s, final):
+        # a budget no clock can honour is refused before the run moves, so a
+        # later call can still settle it
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise UsageError(f"timeout_s must be None or a finite number of "
+                             f"seconds > 0, got {timeout_s!r}")
         # stop when final or short of quiescence; a worker's error goes first
         self._run(timeout_s)
         short = None if self._is_quiescent() else self._diagnostics()
@@ -698,8 +708,10 @@ class SequentialRun(_BaseRun):
         for wid, group in plan:
             workers[wid].queue.append((arrival, group))
 
-    def local_deliver(self, dest, items, now):
-        self._workers[dest].queue.append((now, items))
+    def local_deliver(self, items):
+        # one entry per item, arriving at its insert's time
+        for it in items:
+            self._workers[it[0]].queue.append((it[2], (it,)))
 
     # -- stepping -----------------------------------------------------------
     def _round(self, order):
@@ -845,8 +857,12 @@ class ThreadedRun(_BaseRun):
             for wid, group in plan:
                 self._workers[wid].queue.put((_T_DELIVER, group))
 
-    def local_deliver(self, dest, items, now):
-        self._put(dest, (_T_DELIVER, items))
+    def local_deliver(self, items):
+        # one entry per item, each counted before any can be taken
+        with self._tlock:
+            self._busy += len(items)
+            for it in items:
+                self._workers[it[0]].queue.put((_T_DELIVER, (it,)))
 
     # -- worker thread --------------------------------------------------------
     def _wloop(self, w):

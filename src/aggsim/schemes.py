@@ -10,10 +10,11 @@ Scheme tokens:
         grouping happens at the destination, as in wps.
 
 Items whose destination worker lives in the source process bypass buffering
-entirely and go straight to the local delivery queue, through the
-transport's local_deliver(dest, items, now); shared-memory delivery needs no
-coalescing. The modelled layout (allocated_bytes) still counts ww's buffers
-for same-process destinations, but they are never filled.
+entirely: each insert hands its chunk's same-process items, in chunk order,
+to the transport's local_deliver(items) in one call, and the engine queues
+them; shared-memory delivery needs no coalescing. The modelled layout
+(allocated_bytes) still counts ww's buffers for same-process destinations,
+but they are never filled.
 
 The buffered items are the only buffer state. A worker's buffer row holds
 only its non-empty buffers, created on first insert and dropped at seal. A
@@ -31,28 +32,29 @@ seals in ascending destination order. For ww/wps/wsp one helper, _seal,
 does that for a list of columns.
 
 The queries the engines make are the same for every layout, so Aggregator
-writes them once: flush, flush_expired, next_deadline, owner_buffered and
-buffers_per_owner. A buffer family (ww/wps/wsp's per-worker rows, pp's
-shared rows) supplies only where items wait: _buffers, a lock-free snapshot
-of a scope's non-empty buffers, and _flush_row, which picks a scope's due
-buffers and seals them.
+writes them once: flush, flush_expired, next_deadline and owner_buffered.
+A buffer family (ww/wps/wsp's per-worker rows, pp's shared rows) supplies
+only where items wait: _buffers, a lock-free snapshot of a scope's
+non-empty buffers, and _flush_row, which picks a scope's due buffers and
+seals them.
 
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
 int64 columns (insert_columns). ww/wps/wsp split a column chunk by column
 with one stable argsort; a buffer it fills keeps the chunk's column slices
 and seals them into one Batch, which the message carries and on_receive
 groups with one stable argsort of dest, so a delivery group may be a
-Batch or a list of Items. The chunk's same-process items still go to
-local_deliver one Item at a time. A buffer that both kinds of chunk fill
-seals into a list of Items. pp takes a column chunk as Items, and the
-threaded engine inserts one as Items, so its aggregator sees only lists.
+Batch or a list of Items. A column chunk's same-process items go to
+local_deliver as one Batch, which iterates as Items. A buffer that both
+kinds of chunk fill seals into a list of Items. pp takes a column chunk as
+Items, and the threaded engine inserts one as Items, so its aggregator sees
+only lists.
 """
 from __future__ import annotations
 
 import threading
 from collections import defaultdict
 from enum import Enum
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -274,16 +276,18 @@ class Aggregator:
     Subclasses own the layout. An aggregator is inert until bind() attaches a
     transport (the engine); create -> spawn is the intended order, and a
     second spawn on the same instance is refused. The transport offers
-    send(msg), called once per sealed message, and local_deliver(dest,
-    items, now), called once per same-process item.
+    send(msg), called once per sealed message, and local_deliver(items),
+    called at most once per insert with the chunk's same-process items, in
+    chunk order.
 
     The engines ask it per flush owner (flush_owners): owner_buffered, the
     items in that owner's scope, and next_deadline, the one deadline query.
-    Those two, flush, flush_expired and buffers_per_owner are written here,
-    once for every layout. A subclass supplies insert_batch, _buffers (a
-    lock-free snapshot of a scope's non-empty buffers) and _flush_row (the
-    seal of a scope's buffers, all of them or the due ones), and sets _cols;
-    on_receive is shared but for ww's.
+    Those two, flush and flush_expired are written here, once for every
+    layout, and so is _refuse, the one chunk check. A subclass supplies
+    insert_batch, _buffers (a lock-free snapshot of a scope's non-empty
+    buffers) and _flush_row (the seal of a scope's buffers, all of them or
+    the due ones), and sets _cols, the buffers one flush owner's scope
+    allocates; on_receive is shared but for ww's.
     """
 
     kind: SchemeKind  # set by each scheme class
@@ -317,44 +321,27 @@ class Aggregator:
             raise UsageError("flush timeout must be a positive ns count")
         self.flush_timeout_ns = timeout_ns
 
-    def _check(self, source: int, dest: int):
-        """Raise for a bad insert. insert_batch() tests the same conditions
-        on the whole chunk and calls this per item only when they fail."""
-        if not 0 <= dest < self._w:
-            raise UsageError(f"destination worker {dest} out of range")
-        if self._transport is None:
-            raise SetupError("aggregator not attached to a run")
-
-    def _check_batch(self, source, items):
-        """Raise what the first bad item of items would raise. An unbound
-        aggregator refuses an empty chunk too."""
-        w = self._w
-        if items and self._transport is not None:
-            if len(items) == 1:
-                if 0 <= items[0][0] < w:
-                    return
-            elif 0 <= min(map(_DEST, items)) and max(map(_DEST, items)) < w:
-                return
-        self._refuse(source, map(_DEST, items))
-
-    def _refuse(self, source, dests):
-        """Raise what the first bad destination of a chunk would raise, or
-        SetupError when the aggregator is unbound; return when neither."""
+    def _refuse(self, dests):
+        """Refuse a chunk by its destinations, in order: the first one out
+        of range raises UsageError, and on an unbound aggregator the first
+        one in range, or an empty chunk, raises SetupError; return when
+        neither. Each insert body tests its chunk inline and calls this only
+        when that test fails, before any effect."""
         for d in dests:
-            self._check(source, d)
+            if not 0 <= d < self._w:
+                raise UsageError(f"destination worker {d} out of range")
+            if self._transport is None:
+                break
         if self._transport is None:
             raise SetupError("aggregator not attached to a run")
 
     # -- introspection ------------------------------------------------------
-    def buffers_per_owner(self) -> int:
-        """Buffers one flush owner's scope allocates: one per column."""
-        return self._cols
-
     def allocated_bytes(self) -> dict:
-        """Modeled buffer bytes: every allocated buffer holds g slots of
-        item_bytes each. Matches the analytic memory overhead by construction
-        of the layout, which is exactly what the cross-check pins down."""
-        per_owner = self.buffers_per_owner() * self.g * self.item_bytes
+        """Modeled buffer bytes: each flush owner's scope allocates one
+        buffer per column, and every buffer holds g slots of item_bytes
+        each. Matches the analytic memory overhead by construction of the
+        layout, which is exactly what the cross-check pins down."""
+        per_owner = self._cols * self.g * self.item_bytes
         if self.scope_kind == "worker":
             return {"per_core_bytes": per_owner,
                     "per_process_bytes": per_owner * self._t}
@@ -372,11 +359,11 @@ class Aggregator:
         self.insert_batch(source, (item,))
 
     def insert_batch(self, source: int, items: Sequence[Item]) -> None:
-        """Buffer one source's chunk in order, or hand items to local
-        delivery. An item's created_at is its insert's time: it stamps a
-        local delivery and a seal on full, and starts the flush timeout of
-        an empty buffer. The chunk is checked whole first, so a bad item
-        leaves no effect at all."""
+        """Buffer one source's chunk in order, and hand its same-process
+        items to one local_deliver. An item's created_at is its insert's
+        time: it stamps a local delivery and a seal on full, and starts the
+        flush timeout of an empty buffer. The chunk is checked whole first,
+        so a bad item leaves no effect at all."""
         raise NotImplementedError
 
     def insert_columns(self, source: int, batch: Batch) -> None:
@@ -463,36 +450,45 @@ class _WorkerBufferedAggregator(Aggregator):
         return list(self._rows[worker].values())
 
     def insert_batch(self, source, items):
-        self._check_batch(source, items)
+        if not (items and self._transport is not None
+                and 0 <= min(map(_DEST, items))
+                and max(map(_DEST, items)) < self._w):
+            self._refuse(map(_DEST, items))
+            return  # an empty chunk
         t = self._t
         width = self._width
         lo = (source // t) * t // width     # source process's columns
         hi = lo + t // width
         g = self.g
         row = self._rows[source]
-        local_deliver = self._transport.local_deliver
+        local = []
         for it in items:
             col = it[0] // width
             if lo <= col < hi:
-                local_deliver(it[0], (it,), it[2])
+                local.append(it)
                 continue
             buf = row[col]
             buf.append(it)
             if len(buf) == g:
                 self._seal(source, (col,), CAUSE_FULL, it[2])
+        # the local items go only to this process's queues and the seals
+        # only to other processes', so handing them over after the seals
+        # reorders nothing any queue sees
+        if local:
+            self._transport.local_deliver(local)
 
     def insert_columns(self, source, batch):
         # One stable argsort of the columns splits the chunk into runs, each
         # in chunk order. The runs' buffer fills are sealed in the chunk
         # order of their filling items, each sent at that item's stamp, as
         # the item loop sends them; what is left of each run is then
-        # buffered. Same-process items go to local_deliver as one-item Item
-        # entries, in chunk order.
+        # buffered. Same-process items go to local_deliver as one Batch, in
+        # chunk order.
         data = batch.data
         dest = data[0]
         if not (dest.size and self._transport is not None
                 and dest.min() >= 0 and dest.max() < self._w):
-            self._refuse(source, dest.tolist())
+            self._refuse(dest.tolist())
             return  # an empty chunk
         width = self._width
         col = dest // width if width > 1 else dest
@@ -527,9 +523,7 @@ class _WorkerBufferedAggregator(Aggregator):
             items = data[:, s:e]
             if hi - lo > 1:  # ww: back to chunk order across destinations
                 items = items[:, order[s:e].argsort()]
-            local_deliver = self._transport.local_deliver
-            for it in map(tuple.__new__, repeat(Item), zip(*items.tolist())):
-                local_deliver(it[0], (it,), it[2])
+            self._transport.local_deliver(Batch(items))
         fills.sort()  # the positions differ, so nothing else compares
         for _, c, s, f in fills:
             _extend(row, c, data[:, s:f])
@@ -642,8 +636,8 @@ class _PPAggregator(Aggregator):
                 parts[dp] = p = []
             p.append(i)
         if not (ok and parts):
-            self._check_batch(source, items)
-            return
+            self._refuse(map(_DEST, items))
+            return  # an empty chunk
         sp = source // t
         row = self._shared[sp]
         g = self.g
@@ -652,9 +646,7 @@ class _PPAggregator(Aggregator):
         sealed = []  # (filling item's chunk position, dp, taken buffer)
         for dp, pos in parts.items():
             if dp == sp:
-                local_deliver = self._transport.local_deliver
-                for it in map(at, pos):
-                    local_deliver(it[0], (it,), it[2])
+                self._transport.local_deliver(list(map(at, pos)))
                 continue
             part = list(map(at, pos))
             b = row[dp]

@@ -5,17 +5,24 @@ from aggsim.topology import Item
 
 
 class LoopbackTransport:
-    """Collects emitted messages and local deliveries for assertions."""
+    """Collects emitted messages and local deliveries for assertions.
+
+    local holds one (dest, (item,), created_at) per locally delivered item,
+    the one-item entries the engines queue; local_calls counts the
+    local_deliver calls that handed them over.
+    """
 
     def __init__(self):
         self.messages = []
         self.local = []
+        self.local_calls = 0
 
     def send(self, msg):
         self.messages.append(msg)
 
-    def local_deliver(self, dest, items, now):
-        self.local.append((dest, tuple(items), now))
+    def local_deliver(self, items):
+        self.local_calls += 1
+        self.local.extend((it[0], (it,), it[2]) for it in items)
 
 
 def make_agg(kind, topo, g, item_bytes=8, timeout_ns=None):

@@ -323,6 +323,15 @@ def test_quiescence_timeout_exit_code(monkeypatch):
     assert cli.parse_and_run(["histogram"] + SMALL) == 4
 
 
+@pytest.mark.parametrize("budget,mode", [("nan", "sequential"),
+                                         ("inf", "threaded")])
+def test_wall_budget_it_cannot_honour_exits_2(budget, mode, capsys):
+    assert cli.parse_and_run(["histogram"] + SMALL + [
+        "--timeout", budget, "--mode", mode]) == 2
+    assert "timeout_s must be None or a finite number" in (
+        capsys.readouterr().err)
+
+
 def test_threaded_topology_above_cap_exits_2(capsys):
     before = threading.active_count()
     code = cli.parse_and_run([

@@ -250,13 +250,32 @@ def test_wall_budget_raises_quiescence_timeout():
         h.await_quiescence(timeout_s=0.2)
 
 
-def test_same_process_traffic_sends_no_messages():
-    h = _spawn(Topology(1, 1, 4), SchemeKind.PP, 16,
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("token", ["ww", "wps", "wsp", "pp", "none"])
+def test_same_process_traffic_sends_no_messages(token, mode):
+    kind, g = resolve_scheme(token)
+    h = _spawn(Topology(1, 1, 4), kind, g or 16, mode=mode,
                program=scatter(100, 4))
     m = h.await_quiescence(timeout_s=30)
     assert m.messages_sent == 0
     assert m.self_sends == m.produced == 400
     assert m.delivered == 400
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+@pytest.mark.parametrize("call", ["run_phase", "await_quiescence"])
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -1],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_wall_budget_refuses_what_it_cannot_honour(mode, call, budget):
+    # refused before the run moves, so a valid budget still settles it
+    h = _spawn(Topology(1, 2, 2), SchemeKind.WPS, 4, mode=mode,
+               program=scatter(50, 4))
+    with pytest.raises(UsageError, match="timeout_s must be None or a "
+                                         "finite number of seconds > 0"):
+        getattr(h, call)(timeout_s=budget)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.delivered == m.produced == 200
+    assert not any(w.thread and w.thread.is_alive() for w in h.workers)
 
 
 def test_arrivals_fifo_per_channel():
