@@ -9,7 +9,7 @@ from numbers import Real
 import numpy as np
 
 from ..errors import UsageError
-from ..runtime import TransportConfig, spawn
+from ..runtime import TransportConfig, check_budget, spawn
 from ..schemes import SchemeKind, create_aggregator
 from ..topology import Topology
 
@@ -30,8 +30,11 @@ def resolve_scheme(token):
 
 def launch(*, topo: Topology, scheme, g: int, item_bytes: int, program,
            mode: str, seed: int, cfg: TransportConfig = None, trace=False,
-           flush_timeout_ns=None):
-    """Build the aggregator for a scheme token and spawn a run."""
+           flush_timeout_ns=None, timeout_s=None):
+    """Build the aggregator for a scheme token and spawn a run. timeout_s
+    is the wall budget the caller will settle the run with; one the run
+    could not honour is refused before any worker thread starts."""
+    check_budget(timeout_s)
     kind, g_override = resolve_scheme(scheme)
     g_eff = g_override if g_override is not None else g
     agg = create_aggregator(kind, topo, g_eff, item_bytes)

@@ -9,7 +9,7 @@ The updates travel as int64 columns: each step inserts a slice of the
 pre-drawn array with ctx.insert_columns, as a column chunk (a Batch of the
 columns dest, payload, created_at and seq), and the sink adds one bincount
 per delivered Batch group. Groups that reach it as lists of Items
-(same-process updates, pp, the threaded engine) are counted one by one.
+(same-process updates, the threaded engine) are counted one by one.
 """
 from __future__ import annotations
 
@@ -123,7 +123,7 @@ def run_histogram(spec: HistogramSpec, *, scheme, g, topo, mode="sequential",
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _HistWorker(wid, spec, topo, _CHUNK),
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
-        flush_timeout_ns=flush_timeout_ns)
+        flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     w = topo.total_workers

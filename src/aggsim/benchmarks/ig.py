@@ -158,7 +158,7 @@ def run_ig(spec: IGSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _IGWorker(wid, spec, topo, _CHUNK),
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
-        flush_timeout_ns=flush_timeout_ns)
+        flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]

@@ -166,7 +166,7 @@ def run_phold(spec: PholdSpec, *, scheme, g, topo, mode="sequential",
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _PholdWorker(wid, spec, topo, record_log),
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
-        flush_timeout_ns=flush_timeout_ns)
+        flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]

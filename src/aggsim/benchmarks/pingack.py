@@ -130,7 +130,7 @@ def run_pingack(spec: PingAckSpec, *, scheme, ppn, g=1024, mode="sequential",
         topo=topo, scheme=scheme, g=g, item_bytes=spec.message_size,
         program=lambda wid: _PingAckWorker(wid, spec, topo, _CHUNK),
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
-        flush_timeout_ns=flush_timeout_ns)
+        flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]

@@ -163,7 +163,7 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         topo=topo, scheme=scheme, g=g, item_bytes=item_bytes,
         program=lambda wid: _SSSPWorker(wid, spec, topo),
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
-        flush_timeout_ns=flush_timeout_ns)
+        flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
 
     threshold = spec.threshold_delta
     phases = 0

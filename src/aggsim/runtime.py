@@ -17,8 +17,8 @@ with the worker's clock set to the wall time of the take.
 
 Items travel as a list of Items, or on the column path as a Batch of int64
 columns: a column chunk from ctx.insert_columns stays a Batch through the
-ww/wps/wsp buffers, the message and the delivery group, and _drain takes
-such a group's latency samples in one vector op. Same-process items, pp
+buffers of every scheme, the message and the delivery group, and _drain
+takes such a group's latency samples in one vector op. Same-process items
 and the threaded engine take a column chunk as Items. Each insert hands its
 same-process items to the engine's local_deliver in one call, and each
 engine queues every item as a one-item entry that arrives at its insert's
@@ -148,6 +148,14 @@ class TransportConfig:
                 raise UsageError(f"{name} must be finite and >= 0")
 
 
+def check_budget(timeout_s) -> None:
+    """Refuse a wall-clock budget other than None or a finite number of
+    seconds > 0 with UsageError."""
+    if timeout_s is not None and not 0 < timeout_s < math.inf:
+        raise UsageError(f"timeout_s must be None or a finite number of "
+                         f"seconds > 0, got {timeout_s!r}")
+
+
 def parse_mode(token: str) -> str:
     t = str(token).lower()
     if t not in RUN_MODES:
@@ -169,11 +177,11 @@ class WorkerProgram:
     work_ns*(inserts by earlier items) for item i of a group started at s,
     with its inserts stamped in that sequence through ctx.insert_stamped.
 
-    A group is a list of Items, or a Batch when it came through ww, wps or
-    wsp from column chunks: the Batches of int64 columns that
+    A group is a list of Items, or a Batch when it came through the buffers
+    from column chunks: the Batches of int64 columns that
     ctx.insert_columns builds from two arrays. A Batch iterates as Items,
-    so a sink that loops over Items takes either. Same-process items, pp
-    and the threaded engine deliver a column chunk's items as Items.
+    so a sink that loops over Items takes either. Same-process items and
+    the threaded engine deliver a column chunk's items as Items.
     """
 
     on_items = None
@@ -516,9 +524,7 @@ class _BaseRun:
     def _settle(self, timeout_s, final):
         # a budget no clock can honour is refused before the run moves, so a
         # later call can still settle it
-        if timeout_s is not None and not 0 < timeout_s < math.inf:
-            raise UsageError(f"timeout_s must be None or a finite number of "
-                             f"seconds > 0, got {timeout_s!r}")
+        check_budget(timeout_s)
         # stop when final or short of quiescence; a worker's error goes first
         self._run(timeout_s)
         short = None if self._is_quiescent() else self._diagnostics()

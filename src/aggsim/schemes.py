@@ -16,38 +16,34 @@ them; shared-memory delivery needs no coalescing. The modelled layout
 (allocated_bytes) still counts ww's buffers for same-process destinations,
 but they are never filled.
 
-The buffered items are the only buffer state. A worker's buffer row holds
-only its non-empty buffers, created on first insert and dropped at seal. A
-buffer's timeout deadline is its oldest item's created_at plus the timeout,
-and a pp message departs no earlier than its newest item's created_at. No
-scheme counts its inserts: every buffered item leaves in exactly one
-message, so the engine counts items per scope from the messages it is sent.
+The buffered items are the only buffer state, and every layout keeps them
+in one kind of row: a source worker's for ww/wps/wsp, a source process's
+for pp, so pp is wps with one row per process, shared by its workers. A
+row holds only its non-empty buffers, created on first insert and dropped
+at seal. A buffer's timeout deadline is its oldest item's created_at plus
+the timeout, and a pp message departs no earlier than its newest item's
+created_at. No scheme counts its inserts: every buffered item leaves in
+exactly one message, so the engine counts items per scope from the
+messages it is sent.
 
 A buffer emits exactly when it reaches g items (cause "full", k == g) or when
 flushed while non-empty (cause "flush", k < g, message resized to k).
 
-Every seal builds its CoalescedMessage with tuple.__new__ and hands it
-straight to transport.send, one call per message, in emit order: a flush
-seals in ascending destination order. For ww/wps/wsp one helper, _seal,
-does that for a list of columns.
-
-The queries the engines make are the same for every layout, so Aggregator
-writes them once: flush, flush_expired, next_deadline and owner_buffered.
-A buffer family (ww/wps/wsp's per-worker rows, pp's shared rows) supplies
-only where items wait: _buffers, a lock-free snapshot of a scope's
-non-empty buffers, and _flush_row, which picks a scope's due buffers and
-seals them.
+Every seal builds its CoalescedMessage with tuple.__new__ under its row's
+lock, and the messages go to transport.send once the lock is released, one
+call per message, in emit order: a flush seals in ascending destination
+order. Aggregator writes every insert, seal, flush and query once for all
+four layouts; a scheme class sets only its layout.
 
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
-int64 columns (insert_columns). ww/wps/wsp split a column chunk by column
-with one stable argsort; a buffer it fills keeps the chunk's column slices
-and seals them into one Batch, which the message carries and on_receive
-groups with one stable argsort of dest, so a delivery group may be a
-Batch or a list of Items. A column chunk's same-process items go to
-local_deliver as one Batch, which iterates as Items. A buffer that both
-kinds of chunk fill seals into a list of Items. pp takes a column chunk as
-Items, and the threaded engine inserts one as Items, so its aggregator sees
-only lists.
+int64 columns (insert_columns). A column chunk is split by column with one
+stable argsort; a buffer it fills keeps the chunk's column slices and seals
+them into one Batch, which the message carries and on_receive groups with
+one stable argsort of dest, so a delivery group may be a Batch or a list
+of Items. A column chunk's same-process items go to local_deliver as one
+Batch, which iterates as Items. A buffer that both kinds of chunk fill
+seals into a list of Items. The threaded engine inserts a column chunk as
+Items, so its aggregator sees only lists.
 """
 from __future__ import annotations
 
@@ -55,6 +51,7 @@ import threading
 from collections import defaultdict
 from enum import Enum
 from itertools import groupby
+from numbers import Integral
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -197,8 +194,15 @@ def _stable_order(keys, bound):
 
 
 def _head(buf) -> int:
-    """created_at of a ww/wps/wsp buffer's oldest item."""
+    """created_at of a buffer's oldest item."""
     return buf[0][2] if type(buf) is list else buf.head()
+
+
+def _newest(batch) -> int:
+    """created_at of a sealed batch's newest item."""
+    if type(batch) is Batch:
+        return int(batch.created_at.max())
+    return max(map(_CREATED, batch))
 
 
 def _extend(row, col, part):
@@ -215,7 +219,7 @@ def _extend(row, col, part):
 
 
 class _Slices:
-    """A ww/wps/wsp buffer that a column chunk filled.
+    """A buffer that a column chunk filled.
 
     parts holds its items in order, as (4, m) column slices of the chunks
     and, when a list chunk's items followed, lists of Items; n counts the
@@ -255,58 +259,55 @@ class _Slices:
                      else np.concatenate(parts, axis=1))
 
 
-class _SharedBuffer:
-    """pp buffer shared by all workers of one source process.
-
-    Every change runs under the buffer mutex, which linearizes the
-    append-and-seal protocol; a flush may peek at the first item without
-    it, and next_deadline and owner_buffered read the list without it. items holds the buffered items, oldest first.
-    """
-
-    __slots__ = ("items", "lock")
-
-    def __init__(self):
-        self.items = []
-        self.lock = threading.Lock()
-
-
 class Aggregator:
-    """Base class: buffer bookkeeping common to all schemes.
+    """The buffer rows and queries of all four schemes.
 
-    Subclasses own the layout. An aggregator is inert until bind() attaches a
-    transport (the engine); create -> spawn is the intended order, and a
-    second spawn on the same instance is refused. The transport offers
-    send(msg), called once per sealed message, and local_deliver(items),
-    called at most once per insert with the chunk's same-process items, in
-    chunk order.
+    An aggregator is inert until bind() attaches a transport (the engine);
+    create -> spawn is the intended order, and a second spawn on the same
+    instance is refused. The transport offers send(msg), called once per
+    sealed message, and local_deliver(items), called at most once per
+    insert with the chunk's same-process items, in chunk order.
 
-    The engines ask it per flush owner (flush_owners): owner_buffered, the
-    items in that owner's scope, and next_deadline, the one deadline query.
-    Those two, flush and flush_expired are written here, once for every
-    layout, and so is _refuse, the one chunk check. A subclass supplies
-    insert_batch, _buffers (a lock-free snapshot of a scope's non-empty
-    buffers) and _flush_row (the seal of a scope's buffers, all of them or
-    the due ones), and sets _cols, the buffers one flush owner's scope
-    allocates; on_receive is shared but for ww's.
+    Items wait in rows. A row belongs to a flush owner: a source worker for
+    ww/wps/wsp, a source process for pp, whose workers share it. It has one
+    column per destination scope, dest // width: the destination worker
+    for ww (width 1), its process for wps/wsp/pp (width t). A row maps each
+    non-empty buffer's column to its items; a seal pops it.
+
+    Every change to a row runs under the row's lock, which a chunk takes at
+    most once. No transport call runs under it: the messages sealed under
+    the lock are sent after its release, in seal order. A flush peeks at
+    its row without the lock, takes it only when something is due, and
+    checks again under it. next_deadline and owner_buffered take no lock,
+    so a threaded worker asks them while others insert. The engines ask
+    per flush owner (flush_owners); each scheme class sets only its layout.
     """
 
     kind: SchemeKind  # set by each scheme class
-    scope_kind = "worker"  # flush/accounting scope; pp overrides
+    scope_kind = "worker"      # a row's owner; pp's is a process
+    _per_process = False       # a column is a destination process
+    _grouped = True            # a message's items are dest-contiguous
+    _group_at_source = False   # wsp sorts each sealed batch before sending
 
     def __init__(self, topo: Topology, g: int, item_bytes: int):
-        if g < 1:
-            raise UsageError(f"g must be >= 1, got {g}")
-        if item_bytes < 1:
-            raise UsageError(f"item_bytes must be >= 1, got {item_bytes}")
+        for name, v in (("g", g), ("item_bytes", item_bytes)):
+            if not (isinstance(v, Integral) and v >= 1):
+                raise UsageError(f"{name} must be an integer >= 1, got {v!r}")
         self.topo = topo
-        self.g = g
-        self.item_bytes = item_bytes
+        self.g = int(g)
+        self.item_bytes = int(item_bytes)
         self.flush_timeout_ns: Optional[int] = None
         self.grouping_stats = GroupingStats()
         self._transport = None
-        self._t = topo.workers_per_proc
+        t = self._t = topo.workers_per_proc
         self._w = topo.total_workers
-        self._n = topo.total_processes
+        self._width = t if self._per_process else 1
+        self._cols = self._w // self._width
+        # workers per row
+        self._owner_width = t if self.scope_kind == "process" else 1
+        rows = self._w // self._owner_width
+        self._rows = [defaultdict(list) for _ in range(rows)]
+        self._locks = [threading.Lock() for _ in range(rows)]
 
     # -- wiring -----------------------------------------------------------
     def bind(self, transport) -> None:
@@ -315,10 +316,14 @@ class Aggregator:
         self._transport = transport
 
     def set_flush_timeout(self, timeout_ns: Optional[int]) -> None:
-        """Flush a buffer once its oldest item is timeout_ns old; None turns
-        timeout flushing off. Set it before spawning the run."""
-        if timeout_ns is not None and timeout_ns <= 0:
-            raise UsageError("flush timeout must be a positive ns count")
+        """Flush a buffer once its oldest item is timeout_ns old, an integer
+        > 0; None turns timeout flushing off. Set it before spawning the
+        run."""
+        if timeout_ns is not None:
+            if not (isinstance(timeout_ns, Integral) and timeout_ns > 0):
+                raise UsageError(f"flush timeout must be None or an integer "
+                                 f"ns count > 0, got {timeout_ns!r}")
+            timeout_ns = int(timeout_ns)
         self.flush_timeout_ns = timeout_ns
 
     def _refuse(self, dests):
@@ -337,7 +342,7 @@ class Aggregator:
 
     # -- introspection ------------------------------------------------------
     def allocated_bytes(self) -> dict:
-        """Modeled buffer bytes: each flush owner's scope allocates one
+        """Modeled buffer bytes: each flush owner's row allocates one
         buffer per column, and every buffer holds g slots of item_bytes
         each. Matches the analytic memory overhead by construction of the
         layout, which is exactly what the cross-check pins down."""
@@ -348,12 +353,11 @@ class Aggregator:
         return {"per_core_bytes": 0, "per_process_bytes": per_owner}
 
     def flush_owners(self) -> range:
-        """Worker ids whose flush() calls cover every buffer exactly once."""
-        if self.scope_kind == "worker":
-            return range(self._w)
-        return range(0, self._w, self._t)
+        """Worker ids whose flush() calls cover every buffer exactly once:
+        the first worker of each row."""
+        return range(0, self._w, self._owner_width)
 
-    # -- scheme API (subclasses) -------------------------------------------
+    # -- inserts -------------------------------------------------------------
     def insert(self, source: int, item: Item) -> None:
         """insert_batch of the one item."""
         self.insert_batch(source, (item,))
@@ -364,92 +368,6 @@ class Aggregator:
         time: it stamps a local delivery and a seal on full, and starts the
         flush timeout of an empty buffer. The chunk is checked whole first,
         so a bad item leaves no effect at all."""
-        raise NotImplementedError
-
-    def insert_columns(self, source: int, batch: Batch) -> None:
-        """insert_batch of a column chunk, with the same effects. This one
-        takes it as Items; ww/wps/wsp buffer its columns."""
-        self.insert_batch(source, list(batch))
-
-    def flush(self, source: int, now: int) -> int:
-        """Ship every non-empty buffer in source's scope, in destination
-        order, each departing at now (pp: no earlier than its newest item).
-        Returns messages emitted."""
-        return self._flush_row(source, now, None)
-
-    def on_receive(self, msg: CoalescedMessage) -> list:
-        """Delivery plan for an arrived message: [(worker, items), ...],
-        grouped by destination worker here unless the sender grouped it."""
-        items = msg[2]
-        if msg[3]:
-            return split_grouped(items)
-        return split_grouped(group_items(items, self.topo,
-                                         self.grouping_stats))
-
-    def owner_buffered(self, worker: int) -> int:
-        """Items currently buffered in the scope worker would flush."""
-        return sum(map(len, self._buffers(worker)))
-
-    # -- timeout flush support ----------------------------------------------
-    def next_deadline(self, worker: int) -> Optional[int]:
-        """Earliest timeout deadline among the buffers worker's flush_expired
-        covers, or None when they are empty or no timeout is set. It is the
-        one deadline query: it reads only that scope, so an owner thread can
-        ask while others insert, and the sequential engine walks the owners'
-        answers in (deadline, owner) order."""
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return None
-        oldest = min(map(_head, self._buffers(worker)), default=None)
-        return None if oldest is None else oldest + tns
-
-    def flush_expired(self, source: int, now: int) -> int:
-        """Flush buffers in source's scope whose first item is at least the
-        timeout old, as flush does. Returns messages emitted."""
-        tns = self.flush_timeout_ns
-        if tns is None:
-            return 0
-        return self._flush_row(source, now, tns)
-
-    def _buffers(self, worker: int) -> list:
-        """The non-empty buffers in worker's scope, copied without a lock;
-        each has len() and an oldest item that _head reads."""
-        raise NotImplementedError
-
-    def _flush_row(self, source: int, now: int, tns: Optional[int]) -> int:
-        """Seal the buffers in source's scope whose first item is tns old,
-        or every non-empty one when tns is None, as flush ships them.
-        Returns messages emitted."""
-        raise NotImplementedError
-
-
-class _WorkerBufferedAggregator(Aggregator):
-    """Common machinery for ww/wps/wsp: per-source-worker buffer rows.
-
-    A row has one column per destination scope, dest // width: the
-    destination worker for ww (width 1), its process for wps/wsp (width t).
-    A row maps each non-empty buffer's column to its items; a seal pops it.
-    """
-
-    _per_process = False
-    _grouped = True            # a message's items are dest-contiguous
-    _group_at_source = False   # wsp sorts each sealed batch before sending
-
-    def __init__(self, topo, g, item_bytes):
-        super().__init__(topo, g, item_bytes)
-        self._width = self._t if self._per_process else 1
-        self._cols = self._w // self._width
-        self._rows = [defaultdict(list) for _ in range(self._w)]
-
-    # The threaded coordinator reads rows while owner threads fill and seal
-    # them. list() copies a row in one C call, which no other thread can
-    # interleave with. Iterating the live dict over several bytecodes could
-    # see it change size and raise; so can sum(map(len, row.values())),
-    # whose iterator is made one call before sum() consumes it.
-    def _buffers(self, worker):
-        return list(self._rows[worker].values())
-
-    def insert_batch(self, source, items):
         if not (items and self._transport is not None
                 and 0 <= min(map(_DEST, items))
                 and max(map(_DEST, items)) < self._w):
@@ -460,24 +378,26 @@ class _WorkerBufferedAggregator(Aggregator):
         lo = (source // t) * t // width     # source process's columns
         hi = lo + t // width
         g = self.g
-        row = self._rows[source]
+        r = source // self._owner_width
+        row = self._rows[r]
         local = []
-        for it in items:
-            col = it[0] // width
-            if lo <= col < hi:
-                local.append(it)
-                continue
-            buf = row[col]
-            buf.append(it)
-            if len(buf) == g:
-                self._seal(source, (col,), CAUSE_FULL, it[2])
-        # the local items go only to this process's queues and the seals
-        # only to other processes', so handing them over after the seals
-        # reorders nothing any queue sees
-        if local:
-            self._transport.local_deliver(local)
+        sealed = []
+        with self._locks[r]:
+            for it in items:
+                col = it[0] // width
+                if lo <= col < hi:
+                    local.append(it)
+                    continue
+                buf = row[col]
+                buf.append(it)
+                if len(buf) == g:
+                    self._seal(row, source, (col,), CAUSE_FULL, it[2],
+                               sealed)
+        self._send(sealed, local)
 
-    def insert_columns(self, source, batch):
+    def insert_columns(self, source: int, batch: Batch) -> None:
+        """insert_batch of a column chunk, with the same effects. A buffer
+        it fills keeps its column slices, and seals into one Batch."""
         # One stable argsort of the columns splits the chunk into runs, each
         # in chunk order. The runs' buffer fills are sealed in the chunk
         # order of their filling items, each sent at that item's stamp, as
@@ -498,53 +418,73 @@ class _WorkerBufferedAggregator(Aggregator):
         lo = (source // t) * t // width     # source process's columns
         hi = lo + t // width
         g = self.g
-        row = self._rows[source]
+        r = source // self._owner_width
+        row = self._rows[r]
         local = None   # the run of same-process columns, [start, end)
         fills = []     # (filling item's chunk position, col, start, end)
         rests = []     # (col, start, end) left buffered
+        sealed = []
         e = 0
-        for c, m in enumerate(np.bincount(col).tolist()):
-            if not m:
-                continue
-            s = e
-            e += m
-            if lo <= c < hi:
-                local = (s if local is None else local[0], e)
-                continue
-            f = s + g - len(row.get(c, ()))
-            while f <= e:
-                fills.append((int(order[f - 1]), c, s, f))
-                s = f
-                f += g
-            if s < e:
-                rests.append((c, s, e))
+        with self._locks[r]:
+            for c, m in enumerate(np.bincount(col).tolist()):
+                if not m:
+                    continue
+                s = e
+                e += m
+                if lo <= c < hi:
+                    local = (s if local is None else local[0], e)
+                    continue
+                f = s + g - len(row.get(c, ()))
+                while f <= e:
+                    fills.append((int(order[f - 1]), c, s, f))
+                    s = f
+                    f += g
+                if s < e:
+                    rests.append((c, s, e))
+            fills.sort()  # the positions differ, so nothing else compares
+            for _, c, s, f in fills:
+                _extend(row, c, data[:, s:f])
+                self._seal(row, source, (c,), CAUSE_FULL,
+                           int(data[2, f - 1]), sealed)
+            for c, s, e in rests:
+                _extend(row, c, data[:, s:e])
         if local is not None:
             s, e = local
-            items = data[:, s:e]
+            local = data[:, s:e]
             if hi - lo > 1:  # ww: back to chunk order across destinations
-                items = items[:, order[s:e].argsort()]
-            self._transport.local_deliver(Batch(items))
-        fills.sort()  # the positions differ, so nothing else compares
-        for _, c, s, f in fills:
-            _extend(row, c, data[:, s:f])
-            self._seal(source, (c,), CAUSE_FULL, int(data[2, f - 1]))
-        for c, s, e in rests:
-            _extend(row, c, data[:, s:e])
+                local = local[:, order[s:e].argsort()]
+            local = Batch(local)
+        self._send(sealed, local)
 
-    def _seal(self, source, cols, cause, now):
-        """Take source's buffers cols out of its row, in order, and send each
-        at now as one message, straight to the transport. Returns len(cols).
+    def _send(self, sealed, local):
+        """Hand a released row's sealed messages to send, in seal order,
+        then the chunk's same-process items to local_deliver. A chunk's
+        local items go only to its own process's queues and its seals only
+        to other processes', so the hand-over order reorders nothing any
+        queue sees."""
+        send = self._transport.send
+        for msg in sealed:
+            send(msg)
+        if local:
+            self._transport.local_deliver(local)
+
+    def _seal(self, row, source, cols, cause, now, out):
+        """Pop row's buffers cols, in order, and append each to out as one
+        message from source departing at now; the caller holds the row's
+        lock, and sends out after releasing it.
 
         A full seal passes its one column, flush the sorted row and
         flush_expired the sorted due columns. wsp groups each batch here,
-        and a buffer filled by a column chunk seals into one Batch.
+        and a buffer filled by a column chunk seals into one Batch. A pp
+        row's workers have independent clocks, so its message departs no
+        earlier than its newest item.
         """
-        pop = self._rows[source].pop
-        send = self._transport.send
+        pop = row.pop
         new = tuple.__new__
         origin = source // self._t
         grouped = self._grouped
         at_source = self._group_at_source
+        shared = self.scope_kind != "worker"
         topo, stats = self.topo, self.grouping_stats
         for col in cols:
             batch = pop(col)
@@ -552,21 +492,94 @@ class _WorkerBufferedAggregator(Aggregator):
                 batch = batch.seal()
             if at_source:
                 batch = group_items(batch, topo, stats)
-            send(new(CoalescedMessage, (origin, col, batch, grouped, cause,
-                                        now, source)))
-        return len(cols)
+            sent_at = max(now, _newest(batch)) if shared else now
+            out.append(new(CoalescedMessage, (origin, col, batch, grouped,
+                                              cause, sent_at, source)))
+
+    # -- flushes and queries ------------------------------------------------
+    def flush(self, source: int, now: int) -> int:
+        """Ship every non-empty buffer in source's row, in destination
+        order, each departing at now (pp: no earlier than its newest item).
+        Returns messages emitted."""
+        return self._flush_row(source, now, None)
+
+    def flush_expired(self, source: int, now: int) -> int:
+        """Flush buffers in source's row whose first item is at least the
+        timeout old, as flush does. Returns messages emitted."""
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return 0
+        return self._flush_row(source, now, tns)
 
     def _flush_row(self, source, now, tns):
-        row = self._rows[source]
-        if not row:
+        """Seal the buffers in source's row whose first item is tns old, or
+        every non-empty one when tns is None, as flush ships them.
+
+        The row is first peeked at without its lock, and left alone when
+        empty or when nothing in it is due. An item never changes and a
+        buffer never empties in place, so a skip is what a locked check at
+        the peek would decide; an insert after the peek waits for a later
+        flush, as one after a locked check would. The buffers the peek
+        picks are checked again under the lock.
+        """
+        r = source // self._owner_width
+        row = self._rows[r]
+        if tns is not None:
+            due = [col for col, buf in list(row.items())
+                   if buf and _head(buf) + tns <= now]
+            if not due:
+                return 0
+        elif not row:
             return 0
-        return self._seal(source, sorted(
-            row if tns is None else
-            (col for col, buf in row.items() if _head(buf) + tns <= now)),
-            CAUSE_FLUSH, now)
+        sealed = []
+        with self._locks[r]:
+            self._seal(row, source, sorted(
+                row if tns is None else
+                (col for col in due if col in row
+                 and _head(row[col]) + tns <= now)),
+                CAUSE_FLUSH, now, sealed)
+        self._send(sealed, None)
+        return len(sealed)
+
+    # The threaded engine reads a row while others fill and seal it: a pp
+    # row's workers, or the coordinator. list() copies a row in one C call,
+    # which no other thread can interleave with; iterating the live dict
+    # over several bytecodes could see it change size and raise. A seal
+    # pops a buffer whole, so a non-empty copy keeps its oldest item; an
+    # insert creates its buffer empty just before it appends, so empty
+    # ones are skipped.
+    def _buffers(self, worker):
+        """The non-empty buffers in worker's row, read without a lock."""
+        return [buf for buf in list(
+            self._rows[worker // self._owner_width].values()) if buf]
+
+    def owner_buffered(self, worker: int) -> int:
+        """Items currently buffered in the row worker would flush."""
+        return sum(map(len, self._buffers(worker)))
+
+    def next_deadline(self, worker: int) -> Optional[int]:
+        """Earliest timeout deadline among the buffers worker's flush_expired
+        covers, or None when they are empty or no timeout is set. It is the
+        one deadline query: it reads only that row, so an owner thread can
+        ask while others insert, and the sequential engine walks the owners'
+        answers in (deadline, owner) order."""
+        tns = self.flush_timeout_ns
+        if tns is None:
+            return None
+        oldest = min(map(_head, self._buffers(worker)), default=None)
+        return None if oldest is None else oldest + tns
+
+    def on_receive(self, msg: CoalescedMessage) -> list:
+        """Delivery plan for an arrived message: [(worker, items), ...],
+        grouped by destination worker here unless the sender grouped it."""
+        items = msg[2]
+        if msg[3]:
+            return split_grouped(items)
+        return split_grouped(group_items(items, self.topo,
+                                         self.grouping_stats))
 
 
-class _WWAggregator(_WorkerBufferedAggregator):
+class _WWAggregator(Aggregator):
     """ww: one buffer per destination worker at each source worker."""
 
     kind = SchemeKind.WW
@@ -577,8 +590,8 @@ class _WWAggregator(_WorkerBufferedAggregator):
         return [(msg[1], msg[2])]
 
 
-class _ProcBufferedAggregator(_WorkerBufferedAggregator):
-    """wps/wsp: one buffer per destination process at each source worker."""
+class _ProcBufferedAggregator(Aggregator):
+    """wps/wsp/pp: one buffer per destination process in each row."""
 
     _per_process = True
     _grouped = False
@@ -596,118 +609,11 @@ class _WsPAggregator(_ProcBufferedAggregator):
     _group_at_source = True
 
 
-class _PPAggregator(Aggregator):
-    """pp: one shared buffer per destination process on each source process."""
+class _PPAggregator(_ProcBufferedAggregator):
+    """pp: wps with one row per source process, which its workers share."""
 
     kind = SchemeKind.PP
     scope_kind = "process"
-
-    def __init__(self, topo, g, item_bytes):
-        super().__init__(topo, g, item_bytes)
-        n = self._cols = self._n
-        self._shared = [[_SharedBuffer() for _ in range(n)] for _ in range(n)]
-
-    def _buffers(self, worker):
-        # Lock-free: each buffer's list is read once. An insert only extends
-        # a list and a take replaces it with a new one, so a list never
-        # empties in place and its oldest item never changes; a snapshot
-        # list stays non-empty with the head it was read with.
-        return [items for b in self._shared[worker // self._t]
-                if (items := b.items)]
-
-    def insert_batch(self, source, items):
-        # One pass splits the chunk by destination process into parts of
-        # chunk positions, each in chunk order; the part keys check the
-        # chunk. A remote part then takes its buffer's lock once, so other
-        # workers' inserts interleave per chunk, and the messages it seals
-        # are sent after every lock is released, in the chunk order of their
-        # filling items, as one-item chunks would send them.
-        t = self._t
-        n = self._n
-        parts = {}
-        get = parts.get
-        ok = self._transport is not None
-        for i, it in enumerate(items):
-            dp = it[0] // t
-            p = get(dp)
-            if p is None:
-                if not 0 <= dp < n:
-                    ok = False
-                parts[dp] = p = []
-            p.append(i)
-        if not (ok and parts):
-            self._refuse(map(_DEST, items))
-            return  # an empty chunk
-        sp = source // t
-        row = self._shared[sp]
-        g = self.g
-        take = self._take
-        at = items.__getitem__
-        sealed = []  # (filling item's chunk position, dp, taken buffer)
-        for dp, pos in parts.items():
-            if dp == sp:
-                self._transport.local_deliver(list(map(at, pos)))
-                continue
-            part = list(map(at, pos))
-            b = row[dp]
-            with b.lock:
-                lo = 0
-                end = g - len(b.items)
-                while end <= len(part):
-                    b.items.extend(part[lo:end])
-                    sealed.append((pos[end - 1], dp,
-                                   take(b, part[end - 1][2])))
-                    lo = end
-                    end += g
-                b.items.extend(part[lo:] if lo else part)
-        if sealed:
-            sealed.sort()  # the positions differ, so nothing else compares
-            send = self._transport.send
-            new = tuple.__new__
-            for _, dp, (batch, seal_ts) in sealed:
-                send(new(CoalescedMessage, (sp, dp, batch, False, CAUSE_FULL,
-                                            seal_ts, source)))
-
-    @staticmethod
-    def _take(b, now):
-        """Empty b, whose lock the caller holds; returns (items, departure
-        ns). Contributors have independent clocks, so the departure is no
-        earlier than the newest item's created_at."""
-        buf = b.items
-        b.items = []
-        return buf, max(now, max(map(_CREATED, buf)))
-
-    def _flush_row(self, source, now, tns):
-        """Ship the non-empty buffers of source's process in destination
-        order, each straight to the transport; with tns set, only those
-        whose first item is tns old.
-
-        Each buffer is first peeked at without its lock and skipped when
-        empty or not yet due. The peek copies at most the first item in one
-        C call, which no other thread can interleave with, and an item never
-        changes, so a skip is what a locked check at the peek would decide;
-        an insert after the peek waits for a later flush, as one after a
-        locked check would. A buffer the peek picks is checked again under
-        the lock.
-        """
-        sp = source // self._t
-        take = self._take
-        send = self._transport.send
-        new = tuple.__new__
-        n = 0
-        for dp, b in enumerate(self._shared[sp]):
-            head = b.items[:1]
-            if not head or (tns is not None and head[0][2] + tns > now):
-                continue
-            with b.lock:
-                if not b.items or (tns is not None
-                                   and b.items[0][2] + tns > now):
-                    continue
-                buf, seal_ts = take(b, now)
-            send(new(CoalescedMessage, (sp, dp, buf, False, CAUSE_FLUSH,
-                                        seal_ts, source)))
-            n += 1
-        return n
 
 
 _SCHEME_CLASSES = {cls.kind: cls for cls in (

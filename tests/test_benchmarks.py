@@ -6,6 +6,7 @@ agreement on the correctness outputs.
 """
 import heapq
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -518,3 +519,35 @@ def test_pingack_rejects_indivisible_ppn():
                        workers_per_node=4, procs_per_node=(2,), seed=0)
     with pytest.raises(UsageError):
         run_pingack(spec, scheme="ww", ppn=3, g=4)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0],
+                         ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("bench", ["histogram", "ig", "sssp", "phold",
+                                   "pingack"])
+def test_threaded_runner_refuses_budget_before_any_thread(bench, budget):
+    # a runner drops its handle when settling raises, so a budget refused
+    # after launch would leave the worker threads parked for good
+    topo = Topology(1, 2, 2)
+    runs = {
+        "histogram": lambda **kw: run_histogram(
+            HistogramSpec(20, 64, seed=1), topo=topo, **kw),
+        "ig": lambda **kw: run_ig(
+            IGSpec(requests_per_worker=5, table_size=16, seed=1), topo=topo,
+            **kw),
+        "sssp": lambda **kw: run_sssp(
+            SSSPSpec(graph=random_graph(16, 2, seed=1), source=0,
+                     threshold_delta=100, seed=0), topo=topo, **kw),
+        "phold": lambda **kw: run_phold(
+            PholdSpec(lps_per_worker=1, initial_events_per_lp=1,
+                      end_time=1000.0, seed=1), topo=topo, **kw),
+        "pingack": lambda **kw: run_pingack(
+            PingAckSpec(messages_per_worker=5, message_size=8,
+                        workers_per_node=2, procs_per_node=(1,), seed=0),
+            ppn=1, **kw),
+    }
+    before = threading.active_count()
+    with pytest.raises(UsageError, match="timeout_s must be None or a "
+                                         "finite number of seconds > 0"):
+        runs[bench](scheme="pp", g=4, mode="threaded", timeout_s=budget)
+    assert threading.active_count() == before

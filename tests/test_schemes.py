@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -23,12 +24,10 @@ ALL_KINDS = list(SchemeKind)
 
 def buffer_heads(agg):
     """(flush owner, destination scope, oldest item) of every non-empty
-    buffer, in that order: the items whose created_at sets the deadlines."""
-    if agg.kind is SchemeKind.PP:
-        t = agg.topo.workers_per_proc
-        return [(sp * t, dp, b.items[0]) for sp, row in enumerate(agg._shared)
-                for dp, b in enumerate(row) if b.items]
-    return sorted((src, col, buf[0]) for src, row in enumerate(agg._rows)
+    buffer, in that order: the items whose created_at sets the deadlines.
+    Row r belongs to the r-th flush owner."""
+    owners = agg.flush_owners()
+    return sorted((owners[r], col, buf[0]) for r, row in enumerate(agg._rows)
                   for col, buf in row.items())
 
 
@@ -171,6 +170,31 @@ def test_rejects_bad_params():
     agg = create_aggregator(SchemeKind.WW, topo, 4, 8)
     with pytest.raises(UsageError):
         agg.set_flush_timeout(0)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "4", None])
+def test_refuses_what_no_run_can_honour(bad):
+    # a NaN timeout hung the sequential unstall walk, a fractional g or an
+    # infinite item size failed deep in a run, and a NaN g reached the JSON
+    topo = Topology(1, 2, 2)
+    for g, item_bytes in ((bad, 8), (4, bad)):
+        with pytest.raises(UsageError, match="must be an integer >= 1"):
+            create_aggregator(SchemeKind.PP, topo, g, item_bytes)
+    agg = create_aggregator(SchemeKind.PP, topo, 4, 8)
+    if bad is not None:
+        with pytest.raises(UsageError, match="flush timeout must be None "
+                                             "or an integer ns count > 0"):
+            agg.set_flush_timeout(bad)
+    for bad_ns in (0, -1, 1.0):
+        with pytest.raises(UsageError):
+            agg.set_flush_timeout(bad_ns)
+    assert agg.flush_timeout_ns is None
+    # numpy integers are integers, and are kept as Python ints
+    agg = create_aggregator(SchemeKind.PP, topo, np.int64(4), np.int32(8))
+    agg.set_flush_timeout(np.int64(300))
+    assert (agg.g, agg.item_bytes, agg.flush_timeout_ns) == (4, 8, 300)
+    assert {type(agg.g), type(agg.item_bytes),
+            type(agg.flush_timeout_ns)} == {int}
 
 
 def test_needs_transport_and_sinks():
@@ -348,7 +372,7 @@ def test_pp_seal_timestamp_covers_newest_item():
 
 
 class _CountingLock:
-    """A buffer lock that logs each acquisition under its buffer's key."""
+    """A row lock that logs each acquisition under its row's key."""
 
     def __init__(self, key, log):
         self._lock = threading.Lock()
@@ -365,16 +389,14 @@ class _CountingLock:
 
 def _count_locks(agg):
     log = []
-    for sp, row in enumerate(agg._shared):
-        for dp, b in enumerate(row):
-            b.lock = _CountingLock((sp, dp), log)
+    agg._locks[:] = [_CountingLock(r, log) for r in range(len(agg._locks))]
     return log
 
 
-def test_pp_locks_each_buffer_once_per_chunk():
-    # a chunk takes the lock of each remote process it reaches once, however
-    # its items interleave and however often a part fills its buffer; a
-    # flush_expired with nothing due takes none, and next_deadline none at
+def test_pp_takes_its_row_lock_once_per_chunk():
+    # a chunk takes its source process's row lock once, however its items
+    # interleave and however often it fills a buffer; a flush_expired with
+    # nothing due takes none, and next_deadline and owner_buffered none at
     # all, on a filled row or an empty one
     topo = Topology(1, 4, 2)  # processes 0-3, two workers each
     agg, tr = make_agg(SchemeKind.PP, topo, g=2, timeout_ns=100)
@@ -383,33 +405,40 @@ def test_pp_locks_each_buffer_once_per_chunk():
     items = [mk_item(d, 30 - i, created_at=10 + i)
              for i, d in enumerate(dests)]
     agg.insert_batch(0, items)
-    assert sorted(log) == [(0, 1), (0, 2), (0, 3)]
+    assert log == [0]
     # process 1 seals at positions 3 and 7, process 3 at position 8; the
     # descending seqs would order them the other way
     assert [(m.dest_scope, [it.seq for it in m.items]) for m in tr.messages
             ] == [(1, [30, 27]), (1, [26, 23]), (3, [25, 22])]
     assert [d for d, _, _ in tr.local] == [0, 1]
     assert agg.owner_buffered(0) == 2  # one item each for processes 1, 2
+    agg.insert_batch(3, [mk_item(0, 31, created_at=30)])
+    assert log == [0, 1]  # worker 3 fills process 1's row
     log.clear()
-    assert [agg.next_deadline(w) for w in range(8)] == [111] * 2 + [None] * 6
+    assert [agg.next_deadline(w) for w in range(8)] == (
+        [111] * 2 + [130] * 2 + [None] * 4)
+    assert [agg.owner_buffered(w) for w in range(8)] == (
+        [2] * 2 + [1] * 2 + [0] * 4)
     assert agg.flush_expired(1, now=109) == 0  # the oldest is due at 111
-    assert agg.flush_expired(2, now=10**6) == 0  # process 1's row is empty
+    assert agg.flush_expired(4, now=10**6) == 0  # process 2's row is empty
     assert log == []
     assert agg.flush_expired(0, now=111) == 1  # only process 2's buffer
-    assert log == [(0, 2)]
+    assert log == [0]
+    assert tr.messages[-1].dest_scope == 2
 
 
 class _SwapLock:
-    """A buffer lock whose acquisition replaces the buffer's items, as
+    """A row lock whose acquisition replaces one of the row's buffers, as
     another worker's flush and insert would between a peek and the lock."""
 
-    def __init__(self, buf, items):
+    def __init__(self, row, col, items):
         self._lock = threading.Lock()
-        self._buf = buf
+        self._row = row
+        self._col = col
         self._items = items
 
     def __enter__(self):
-        self._buf.items = self._items
+        self._row[self._col] = self._items
         return self._lock.__enter__()
 
     def __exit__(self, *exc):
@@ -422,13 +451,26 @@ def test_pp_flush_expired_checks_again_under_the_lock():
     # 120, due at 220; the check under the lock leaves it buffered
     agg, tr = make_agg(SchemeKind.PP, Topology(1, 2, 1), g=4, timeout_ns=100)
     agg.insert(0, mk_item(1, 0, created_at=10))
-    b = agg._shared[0][1]
+    row = agg._rows[0]
     fresh = mk_item(1, 1, created_at=120)
-    b.lock = _SwapLock(b, [fresh])
+    agg._locks[0] = _SwapLock(row, 1, [fresh])
     assert agg.flush_expired(0, now=150) == 0
     assert tr.messages == []
-    assert b.items == [fresh]
+    assert row == {1: [fresh]}
     assert agg.next_deadline(0) == 220
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lock_free_readers_skip_a_buffer_being_created(kind):
+    # an insert creates its buffer empty, under the row lock, just before
+    # it appends; a reader without the lock may see it in between
+    agg, tr = make_agg(kind, Topology(1, 2, 1), g=4, timeout_ns=100)
+    log = _count_locks(agg)
+    agg._rows[0][1]  # the row's defaultdict makes the empty buffer
+    assert agg.owner_buffered(0) == 0
+    assert agg.next_deadline(0) is None
+    assert agg.flush_expired(0, now=10**6) == 0
+    assert log == [] and tr.messages == []
 
 
 def test_flush_owners_cover_each_buffer_once():
@@ -705,10 +747,12 @@ def test_buffered_counts_readable_while_owners_fill(kind):
 
 
 
-def test_pp_threaded_chunks_lose_nothing():
-    # four owners insert pp chunks into shared buffers while another thread
-    # flushes due buffers and reads deadlines and counts: every seq ends up
-    # in exactly one place, a message, a local delivery or a buffer
+@pytest.mark.parametrize("columns", [False, True], ids=["lists", "columns"])
+def test_pp_threaded_chunks_lose_nothing(columns):
+    # four owners insert pp chunks, lists or column chunks, into shared rows
+    # while another thread flushes due buffers and reads deadlines and
+    # counts: every seq ends up in exactly one place, a message, a local
+    # delivery or a buffer
     topo = Topology(1, 3, 2)  # owners 0, 1 share process 0's row
     w = topo.total_workers
     owners = (0, 1, 2, 3)
@@ -724,9 +768,14 @@ def test_pp_threaded_chunks_lose_nothing():
             rng = random.Random(src)
             seqs = iter(range(src, 10**9, len(owners)))
             for _ in range(n):
-                items = [mk_item(rng.randrange(w), seq, created_at=seq)
+                items = [mk_item(rng.randrange(w), seq, created_at=seq,
+                                 payload=0)
                          for seq in islice(seqs, rng.randint(1, 3 * g))]
-                agg.insert_batch(src, items)
+                if columns:
+                    agg.insert_columns(src, Batch(np.array(
+                        list(zip(*items)), dtype=np.int64)))
+                else:
+                    agg.insert_batch(src, items)
                 inserted.extend(it.seq for it in items)
         except Exception as exc:
             errors.append(exc)
@@ -764,7 +813,8 @@ def test_pp_threaded_chunks_lose_nothing():
     assert {msg.cause for msg in tr.messages} == {"full", "flush"}
     got = [it.seq for m in tr.messages for it in m.items]
     got += [it.seq for _, items, _ in tr.local for it in items]
-    got += [it.seq for row in agg._shared for b in row for it in b.items]
+    got += [it.seq for row in agg._rows for buf in row.values()
+            for it in (buf if type(buf) is list else buf.seal())]
     assert len(got) == len(inserted) == len(set(inserted))
     assert sorted(got) == sorted(inserted)
 
@@ -876,9 +926,8 @@ def test_column_chunks_match_item_chunks(scheme, topo, mixed, data):
         assert a.flush(o, 10**6) == b.flush(o, 10**6)
     assert _outputs(a, ta) == _outputs(b, tb)
     assert total_buffered(a) == total_buffered(b) == 0
-    if not mixed:  # the columns travel as a Batch, except through pp
-        assert all((type(m.items) is Batch) == (kind is not SchemeKind.PP)
-                   for m in ta.messages)
+    if not mixed:  # the columns travel as a Batch through every scheme
+        assert all(type(m.items) is Batch for m in ta.messages)
     plans = [[[(d, _rows(group)) for d, group in agg.on_receive(m)]
               for m in tr.messages] for agg, tr in ((a, ta), (b, tb))]
     assert plans[0] == plans[1]
