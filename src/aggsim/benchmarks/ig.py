@@ -7,33 +7,53 @@ own clock, so no cross-worker clock comparison is involved. Slot values are
 a fixed hash of the index, which gives every worker a free oracle for the
 responses it receives.
 
-A worker issues each chunk of requests with one insert_many and stamps
-request i of the chunk with the chunk's start time plus i*work_ns. On the
-virtual clock that is exactly the time the request's insert begins. The
-sink answers a group's requests with one stamped chunk. In threaded mode
-the inserts carry their own wall stamps, so a request's send stamp is that
-estimate, not the wall time its insert began.
+Requests and replies travel as int64 columns. A payload is one int64: a
+response flag, the request id, and the slot index (request) or the slot
+value (response). The requester is not carried: it is the request's source
+worker, seq % total_workers. A worker issues each chunk of requests with one
+ctx.insert_columns and stamps request i of the chunk with the chunk's start
+time plus i*work_ns; on the virtual clock that is exactly the time the
+request's insert begins. The sink takes a Batch group with numpy: one cumsum
+gives its delivery times, which it returns as an int64 array, and it answers
+the group's requests with one stamped column chunk. Groups that reach it as
+lists of Items (same-process items, the threaded engine) are taken item by
+item and answered with one ctx.insert_stamped. In threaded mode the inserts
+carry their own wall stamps, so a request's send stamp is that estimate, not
+the wall time its insert began.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import count
+
+import numpy as np
 
 from ..errors import OracleMismatch, UsageError
 from ..metrics import summarize
 from ..runtime import WorkerProgram
-from ..topology import Topology
+from ..topology import Batch, Topology
 from .base import BenchResult, DEFAULT_TIMEOUT_S, launch, positive
 
-_REQ = 0
-_RESP = 1
-_CHUNK = 64  # requests per insert_many call
+_CHUNK = 64  # requests per insert_columns call
+# payload bits: 62 flags a response, 31-61 hold the request id, 0-30 the
+# slot index (request) or the slot value (response)
+_ID_SHIFT = 31
+_LOW = (1 << _ID_SHIFT) - 1
+_RESP = 1 << 62
+_LIMIT = 1 << _ID_SHIFT  # most request ids, and most slots, a payload holds
 
 
-def table_value(index: int) -> int:
-    """Deterministic slot content; any worker can recompute it."""
+def table_value(index):
+    """Deterministic slot content; any worker can recompute it. Takes an
+    int or an int64 array of indices below 2**31."""
     return (index * 2654435761) & 0x7FFFFFFF
+
+
+def _reply(request):
+    """The response payload to a request payload (an int or an int64
+    array): the request's id and its slot's value."""
+    index = request & _LOW
+    return _RESP | (request - index) | table_value(index)
 
 
 @dataclass(frozen=True)
@@ -44,8 +64,10 @@ class IGSpec:
     self_only: bool = False  # restrict lookups to self-owned slots
 
     def __post_init__(self):
-        positive("requests_per_worker", self.requests_per_worker)
-        positive("table_size", self.table_size)
+        for name in ("requests_per_worker", "table_size"):
+            if positive(name, getattr(self, name)) > _LIMIT:
+                raise UsageError(f"{name} must be at most {_LIMIT}: request "
+                                 "ids and slot indices travel in 31 bits")
 
     def validate(self, topo: Topology) -> None:
         if self.table_size < topo.total_workers:
@@ -59,44 +81,48 @@ class _IGWorker(WorkerProgram):
         self.spec = spec
         self.chunk = chunk
         self.issued = 0
+        # int64 arrays indexed by request id, drawn and sized at on_start
         self.indices = None
-        self.send_ts = {}
+        self.send_ts = None
+        self.answered = None
         self.rtts = array("q")
         self.bad_values = 0
 
     def on_start(self, ctx):
         spec = self.spec
+        n = spec.requests_per_worker
         if spec.self_only:
             draws = ctx.rng.integers(0, (spec.table_size - self.wid - 1)
-                                     // self.w + 1,
-                                     size=spec.requests_per_worker)
-            self.indices = (draws * self.w + self.wid).tolist()
+                                     // self.w + 1, size=n)
+            self.indices = draws * self.w + self.wid
         else:
-            self.indices = ctx.rng.integers(
-                0, spec.table_size, size=spec.requests_per_worker).tolist()
+            self.indices = ctx.rng.integers(0, spec.table_size, size=n)
+        self.send_ts = np.zeros(n, dtype=np.int64)
+        self.answered = np.zeros(n, dtype=bool)
 
     def step(self, ctx):
         start = self.issued
         end = min(start + self.chunk, len(self.indices))
         if start >= end:
             return False
-        w = self.w
-        wid = self.wid
         idxs = self.indices[start:end]
-        rids = range(start, end)
+        ramp = np.arange(end - start, dtype=np.int64)
         # request i of the chunk leaves at the chunk's start + i*work_ns,
         # the clock an insert loop would read before each insert
-        self.send_ts.update(zip(rids, count(ctx.time_ns(), ctx.work_ns)))
-        ctx.insert_many([idx % w for idx in idxs],
-                        [(_REQ, wid, rid, idx)
-                         for rid, idx in zip(rids, idxs)])
+        self.send_ts[start:end] = ramp * ctx.work_ns + ctx.time_ns()
+        ctx.insert_columns(idxs % self.w, (ramp + start) << _ID_SHIFT | idxs)
         self.issued = end
         return True
 
     def on_items(self, ctx, items):
-        # a request is delivered, then answered one work_ns later
+        # a request is delivered, then answered one work_ns later: item i
+        # of a group started at s is delivered at s + (i+1)*deliver_ns +
+        # work_ns*(requests before i)
+        if type(items) is Batch:
+            return self._on_batch(ctx, items)
         dns = ctx.deliver_ns
         wns = ctx.work_ns
+        w = self.w
         times = []
         dests = []
         replies = []
@@ -106,31 +132,68 @@ class _IGWorker(WorkerProgram):
             t += dns
             times.append(t)
             p = it[1]
-            if p[0] == _REQ:
-                _, requester, rid, idx = p
+            if p < _RESP:
                 t += wns
-                dests.append(requester)
-                replies.append((_RESP, rid, idx, table_value(idx)))
+                dests.append(it[3] % w)
+                replies.append(_reply(p))
                 stamps.append(t)
             else:
-                _, rid, idx, value = p
-                if value != table_value(idx):
+                rid = (p >> _ID_SHIFT) & _LOW
+                if rid >= self.issued:
+                    raise _never_issued(self.wid, rid)
+                if p & _LOW != table_value(self.indices.item(rid)):
                     self.bad_values += 1
-                self.rtts.append(times[-1] - self.send_ts.pop(rid))
+                self.rtts.append(t - self.send_ts.item(rid))
+                self.answered[rid] = True
         if dests:
             ctx.insert_stamped(dests, replies, stamps)
         return times
+
+    def _on_batch(self, ctx, items):
+        """on_items of a Batch group, with numpy: its times as an int64
+        array, and its requests answered with one stamped column chunk."""
+        payload = items.payload
+        req = payload < _RESP
+        work = req.astype(np.int64)
+        work *= ctx.work_ns
+        # the clock once item i is delivered and, if a request, answered
+        done = np.cumsum(work + ctx.deliver_ns)
+        done += ctx.time_ns()
+        times = done - work
+        n_req = int(np.count_nonzero(req))
+        if n_req < len(payload):
+            resp = ~req
+            responses = payload[resp]
+            rids = (responses >> _ID_SHIFT) & _LOW
+            last = int(rids.max())
+            if last >= self.issued:
+                raise _never_issued(self.wid, last)
+            self.bad_values += int(np.count_nonzero(
+                responses & _LOW != table_value(self.indices[rids])))
+            self.rtts.frombytes((times[resp] - self.send_ts[rids]).tobytes())
+            self.answered[rids] = True
+        if n_req:
+            ctx.insert_columns(items.seq[req] % self.w, _reply(payload[req]),
+                               done[req])
+        return times
+
+
+def _never_issued(wid, rid):
+    return OracleMismatch(f"worker {wid} got a response to request {rid}, "
+                          "which it never issued")
 
 
 class IGResult(BenchResult):
     benchmark = "ig"
 
-    def __init__(self, metrics, rtt_stats, matched, unmatched, bad_values):
+    def __init__(self, metrics, rtt_stats, matched, unmatched, bad_values,
+                 repeats):
         super().__init__(metrics)
         self.rtt = rtt_stats
         self.matched = matched
         self.unmatched = unmatched
         self.bad_values = bad_values
+        self.repeats = repeats  # responses to requests answered before
 
     def extra(self):
         return {
@@ -140,6 +203,9 @@ class IGResult(BenchResult):
         }
 
     def verify(self):
+        if self.repeats:
+            raise OracleMismatch(f"{self.repeats} responses answered a "
+                                 "request that was already answered")
         if self.unmatched:
             raise OracleMismatch(
                 f"{self.unmatched} requests never got a response")
@@ -165,11 +231,13 @@ def run_ig(spec: IGSpec, *, scheme, g, topo, mode="sequential", cfg=None,
     rtts = array("q")
     for d in drivers:
         rtts.extend(d.rtts)
+    answered = sum(int(np.count_nonzero(d.answered)) for d in drivers)
     result = IGResult(
         metrics, summarize(rtts),
         matched=len(rtts),
-        unmatched=sum(len(d.send_ts) for d in drivers),
-        bad_values=sum(d.bad_values for d in drivers))
+        unmatched=sum(d.issued for d in drivers) - answered,
+        bad_values=sum(d.bad_values for d in drivers),
+        repeats=len(rtts) - answered)
     if trace:
         result.trace = handle.trace
     result.verify()

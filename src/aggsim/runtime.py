@@ -16,10 +16,12 @@ and stops. The threaded engine hands _drain each group as it takes it,
 with the worker's clock set to the wall time of the take.
 
 Items travel as a list of Items, or on the column path as a Batch of int64
-columns: a column chunk from ctx.insert_columns stays a Batch through the
-buffers of every scheme, the message and the delivery group, and _drain
-takes such a group's latency samples in one vector op. Same-process items
-and the threaded engine take a column chunk as Items. Each insert hands its
+columns: a column chunk from ctx.insert_columns, stamped by the engine or
+by the caller, stays a Batch through the buffers of every scheme, the
+message and the delivery group, and _drain takes such a group's latency
+samples in one vector op, from the times its sink returns as an int64
+array or from the clock when it returns None. Same-process items and the
+threaded engine take a column chunk as Items. Each insert hands its
 same-process items to the engine's local_deliver in one call, and each
 engine queues every item as a one-item entry that arrives at its insert's
 time.
@@ -175,13 +177,15 @@ class WorkerProgram:
     clock nor inserts returns None; any other returns each item's delivery
     time, the clock the per-item loop reads: s + (i+1)*deliver_ns +
     work_ns*(inserts by earlier items) for item i of a group started at s,
-    with its inserts stamped in that sequence through ctx.insert_stamped.
+    with its inserts stamped in that sequence through ctx.insert_stamped
+    or a stamped ctx.insert_columns.
 
     A group is a list of Items, or a Batch when it came through the buffers
     from column chunks: the Batches of int64 columns that
     ctx.insert_columns builds from two arrays. A Batch iterates as Items,
-    so a sink that loops over Items takes either. Same-process items and
-    the threaded engine deliver a column chunk's items as Items.
+    so a sink that loops over Items takes either; for a Batch group it may
+    return the times as a 1-d int64 array. Same-process items and the
+    threaded engine deliver a column chunk's items as Items.
     """
 
     on_items = None
@@ -259,26 +263,30 @@ class _Worker:
         wns = self.work_ns
         self._insert(dests, payloads, count(self.now + wns, wns))
 
-    def insert_columns(self, dests, payloads) -> None:
+    def insert_columns(self, dests, payloads, stamps=None) -> None:
         """insert_many of two int64 arrays, as one column chunk: a Batch
-        stamped with numpy arithmetic, now + work_ns*(1..n) and seqs
-        seq_next + stride*(0..n-1), with no Item per item. The aggregator
+        stamped with numpy arithmetic, now + work_ns*(1..n), or stamps, an
+        int64 array of ns >= 0, and seqs seq_next + stride*(0..n-1), with no
+        Item per item. The clock ends at the last stamp. The aggregator
         takes it as a Batch, so the columns travel on to the sink."""
-        n = _column_count(dests, payloads)
+        n = _column_count(dests, payloads, stamps)
         if not n:
             return
-        wns = self.work_ns
         stride = self.seq_stride
         data = np.empty((4, n), dtype=np.int64)
         data[0] = dests
         data[1] = payloads
         ramp = np.arange(n, dtype=np.int64)
-        np.multiply(ramp, wns, out=data[2])
-        data[2] += self.now + wns
+        if stamps is None:
+            wns = self.work_ns
+            np.multiply(ramp, wns, out=data[2])
+            data[2] += self.now + wns
+        else:
+            data[2] = stamps
         np.multiply(ramp, stride, out=data[3])
         data[3] += self.seq_next
         self._agg.insert_columns(self.wid, Batch(data))
-        self.now += n * wns
+        self.now = int(data[2, -1])
         self.seq_next += n * stride
 
     def insert_stamped(self, dests, payloads, stamps) -> None:
@@ -338,31 +346,66 @@ class _WallWorker(_Worker):
     def _insert(self, dests, payloads, stamps) -> None:
         super()._insert(dests, payloads, iter(self.time_ns, None))
 
-    def insert_columns(self, dests, payloads) -> None:
+    def insert_columns(self, dests, payloads, stamps=None) -> None:
         # as Items, each stamped with the wall time at which it is built
-        _column_count(dests, payloads)
+        _column_count(dests, payloads, stamps)
         self.insert_many(dests.tolist(), payloads.tolist())
 
 
-def _column_count(dests, payloads) -> int:
-    """len(dests) of two equal-length 1-d int64 arrays; else UsageError."""
-    for a in (dests, payloads):
+def _column_count(dests, payloads, stamps=None) -> int:
+    """len(dests) of two equal-length 1-d int64 arrays and, unless None, a
+    stamp column of the same kind whose stamps are >= 0; else UsageError."""
+    columns = (dests, payloads) if stamps is None else (dests, payloads,
+                                                        stamps)
+    for a in columns:
         if not (isinstance(a, np.ndarray) and a.dtype == np.int64
                 and a.ndim == 1):
             what = (f"a {a.ndim}-d {a.dtype} array"
                     if isinstance(a, np.ndarray) else type(a).__name__)
             raise UsageError(f"insert_columns takes 1-d int64 arrays, got "
                              f"{what}")
-    if len(payloads) != len(dests):
-        raise UsageError(f"{len(dests)} destinations but {len(payloads)} "
-                         "payloads")
-    return len(dests)
+    n = len(dests)
+    if len(payloads) != n:
+        raise UsageError(f"{n} destinations but {len(payloads)} payloads")
+    if stamps is not None:
+        if len(stamps) != n:
+            raise UsageError(f"{n} destinations but {len(stamps)} stamps")
+        # _drain takes a column group's samples in int64, which every
+        # sample fits when no stamp is negative
+        if n and stamps.min() < 0:
+            raise UsageError(f"insert stamp {int(stamps.min())} is "
+                             "negative; a stamp column holds ns >= 0")
+    return n
 
 
 def _unstamped(stamps):
     t = next(t for t in stamps
              if not isinstance(t, Integral) or not -2**63 <= t < 2**63)
     return UsageError(f"insert stamp {t!r} is not an integer ns within int64")
+
+
+def _sink_array(times, items):
+    """A batch sink's array of delivery times, as _drain takes it: the
+    array itself for a Batch group with one time per item, none negative;
+    else its list, which _drain checks as it checks a returned list. Any
+    array but a 1-d int64 one is a UsageError."""
+    if not (times.dtype == np.int64 and times.ndim == 1):
+        raise UsageError(f"batch sink returned a {times.ndim}-d "
+                         f"{times.dtype} array of delivery times; an array "
+                         "of them must be 1-d int64")
+    if (type(items) is Batch and len(times) == len(items)
+            and times.min() >= 0):
+        return times
+    return times.tolist()
+
+
+def _take_columns(w, samples, items):
+    """Deliver the Batch group items to w with its latency samples, an
+    int64 array, and log its seq column."""
+    w.shard.pending.frombytes(samples.tobytes())
+    w.delivered += len(samples)
+    if w.dl_log is not None:
+        w.dl_log.extend(items.seq.tolist())
 
 
 def _miscounted(times, items):
@@ -615,7 +658,8 @@ class _BaseRun:
     def _drain(self, w, queue, budget):
         """Deliver queue's (arrival, items) entries to worker w, whole, until
         budget items are done; returns whether any was. A Batch group whose
-        sink returns None takes its samples and seqs as columns."""
+        sink returns None, or its times as an int64 array, takes its samples
+        and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -634,26 +678,35 @@ class _BaseRun:
                 if times is None:
                     w.now = now + k * dns
                     if type(items) is Batch and w.now < 2**63:
-                        # the samples below, now + (i+1)*dns - created_at,
-                        # in one vector op: each fits in int64, as the clock
-                        # does and a column chunk's stamps are >= 0
-                        ramp = np.arange(1, k + 1, dtype=np.int64)
-                        ramp *= dns
-                        ramp += now
-                        ramp -= items.created_at
-                        pending.frombytes(ramp.tobytes())
-                        w.delivered += k
-                        if dl_log is not None:
-                            dl_log.extend(items.seq.tolist())
+                        # now + (i+1)*dns - created_at: the times fit in
+                        # int64, as the clock does, and a column chunk's
+                        # stamps are >= 0, so the samples do too
+                        samples = np.arange(1, k + 1, dtype=np.int64)
+                        samples *= dns
+                        samples += now
+                        samples -= items.created_at
+                        _take_columns(w, samples, items)
                         done += k
                         continue
                     times = count(now + dns, dns) if k > 1 else (w.now,)
-                elif len(times) != k:
-                    raise _miscounted(times, items)
-                elif times[-1] >= 2**63:  # the clock stays int64 too
-                    raise _unsampled(times, items)
-                elif times[-1] > w.now:  # else the sink's last stamp
-                    w.now = times[-1]
+                else:
+                    if type(times) is np.ndarray:
+                        times = _sink_array(times, items)
+                        if type(times) is np.ndarray:
+                            # these times and a column chunk's stamps are
+                            # >= 0, so each sample fits in int64
+                            last = int(times[-1])
+                            if last > w.now:  # else the sink's last stamp
+                                w.now = last
+                            _take_columns(w, times - items.created_at, items)
+                            done += k
+                            continue
+                    if len(times) != k:
+                        raise _miscounted(times, items)
+                    if times[-1] >= 2**63:  # the clock stays int64 too
+                        raise _unsampled(times, items)
+                    if times[-1] > w.now:  # else the sink's last stamp
+                        w.now = times[-1]
                 try:
                     if k == 1:
                         sample(times[0] - items[0][2])

@@ -195,7 +195,7 @@ def _stable_order(keys, bound):
 
 def _head(buf) -> int:
     """created_at of a buffer's oldest item."""
-    return buf[0][2] if type(buf) is list else buf.head()
+    return buf[0][2] if type(buf) is list else buf.head
 
 
 def _newest(batch) -> int:
@@ -210,10 +210,10 @@ def _extend(row, col, part):
     creates, or turns from a list of Items into _Slices, as needed."""
     buf = row.get(col)
     if buf is None:
-        row[col] = _Slices([part], part.shape[1])
+        row[col] = _Slices([part], part.shape[1], int(part[2, 0]))
         return
     if type(buf) is list:  # a list chunk's items come first
-        buf = row[col] = _Slices([buf], len(buf))
+        buf = row[col] = _Slices([buf], len(buf), buf[0][2])
     buf.parts.append(part)
     buf.n += part.shape[1]
 
@@ -223,16 +223,18 @@ class _Slices:
 
     parts holds its items in order, as (4, m) column slices of the chunks
     and, when a list chunk's items followed, lists of Items; n counts the
-    items. It has the list buffer's append and len, so a list chunk's item
-    loop fills it as it fills a list, and seal() makes it one Batch, or a
-    list of Items when any part is one.
+    items, and head is the oldest one's created_at, kept so that a deadline
+    peek reads it without a call. It has the list buffer's append and len,
+    so a list chunk's item loop fills it as it fills a list, and seal()
+    makes it one Batch, or a list of Items when any part is one.
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ("parts", "n", "head")
 
-    def __init__(self, parts, n):
+    def __init__(self, parts, n, head):
         self.parts = parts
         self.n = n
+        self.head = head
 
     def __len__(self) -> int:
         return self.n
@@ -243,10 +245,6 @@ class _Slices:
             parts.append([])
         parts[-1].append(item)
         self.n += 1
-
-    def head(self) -> int:
-        first = self.parts[0]
-        return first[0][2] if type(first) is list else int(first[2, 0])
 
     def seal(self):
         parts = self.parts

@@ -7,27 +7,29 @@ agreement on the correctness outputs.
 import heapq
 import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from aggsim.benchmarks import ig
 from aggsim.benchmarks.base import resolve_scheme
 from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
                                       random_graph)
 from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
                                          run_histogram)
-from aggsim.benchmarks.ig import (_REQ, _RESP, IGSpec, _IGWorker, run_ig,
+from aggsim.benchmarks.ig import (_RESP, IGSpec, _IGWorker, run_ig,
                                   table_value)
 from aggsim.benchmarks.phold import (_POPS_PER_TURN, _TS_EPS, PholdSpec,
                                      _PholdWorker, recount_out_of_order,
                                      run_phold)
 from aggsim.benchmarks.pingack import PingAckSpec, run_pingack, sweep_pingack
 from aggsim.benchmarks.sssp import SSSPSpec, _SSSPWorker, run_sssp
-from aggsim.errors import UsageError
+from aggsim.errors import OracleMismatch, UsageError
 from aggsim.metrics import summarize
-from aggsim.runtime import TransportConfig, spawn
+from aggsim.runtime import TransportConfig, WorkerProgram, spawn
 from aggsim.schemes import create_aggregator
-from aggsim.topology import Topology
+from aggsim.topology import Batch, Item, Topology
 
 SCHEMES = ("ww", "wps", "wsp", "pp")
 
@@ -172,12 +174,27 @@ def test_ig_every_request_answered_across_schemes():
         assert r.rtt["count"] == r.matched
 
 
-class _ScalarIGWorker(_IGWorker):
-    """The ig driver on the scalar path: read the clock, then insert, one
-    request at a time; a per-item sink that answers each request with one
-    insert and reads the clock for each response."""
+class _ScalarIGWorker(WorkerProgram):
+    """The ig driver on the scalar path, with bookkeeping of its own: read
+    the clock, then insert, one request at a time, with tuple payloads that
+    name the requester; a per-item sink that answers each request with one
+    insert and reads the clock for each response; send stamps in a dict."""
 
-    on_items = None
+    def __init__(self, wid, spec, topo, chunk):
+        self.wid = wid
+        self.w = topo.total_workers
+        self.spec = spec
+        self.chunk = chunk
+        self.issued = 0
+        self.indices = None
+        self.send_ts = {}
+        self.rtts = []
+
+    def on_start(self, ctx):
+        # _IGWorker's draw, for a spec that is not self_only
+        self.indices = ctx.rng.integers(
+            0, self.spec.table_size,
+            size=self.spec.requests_per_worker).tolist()
 
     def step(self, ctx):
         end = min(self.issued + self.chunk, len(self.indices))
@@ -186,27 +203,26 @@ class _ScalarIGWorker(_IGWorker):
         for rid in range(self.issued, end):
             idx = self.indices[rid]
             self.send_ts[rid] = ctx.time_ns()
-            ctx.insert(idx % self.w, (_REQ, self.wid, rid, idx))
+            ctx.insert(idx % self.w, ("req", self.wid, rid, idx))
         self.issued = end
         return True
 
     def on_item(self, ctx, item):
         p = item[1]
-        if p[0] == _REQ:
+        if p[0] == "req":
             _, requester, rid, idx = p
-            ctx.insert(requester, (_RESP, rid, idx, table_value(idx)))
+            ctx.insert(requester, ("resp", rid, table_value(idx)))
         else:
-            _, rid, idx, value = p
-            if value != table_value(idx):
-                self.bad_values += 1
+            _, rid, value = p
+            assert value == table_value(self.indices[rid])
             self.rtts.append(ctx.time_ns() - self.send_ts.pop(rid))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
 def test_ig_batch_step_matches_scalar(scheme):
-    # requests through insert_many and replies through the batch sink leave
-    # every output of the scalar loops unchanged: result JSON, rtt summary,
-    # item seqs and message trace
+    # requests through insert_columns and replies through the batch sink
+    # leave every output of the scalar loops unchanged: result JSON, rtt
+    # summary, item seqs, message trace and clocks
     topo = Topology(2, 2, 2)
     spec = IGSpec(requests_per_worker=200, table_size=97, seed=6)
     # the C7 acceptance cell's transport: alpha, beta, comm context, header
@@ -233,11 +249,103 @@ def test_ig_batch_step_matches_scalar(scheme):
             for chunk in (1, 7, 64):
                 batch = run(_IGWorker, cfg, chunk, timeout_ns)
                 assert batch == run(_ScalarIGWorker, cfg, chunk, timeout_ns)
-    # threaded: send stamps are estimates, but every request is answered
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_ig_threaded_answers_every_request(scheme):
+    # every group reaches the sink as a list of Items with int payloads;
+    # send stamps are wall estimates, but every request is answered once
+    topo = Topology(2, 2, 2)
+    spec = IGSpec(requests_per_worker=200, table_size=97, seed=6)
     r = run_ig(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
                timeout_s=60)
     assert r.matched == 200 * topo.total_workers and r.unmatched == 0
     assert r.metrics.item_latency["count"] == r.metrics.delivered
+
+
+class _GroupKinds(_IGWorker):
+    """_IGWorker that counts the items its sink takes, by group type."""
+
+    kinds = Counter()
+
+    def on_items(self, ctx, items):
+        self.kinds[type(items)] += len(items)
+        return super().on_items(ctx, items)
+
+
+@pytest.mark.parametrize("timeout_ns", [None, 700])
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_ig_remote_groups_reach_the_sink_as_batches(monkeypatch, scheme,
+                                                    timeout_ns):
+    # every remote item stays on the column path, from the request chunk
+    # through the buffers and the reply chunk; only same-process items
+    # arrive as one-item entries
+    monkeypatch.setattr(ig, "_IGWorker", _GroupKinds)
+    monkeypatch.setattr(_GroupKinds, "kinds", Counter())
+    topo = Topology(2, 2, 2)
+    r = run_ig(IGSpec(requests_per_worker=300, table_size=97, seed=3),
+               scheme=scheme, g=16, topo=topo, flush_timeout_ns=timeout_ns)
+    m = r.metrics
+    assert _GroupKinds.kinds == {Batch: m.delivered - m.self_sends,
+                                 tuple: m.self_sends}
+    assert m.delivered > 2 * m.self_sends
+
+
+class _RepeatingIG(_IGWorker):
+    """_IGWorker whose sink takes the first response of every group of
+    type `kind` a second time."""
+
+    kind = None
+
+    def on_items(self, ctx, items):
+        times = super().on_items(ctx, items)
+        if type(items) is self.kind:
+            first = next((i for i, it in enumerate(items)
+                          if it[1] >= _RESP), None)
+            if first is not None:
+                super().on_items(ctx, items[first:first + 1])
+        return times
+
+
+class _StrayIG(_IGWorker):
+    """_IGWorker whose sink, at its first call, takes a response to a
+    request id it never issues, as a group of type `kind`."""
+
+    kind = None
+
+    def on_items(self, ctx, items):
+        stray = Item(self.wid, _RESP | len(self.indices) << 31, 0, 0)
+        if self.kind is Batch:
+            stray = Batch(np.array([stray], dtype=np.int64).T)
+        else:
+            stray = (stray,)
+        super().on_items(ctx, stray)
+
+
+@pytest.mark.parametrize("kind", [Batch, tuple])
+def test_ig_oracle_refuses_repeated_and_stray_responses(monkeypatch, kind):
+    topo = Topology(2, 2, 2)
+    spec = IGSpec(requests_per_worker=300, table_size=97, seed=3)
+    monkeypatch.setattr(_RepeatingIG, "kind", kind)
+    monkeypatch.setattr(ig, "_IGWorker", _RepeatingIG)
+    with pytest.raises(OracleMismatch,
+                       match="answered a request that was already answered"):
+        run_ig(spec, scheme="pp", g=16, topo=topo)
+    monkeypatch.setattr(_StrayIG, "kind", kind)
+    monkeypatch.setattr(ig, "_IGWorker", _StrayIG)
+    with pytest.raises(OracleMismatch, match="request 300, which it never "
+                                             "issued"):
+        run_ig(spec, scheme="pp", g=16, topo=topo)
+
+
+@pytest.mark.parametrize("field", ["requests_per_worker", "table_size"])
+def test_ig_spec_refuses_sizes_a_payload_cannot_hold(field):
+    # ids and slot indices travel in 31 bits of an int64 payload
+    sizes = dict(requests_per_worker=1, table_size=1)
+    IGSpec(**{**sizes, field: 2**31})
+    with pytest.raises(UsageError, match=f"{field} must be at most "
+                                         f"{2**31}"):
+        IGSpec(**{**sizes, field: 2**31 + 1})
 
 
 # --------------------------------------------------------------------- sssp

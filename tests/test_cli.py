@@ -332,6 +332,16 @@ def test_wall_budget_it_cannot_honour_exits_2(budget, mode, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag,field", [
+    ("--requests", "requests_per_worker"), ("--table-size", "table_size")])
+def test_ig_sizes_past_the_payload_exit_2(flag, field, capsys):
+    # refused when the spec is built, before any run allocates for it
+    argv = ["ig", "--requests", "5", "--table-size", "64"] + SMALL[4:]
+    argv[argv.index(flag) + 1] = str(2**31 + 1)
+    assert cli.parse_and_run(argv) == 2
+    assert f"{field} must be at most {2**31}" in capsys.readouterr().err
+
+
 def test_threaded_topology_above_cap_exits_2(capsys):
     before = threading.active_count()
     code = cli.parse_and_run([

@@ -584,12 +584,13 @@ def test_insert_stamped_refuses_non_int64_stamps(mode, stamps, error):
 
 
 class _BadColumns(WorkerProgram):
-    """Worker 0 offers worker 1 the column chunk (dests, payloads), checks
-    that the refusal moved no clock, seq or buffer, then sends one item."""
+    """Worker 0 offers worker 1 the column chunk (dests, payloads, stamps),
+    checks that the refusal moved no clock, seq or buffer, then sends one
+    item."""
 
-    def __init__(self, wid, dests, payloads):
+    def __init__(self, wid, dests, payloads, stamps=None):
         self.wid = wid
-        self.chunk = (dests, payloads)
+        self.chunk = (dests, payloads, stamps)
         self.done = False
 
     def step(self, ctx):
@@ -613,20 +614,75 @@ _I64 = np.array([1, 1], dtype=np.int64)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "threaded"])
-@pytest.mark.parametrize("dests,payloads,error", [
-    ([1, 1], _I64, "insert_columns takes 1-d int64 arrays, got list"),
-    (_I64, _I64.astype(np.float64), "insert_columns takes 1-d int64 arrays"),
-    (_I64.reshape(1, 2), _I64, "insert_columns takes 1-d int64 arrays"),
-    (_I64, _I64[:1], "2 destinations but 1 payloads"),
-    (np.array([1, 2], dtype=np.int64), _I64, "destination worker 2 out"),
-], ids=["list", "float", "2-d", "short", "bad-dest"])
-def test_insert_columns_refuses_bad_chunks(mode, dests, payloads, error):
+@pytest.mark.parametrize("chunk,error", [
+    (([1, 1], _I64), "insert_columns takes 1-d int64 arrays, got list"),
+    ((_I64, _I64.astype(np.float64)), "insert_columns takes 1-d int64 arrays"),
+    ((_I64.reshape(1, 2), _I64), "insert_columns takes 1-d int64 arrays"),
+    ((_I64, _I64[:1]), "2 destinations but 1 payloads"),
+    ((np.array([1, 2], dtype=np.int64), _I64), "destination worker 2 out"),
+    ((_I64, _I64, [5, 6]), "insert_columns takes 1-d int64 arrays, got list"),
+    ((_I64, _I64, _I64.astype(np.int32)),
+     "insert_columns takes 1-d int64 arrays, got a 1-d int32 array"),
+    ((_I64, _I64, _I64[:1]), "2 destinations but 1 stamps"),
+    ((_I64, _I64, np.array([5, -1], dtype=np.int64)),
+     "insert stamp -1 is negative"),
+], ids=["list", "float", "2-d", "short", "bad-dest", "list-stamps",
+        "int32-stamps", "short-stamps", "negative-stamps"])
+def test_insert_columns_refuses_bad_chunks(mode, chunk, error):
+    # checked before anything moves; the threaded engine checks a stamp
+    # column it then replaces with wall times
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
-               program=lambda wid: _BadColumns(wid, dests, payloads),
+               program=lambda wid: _BadColumns(wid, *chunk),
                record_items=True)
     m = h.await_quiescence(timeout_s=30)
     assert m.produced == m.delivered == 1
+    assert h.inserted_seqs() == h.delivered_seqs() == [0]
     assert h.workers[0].driver.error.startswith(error)
+
+
+class _StampedColumns(WorkerProgram):
+    """Worker 0 sends worker 1 one column chunk stamped `stamps` and keeps
+    its clock after the insert; worker 1's batch sink keeps each item."""
+
+    def __init__(self, wid, stamps):
+        self.wid = wid
+        self.stamps = stamps
+        self.after = None
+        self.got = []
+
+    def step(self, ctx):
+        if self.wid or self.after is not None:
+            return False
+        n = len(self.stamps)
+        ctx.insert_columns(np.ones(n, dtype=np.int64),
+                           np.arange(n, dtype=np.int64),
+                           np.array(self.stamps, dtype=np.int64))
+        self.after = ctx.now
+        return True
+
+    def on_items(self, ctx, items):
+        self.got.extend(tuple(it) for it in items)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_insert_columns_takes_a_stamp_column(mode):
+    # the sequential engine stamps item i with stamps[i] and ends the clock
+    # at the last one; the threaded engine stamps each with its wall time
+    stamps = [10**15 + 500, 10**15 + 300, 10**15 + 900]
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
+               program=lambda wid: _StampedColumns(wid, stamps),
+               record_items=True)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.produced == m.delivered == 3
+    got = h.workers[1].driver.got
+    assert [(d, p, s) for d, p, _, s in got] == [(1, 0, 0), (1, 1, 2),
+                                                 (1, 2, 4)]
+    sent = [c for _, _, c, _ in got]
+    after = h.workers[0].driver.after
+    if mode == "sequential":
+        assert sent == stamps and after == stamps[-1]
+    else:  # wall stamps, which a run's first seconds keep below 10**15
+        assert sent == sorted(sent) and sent[-1] <= after < stamps[0]
 
 
 class _GroupSink(WorkerProgram):
@@ -679,9 +735,11 @@ def test_drain_of_a_batch_group_matches_the_item_loop(dns, sizes, record_items):
     (l1, b1), (l2, b2) = _group(sizes[0], 0), _group(sizes[1], 1000)
     loop = _drain_groups([(900, l1), (4000, l2)], dns, record_items,
                          batch=False)
-    for times in (None,
-                  lambda ctx, items: [ctx.time_ns() + (i + 1) * dns + i
-                                      for i in range(len(items))]):
+    def listed(ctx, items):
+        return [ctx.time_ns() + (i + 1) * dns + i for i in range(len(items))]
+
+    for times in (None, listed,
+                  lambda ctx, items: np.array(listed(ctx, items))):
         want = _drain_groups([(900, l1), (4000, l2)], dns, record_items,
                              times=times)
         got = _drain_groups([(900, b1), (4000, b2)], dns, record_items,
@@ -689,6 +747,9 @@ def test_drain_of_a_batch_group_matches_the_item_loop(dns, sizes, record_items):
         assert got == want
         if times is None:
             assert got[:4] == loop[:4]
+        else:  # an int64 array of times reads as the list of them
+            assert got == _drain_groups([(900, b1), (4000, b2)], dns,
+                                        record_items, times=listed)
     assert got[5] == (1 if sizes[0] > runtime._DELIVER_BUDGET else 0)
 
 
@@ -703,6 +764,33 @@ def test_drain_of_a_batch_group_matches_the_item_loop(dns, sizes, record_items):
 def test_drain_of_a_batch_group_checks_sink_times(times, error):
     with pytest.raises(UsageError, match=error):
         _drain_groups([(0, _group(3, 0)[1])], 50, False, times=times)
+
+
+@pytest.mark.parametrize("times,error", [
+    (lambda ctx, items: [ctx.time_ns()] * (len(items) + 1),
+     "batch sink returned 4 delivery times for 3 items"),
+    (lambda ctx, items: [-2**63] * len(items),
+     f"batch sink returned delivery time {-2**63} for an item sent at 20;"),
+], ids=["miscounted", "sample-past-int64"])
+def test_drain_of_a_batch_group_checks_sink_arrays(times, error):
+    # an int64 array of times is refused as the list of them is
+    for sink in (times, lambda ctx, items: np.array(times(ctx, items),
+                                                     dtype=np.int64)):
+        with pytest.raises(UsageError, match=error):
+            _drain_groups([(0, _group(3, 0)[1])], 50, False, times=sink)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([1500.0, 1600.0, 1700.0]),
+    np.array([1500, 1600, 1700], dtype=np.int32),
+    np.array([[1500, 1600, 1700]], dtype=np.int64),
+], ids=["float64", "int32", "2-d"])
+def test_drain_refuses_sink_arrays_but_1d_int64(array):
+    dims = f"{array.ndim}-d {array.dtype}"
+    with pytest.raises(UsageError, match=f"batch sink returned a {dims} "
+                                         "array of delivery times"):
+        _drain_groups([(0, _group(3, 0)[1])], 50, False,
+                      times=lambda ctx, items: array)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
