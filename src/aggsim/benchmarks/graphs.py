@@ -96,9 +96,12 @@ def dijkstra(graph: Graph, source: int) -> np.ndarray:
     """Reference distances (int64, INF for unreachable)."""
     if not 0 <= source < graph.n:
         raise UsageError(f"source {source} out of range")
-    dist = np.full(graph.n, INF, dtype=np.int64)
+    # Python lists: numpy indexes each edge's scalars far slower
+    dist = [INF] * graph.n
     dist[source] = 0
-    indptr, heads, weights = graph.indptr, graph.heads, graph.weights
+    indptr = graph.indptr.tolist()
+    heads = graph.heads.tolist()
+    weights = graph.weights.tolist()
     heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -110,4 +113,4 @@ def dijkstra(graph: Graph, source: int) -> np.ndarray:
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return np.array(dist, dtype=np.int64)

@@ -15,11 +15,13 @@ ctx.insert_columns and stamps request i of the chunk with the chunk's start
 time plus i*work_ns; on the virtual clock that is exactly the time the
 request's insert begins. The sink takes a Batch group with numpy: one cumsum
 gives its delivery times, which it returns as an int64 array, and it answers
-the group's requests with one stamped column chunk. Groups that reach it as
-lists of Items (same-process items, the threaded engine) are taken item by
-item and answered with one ctx.insert_stamped. In threaded mode the inserts
-carry their own wall stamps, so a request's send stamp is that estimate, not
-the wall time its insert began.
+the group's requests with one stamped column chunk. Groups of Items (a
+tuple of same-process items per chunk and destination, and every group in
+the threaded engine) are taken item by item, each item's delivery starting
+at the later of the clock and its stamp, and answered with one
+ctx.insert_stamped. In threaded mode the inserts carry their own wall
+stamps, so a request's send stamp is that estimate, not the wall time its
+insert began.
 """
 from __future__ import annotations
 
@@ -115,9 +117,10 @@ class _IGWorker(WorkerProgram):
         return True
 
     def on_items(self, ctx, items):
-        # a request is delivered, then answered one work_ns later: item i
-        # of a group started at s is delivered at s + (i+1)*deliver_ns +
-        # work_ns*(requests before i)
+        # a request is delivered, then answered one work_ns later: from
+        # t = s, the clock at the group's start, item i is delivered at
+        # max(t, created_at) + deliver_ns, and a request moves t on by
+        # work_ns
         if type(items) is Batch:
             return self._on_batch(ctx, items)
         dns = ctx.deliver_ns
@@ -129,6 +132,10 @@ class _IGWorker(WorkerProgram):
         stamps = []
         t = ctx.time_ns()
         for it in items:
+            # a same-process item arrives at its stamp; ig stamps a
+            # message's items no later than the message arrives
+            if it[2] > t:
+                t = it[2]
             t += dns
             times.append(t)
             p = it[1]

@@ -22,9 +22,11 @@ message and the delivery group, and _drain takes such a group's latency
 samples in one vector op, from the times its sink returns as an int64
 array or from the clock when it returns None. Same-process items and the
 threaded engine take a column chunk as Items. Each insert hands its
-same-process items to the engine's local_deliver in one call, and each
-engine queues every item as a one-item entry that arrives at its insert's
-time.
+same-process items to the engine's local_deliver in one call. The
+sequential engine queues them as one (None, items) entry per destination,
+a tuple of Items in chunk order, and _drain delivers each item from the
+later of the clock and its own stamp; the threaded engine queues each item
+as a one-item entry that arrives when it is taken.
 
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
@@ -78,7 +80,7 @@ import random
 import threading
 import time
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -173,19 +175,25 @@ class WorkerProgram:
     has no more self-generated work (delivery sinks may still run after
     that). A worker that can receive items needs one delivery sink: on_item
     per item, or the batch sink on_items(ctx, items), which both engines
-    hand each delivered group whole. A batch sink that neither reads the
-    clock nor inserts returns None; any other returns each item's delivery
-    time, the clock the per-item loop reads: s + (i+1)*deliver_ns +
-    work_ns*(inserts by earlier items) for item i of a group started at s,
-    with its inserts stamped in that sequence through ctx.insert_stamped
-    or a stamped ctx.insert_columns.
+    hand each delivered group whole, but for a same-process entry cut at a
+    turn's budget. A batch sink that neither reads the clock nor inserts
+    returns None; any other returns each item's delivery time, the clock
+    the per-item loop reads, and stamps its inserts in that sequence
+    through ctx.insert_stamped or a stamped ctx.insert_columns: from
+    t_{-1} = s, the clock at the group's start, item i is delivered at
+    t_i = max(t_{i-1}, created_at_i) + deliver_ns, and each insert it
+    makes adds work_ns. The max matters for same-process items, each of
+    which arrives at its own stamp. A message group arrives at once, so
+    the engine delivers it at t_i = t_{i-1} + deliver_ns, which is the
+    same rule unless an item was stamped past its message's arrival.
 
-    A group is a list of Items, or a Batch when it came through the buffers
-    from column chunks: the Batches of int64 columns that
-    ctx.insert_columns builds from two arrays. A Batch iterates as Items,
-    so a sink that loops over Items takes either; for a Batch group it may
-    return the times as a 1-d int64 array. Same-process items and the
-    threaded engine deliver a column chunk's items as Items.
+    A group is a list of Items; a tuple of Items, when it holds same-process
+    items, which each arrive at their own stamp; or a Batch when it came
+    through the buffers from column chunks: the Batches of int64 columns
+    that ctx.insert_columns builds from two arrays. A Batch iterates as
+    Items, so a sink that loops over Items takes any group; for a Batch
+    group it may return the times as a 1-d int64 array. Same-process items
+    and the threaded engine deliver a column chunk's items as Items.
     """
 
     on_items = None
@@ -208,7 +216,8 @@ class _Worker:
     """Worker context on a virtual clock; also the ctx drivers see.
 
     queue holds the worker's pending deliveries: a deque of (arrival, items)
-    in the sequential engine, a _TQueue in the threaded one. Worker wid
+    message groups and (None, items) same-process entries in the
+    sequential engine, a _TQueue in the threaded one. Worker wid
     issues the sequence numbers wid, wid + seq_stride, ...
     """
 
@@ -656,10 +665,14 @@ class _BaseRun:
 
     # -- delivery: the one path of both engines ---------------------------
     def _drain(self, w, queue, budget):
-        """Deliver queue's (arrival, items) entries to worker w, whole, until
-        budget items are done; returns whether any was. A Batch group whose
-        sink returns None, or its times as an int64 array, takes its samples
-        and seqs as columns."""
+        """Deliver queue's entries to worker w until budget items are done;
+        returns whether any was. A message group, (arrival, items), is
+        delivered whole from its arrival on. A same-process entry, (None,
+        items), delivers item i at t_i = max(t_{i-1}, created_at_i) +
+        deliver_ns, each item arriving at its own stamp; one that would pass
+        the budget is cut there, and its rest goes back to the front. A
+        Batch group whose sink returns None, or its times as an int64 array,
+        takes its samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -668,14 +681,35 @@ class _BaseRun:
         batch_sink = w.batch_sink
         while done < budget and queue:
             arrival, items = queue.popleft()
-            if arrival > w.now:
-                w.now = arrival
             k = len(items)
+            if arrival is None:
+                if k > budget - done:
+                    k = budget - done
+                    queue.appendleft((None, items[k:]))
+                    items = items[:k]
+            elif arrival > w.now:
+                w.now = arrival
             if batch_sink is not None:
-                # the same samples and clock as the per-item loop below
+                # the same samples and clock as the per-item loops below
                 now = w.now
                 times = batch_sink(w, items)
                 if times is None:
+                    if arrival is None:
+                        try:
+                            for it in items:
+                                c = it[2]
+                                if c > now:
+                                    now = c
+                                now += dns
+                                sample(now - c)
+                        except OverflowError:
+                            raise _unsampled((now,), (it,)) from None
+                        w.now = now
+                        w.delivered += k
+                        if dl_log is not None:
+                            dl_log.extend(map(_SEQ, items))
+                        done += k
+                        continue
                     w.now = now + k * dns
                     if type(items) is Batch and w.now < 2**63:
                         # now + (i+1)*dns - created_at: the times fit in
@@ -717,6 +751,19 @@ class _BaseRun:
                 w.delivered += k
                 if dl_log is not None:
                     dl_log.extend(map(_SEQ, items))
+            elif arrival is None:
+                on_item = w.driver.on_item
+                for it in items:
+                    now = w.now
+                    if it[2] > now:
+                        now = it[2]
+                    now += dns
+                    w.now = now
+                    sample(now - it[2])
+                    on_item(w, it)
+                    w.delivered += 1
+                    if dl_log is not None:
+                        dl_log.append(it[3])
             else:
                 on_item = w.driver.on_item
                 for it in items:
@@ -768,9 +815,14 @@ class SequentialRun(_BaseRun):
             workers[wid].queue.append((arrival, group))
 
     def local_deliver(self, items):
-        # one entry per item, arriving at its insert's time
+        # one (None, items) entry per destination, its items in chunk order;
+        # _drain delivers each item from its own stamp on
+        runs = defaultdict(list)
         for it in items:
-            self._workers[it[0]].queue.append((it[2], (it,)))
+            runs[it[0]].append(it)
+        workers = self._workers
+        for dest, run in runs.items():
+            workers[dest].queue.append((None, tuple(run)))
 
     # -- stepping -----------------------------------------------------------
     def _round(self, order):
@@ -917,7 +969,8 @@ class ThreadedRun(_BaseRun):
                 self._workers[wid].queue.put((_T_DELIVER, group))
 
     def local_deliver(self, items):
-        # one entry per item, each counted before any can be taken
+        # one entry per item, each counted before any can be taken, which
+        # arrives when it is taken, as a message group does
         with self._tlock:
             self._busy += len(items)
             for it in items:

@@ -8,8 +8,8 @@ class LoopbackTransport:
     """Collects emitted messages and local deliveries for assertions.
 
     local holds one (dest, (item,), created_at) per locally delivered item,
-    the one-item entries the engines queue; local_calls counts the
-    local_deliver calls that handed them over.
+    in hand-over order; local_calls counts the local_deliver calls that
+    handed them over.
     """
 
     def __init__(self):

@@ -264,12 +264,15 @@ def test_ig_threaded_answers_every_request(scheme):
 
 
 class _GroupKinds(_IGWorker):
-    """_IGWorker that counts the items its sink takes, by group type."""
+    """_IGWorker that counts the items its sink takes, and its calls, by
+    group type."""
 
     kinds = Counter()
+    calls = Counter()
 
     def on_items(self, ctx, items):
         self.kinds[type(items)] += len(items)
+        self.calls[type(items)] += 1
         return super().on_items(ctx, items)
 
 
@@ -279,9 +282,11 @@ def test_ig_remote_groups_reach_the_sink_as_batches(monkeypatch, scheme,
                                                     timeout_ns):
     # every remote item stays on the column path, from the request chunk
     # through the buffers and the reply chunk; only same-process items
-    # arrive as one-item entries
+    # arrive as tuples, one entry per chunk and destination, so there are
+    # fewer such sink calls than same-process items
     monkeypatch.setattr(ig, "_IGWorker", _GroupKinds)
     monkeypatch.setattr(_GroupKinds, "kinds", Counter())
+    monkeypatch.setattr(_GroupKinds, "calls", Counter())
     topo = Topology(2, 2, 2)
     r = run_ig(IGSpec(requests_per_worker=300, table_size=97, seed=3),
                scheme=scheme, g=16, topo=topo, flush_timeout_ns=timeout_ns)
@@ -289,6 +294,7 @@ def test_ig_remote_groups_reach_the_sink_as_batches(monkeypatch, scheme,
     assert _GroupKinds.kinds == {Batch: m.delivered - m.self_sends,
                                  tuple: m.self_sends}
     assert m.delivered > 2 * m.self_sends
+    assert _GroupKinds.calls[tuple] < m.self_sends
 
 
 class _RepeatingIG(_IGWorker):

@@ -793,6 +793,117 @@ def test_drain_refuses_sink_arrays_but_1d_int64(array):
                       times=lambda ctx, items: array)
 
 
+class _LocalChunks(WorkerProgram):
+    """Worker 0 inserts each of chunks, a list of stamp lists, as one
+    stamped chunk for worker 1, whose clock starts at start. Worker 1's
+    sink is on_item, or on_items returning None or each item's delivery
+    time by the same-process rule, and records each call's items."""
+
+    def __init__(self, wid, chunks, start, sink):
+        self.wid = wid
+        self.chunks = list(chunks)
+        self.start = start
+        self.calls = []
+        if sink == "on_item":
+            self.on_items = None
+        self.returns_times = sink == "times"
+
+    def on_start(self, ctx):
+        if self.wid == 1:
+            ctx.advance(self.start)
+
+    def step(self, ctx):
+        if self.wid or not self.chunks:
+            return False
+        stamps = self.chunks.pop(0)
+        ctx.insert_stamped([1] * len(stamps), list(range(len(stamps))),
+                           stamps)
+        return True
+
+    def on_items(self, ctx, items):
+        self.calls.append([it[2] for it in items])
+        if self.returns_times:
+            return _rule_times(ctx.time_ns(), ctx.deliver_ns,
+                               [it[2] for it in items])
+        return None
+
+    def on_item(self, ctx, item):
+        self.calls.append([item[2]])
+
+
+def _rule_times(t, dns, stamps):
+    """t_i = max(t_{i-1}, c_i) + dns from t_{-1} = t."""
+    out = []
+    for c in stamps:
+        t = max(t, c) + dns
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("sink", ["on_item", "none", "times"])
+@pytest.mark.parametrize("dns", [0, 50])
+def test_same_process_entry_keeps_each_items_clock(sink, dns):
+    # one chunk's same-process items reach their destination as one entry,
+    # and each still arrives at its own stamp: the stamps jump past the
+    # receiver's clock (2000, 5000) and fall behind it (500, 1900, 100)
+    stamps = [500, 2000, 1900, 2100, 100, 5000, 5000, 4000]
+    topo = Topology(1, 1, 2)
+    h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=dns, record_items=True,
+               program=lambda wid: _LocalChunks(wid, [stamps], 1000, sink))
+    h.run_phase(timeout_s=30)
+    w = h.workers[1]
+    want = _rule_times(1000, dns, stamps)
+    assert w.shard.pending.tolist() == [t - c for t, c in zip(want, stamps)]
+    assert w.now == want[-1] and w.delivered == len(stamps)
+    assert w.dl_log == list(range(0, 2 * len(stamps), 2))
+    calls = w.driver.calls
+    assert calls == ([[c] for c in stamps] if sink == "on_item"
+                     else [stamps])
+
+
+@pytest.mark.parametrize("sink", ["none", "times"])
+def test_same_process_sample_past_int64_is_refused(sink):
+    # the second item is delivered at 1100, and its sample, 1100 + 2**63,
+    # does not fit in int64
+    topo = Topology(1, 1, 2)
+    h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=50,
+               program=lambda wid: _LocalChunks(wid, [[7, -2**63]], 1000,
+                                                sink))
+    with pytest.raises(UsageError, match=f"delivery time 1100 for an item "
+                                         f"sent at {-2**63}"):
+        h.run_phase(timeout_s=30)
+
+
+@pytest.mark.parametrize("sink", ["on_item", "none"])
+def test_same_process_entry_is_cut_at_the_budget(sink):
+    # a run past _DELIVER_BUDGET delivers the budget in one turn; its rest
+    # goes back to the front, before the next chunk's entry, in order
+    budget = runtime._DELIVER_BUDGET
+    first = list(range(100, 100 + budget + 44))
+    second = [7] * 10
+    topo = Topology(1, 1, 2)
+    h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=50, record_items=True,
+               program=lambda wid: _LocalChunks(wid, [first, second], 0,
+                                                sink))
+    h._round([0])
+    h._round([0])
+    w = h.workers[1]
+    assert [len(items) for _, items in w.queue] == [budget + 44, 10]
+    h._round([1])
+    assert w.delivered == budget and w.now == 100 + 50 * budget
+    assert [len(items) for _, items in w.queue] == [44, 10]
+    assert [it[2] for it in w.queue[0][1]] == first[budget:]
+    h._round([1])
+    assert not w.queue and w.delivered == budget + 54
+    stamps = first + second
+    assert w.dl_log == list(range(0, 2 * len(stamps), 2))
+    assert w.shard.pending.tolist() == [
+        t - c for t, c in zip(_rule_times(0, 50, stamps), stamps)]
+    assert sum(map(len, w.driver.calls)) == len(stamps)
+    if sink == "none":
+        assert list(map(len, w.driver.calls)) == [budget, 44, 10]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_threaded_batch_sinks_deliver_each_item_once(kind):
     # ig's sink inserts and returns times, the histogram's and PHOLD's
