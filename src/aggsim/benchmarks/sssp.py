@@ -4,22 +4,26 @@ Vertices are block-partitioned one contiguous range per worker. A distance
 update (v, d) travels to v's owner; if it improves the stored distance the
 owner relaxes v's out-edges, otherwise it counts as a wasted update. Updates
 whose tentative distance falls beyond the current threshold window are held
-in a per-worker heap and released when the window advances by
+in a per-worker list and released when the window advances by
 threshold_delta, so cheap paths propagate before expensive ones
 (delta-stepping-style phases). Distances are checked against a reference
 Dijkstra run; wasted updates are schedule-dependent and only compared as
 trends.
 
-A relaxation reads its edge slice with tolist(), pushes the updates at or
-beyond the threshold onto the heap in edge order, and inserts the rest with
-one ctx.insert_many call; a release inserts its popped entries the same
-way. A heap push reads neither the clock nor a sequence number, so every
-output equals that of one ctx.insert per update in edge order. Distances
-are a list per worker, cheaper to index than numpy, made an array once.
+A relaxation reads its edge slice with tolist(), appends the updates at or
+beyond the threshold to the deferred list as (distance, tie, vertex) in
+edge order, and inserts the rest with one ctx.insert_many call. A release
+sorts the list, cuts it below the new threshold and inserts that prefix
+the same way, in (distance, tie) order: the ties are unique, so it is the
+order in which a min-heap would pop them. The rest stays sorted, so the
+next sort mostly merges runs. Deferring reads neither the clock nor a
+sequence number, so every output equals that of one ctx.insert per update
+in edge order. Distances are a list per worker, cheaper to index than
+numpy, made an array once.
 """
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -69,7 +73,7 @@ class _SSSPWorker(WorkerProgram):
         self.lo, self.hi = _block(g.n, self.w, wid)
         self.dist = [INF] * (self.hi - self.lo)
         self.threshold = spec.threshold_delta
-        self.deferred = []  # (distance, tie, vertex) min-heap
+        self.deferred = []  # (distance, tie, vertex), in defer order
         self._tie = 0
         self.wasted = 0
 
@@ -80,7 +84,7 @@ class _SSSPWorker(WorkerProgram):
             self._relax(ctx, src, 0)
 
     def _relax(self, ctx, v, d):
-        # below the threshold: one insert_many chunk; the rest: the heap
+        # below the threshold: one insert_many chunk; the rest: deferred
         g = self.spec.graph
         lo, hi = g.indptr[v], g.indptr[v + 1]
         threshold = self.threshold
@@ -93,7 +97,7 @@ class _SSSPWorker(WorkerProgram):
                 dests.append(u // size)
                 updates.append((u, du))
             else:
-                heapq.heappush(self.deferred, (du, self._tie, u))
+                self.deferred.append((du, self._tie, u))
                 self._tie += 1
         ctx.insert_many(dests, updates)
 
@@ -111,16 +115,16 @@ class _SSSPWorker(WorkerProgram):
         """Insert the deferred updates below new_threshold; returns how many
         were deferred before it, so 0 everywhere ends the run."""
         self.threshold = new_threshold
-        heap = self.deferred
-        found = len(heap)
+        deferred = self.deferred
+        found = len(deferred)
+        deferred.sort()
+        # (new_threshold,) sorts before every entry at new_threshold
+        cut = bisect_left(deferred, (new_threshold,))
+        head = deferred[:cut]
+        del deferred[:cut]
         size = self.block_size
-        dests = []
-        updates = []
-        while heap and heap[0][0] < new_threshold:
-            d, _, v = heapq.heappop(heap)
-            dests.append(v // size)
-            updates.append((v, d))
-        ctx.insert_many(dests, updates)
+        ctx.insert_many([v // size for _, _, v in head],
+                        [(v, d) for d, _, v in head])
         return found
 
 
@@ -172,8 +176,8 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         phases += 1
         if phases > _MAX_PHASES:
             raise OracleMismatch("threshold window made no progress")
-        # quiescent here, so the heaps are the complete remaining work; a
-        # release into empty heaps inserts nothing
+        # quiescent here, so the deferred lists are the complete remaining
+        # work; a release of empty lists inserts nothing
         threshold += spec.threshold_delta
         if not any(handle.broadcast_task(
                 lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))):

@@ -102,6 +102,9 @@ _DELIVER_BUDGET = 256  # max items drained per worker turn
 _FOLD_SAMPLES = 4096  # pending latency samples that trigger a fold
 _CREATED = itemgetter(2)
 _SEQ = itemgetter(3)
+# below every arrival: a stamp is an int64 ns and no transport cost is
+# negative, so no channel's first message is clamped
+_NO_ARRIVAL = -2**63
 MAX_THREADED_WORKERS = 512  # one OS thread per worker in threaded mode
 
 
@@ -595,9 +598,10 @@ class _BaseRun:
                 and not any(map(agg.owner_buffered, agg.flush_owners())))
 
     def _flush_round(self):
-        """Flush every owner at its time_ns(), then send what that sealed,
-        in seal order; returns the messages sent. Sending only after the
-        last seal, no sink it wakes can refill a buffer of the round."""
+        """Flush every owner at its time_ns(), then transmit what that
+        sealed as one list, in seal order; returns the messages sent.
+        Sending only after the last seal, no sink it wakes can refill a
+        buffer of the round."""
         agg = self._agg
         workers = self._workers
         held = self._held = []
@@ -606,8 +610,7 @@ class _BaseRun:
                 agg.flush(owner, workers[owner].time_ns())
         finally:
             self._held = None
-        for msg in held:
-            self._transmit(msg)
+        self._transmit(held)
         return len(held)
 
     def _stop(self):
@@ -618,50 +621,73 @@ class _BaseRun:
 
     def send(self, msg):
         """The transport's only per-message entry, called once per sealed
-        message in emit order; an idle-flush round holds its messages."""
+        message in emit order. Outside an idle-flush round it transmits msg
+        at once; a round holds its messages and transmits them as one list
+        after its last seal."""
         held = self._held
         if held is None:
-            self._transmit(msg)
+            self._transmit((msg,))
         else:
             held.append(msg)
 
-    def _account(self, msg) -> float:
-        """Record msg's items, bytes, network cost and comm-context
-        occupancy.
+    def _account(self, msgs) -> list:
+        """Record each message's items, bytes, network cost and
+        comm-context occupancy, in list order.
 
-        Returns when the message reaches its destination process, in ns on
-        the origin's clock: departure, then the comm context if enabled,
-        then the network cost. It is the one accounting path of both
-        engines and reads msg's slots directly.
+        Returns, per message, when it reaches its destination process, in
+        ns on the origin's clock: departure, then the comm context if
+        enabled, then the network cost. It is the one accounting path of
+        both engines and reads the messages' slots directly; each float is
+        rounded as one message at a time rounds it.
         """
-        po, dest_scope, items, grouped, cause, sent_at, src = msg
         cfg = self._cfg
+        alpha = cfg.alpha_ns
+        beta = cfg.beta_ns_per_byte
+        header = cfg.header_bytes
+        comm = cfg.comm_enabled
+        comm_ns = cfg.comm_cost_ns
+        ready = self._comm_ready
+        first = self._comm_first
+        started = self._comm_count
+        item_bytes = self._item_bytes
+        worker_scoped = self._worker_scoped
         log = self._log
-        k = len(items)
-        nbytes = k * self._item_bytes + cfg.header_bytes
-        net = cfg.alpha_ns + cfg.beta_ns_per_byte * nbytes
-        scope = src if self._worker_scoped else po
-        log.items_by_scope[scope] += k
-        log.bytes_sent += nbytes
-        log.transport_cost_ns += net
-        if cause == CAUSE_FULL:
-            log.msgs_full[scope] += 1
-        else:
-            log.msgs_flush[scope] += 1
-        if log.trace is not None:
-            log.trace.append({"origin": po, "dest_scope": dest_scope, "k": k,
-                              "cause": cause, "grouped": grouped,
+        by_scope = log.items_by_scope
+        full = log.msgs_full
+        flushed = log.msgs_flush
+        trace = log.trace
+        nbytes_sum = 0
+        cost = log.transport_cost_ns
+        arrivals = []
+        for po, dest_scope, items, grouped, cause, sent_at, src in msgs:
+            k = len(items)
+            nbytes = k * item_bytes + header
+            net = alpha + beta * nbytes
+            scope = src if worker_scoped else po
+            by_scope[scope] += k
+            nbytes_sum += nbytes
+            cost += net
+            if cause == CAUSE_FULL:
+                full[scope] += 1
+            else:
+                flushed[scope] += 1
+            if trace is not None:
+                trace.append({"origin": po, "dest_scope": dest_scope,
+                              "k": k, "cause": cause, "grouped": grouped,
                               "sent_at": sent_at})
-        base = float(sent_at)
-        if cfg.comm_enabled:
-            ready = self._comm_ready[po]
-            start = base if base > ready else ready
-            base = start + cfg.comm_cost_ns
-            self._comm_ready[po] = base
-            if self._comm_count[po] == 0:
-                self._comm_first[po] = start
-            self._comm_count[po] += 1
-        return base + net
+            base = float(sent_at)
+            if comm:
+                start = ready[po]
+                if base > start:
+                    start = base
+                base = ready[po] = start + comm_ns
+                if not started[po]:
+                    first[po] = start
+                started[po] += 1
+            arrivals.append(base + net)
+        log.bytes_sent += nbytes_sum
+        log.transport_cost_ns = cost
+        return arrivals
 
     # -- delivery: the one path of both engines ---------------------------
     def _drain(self, w, queue, budget):
@@ -794,25 +820,36 @@ class SequentialRun(_BaseRun):
 
     def __init__(self, topo, agg, cfg, program, **kw):
         super().__init__(topo, agg, cfg, program, **kw)
-        self._chan_last = {}
+        # each channel's last arrival, at origin * n_procs + dest_proc
+        self._chan_last = [_NO_ARRIVAL] * self._n_procs ** 2
         self._sched = random.Random(repr((self._seed, 0x5EED)))
         for ctx in self._workers:
             ctx.driver.on_start(ctx)
 
     # -- transport interface (called by the aggregator) --------------------
-    def _transmit(self, msg):
-        plan = self._agg.on_receive(msg)
-        arrival = int(self._account(msg) + 0.5)
-        ch = (msg[0], plan[0][0] // self._t)
-        last = self._chan_last.get(ch)
-        if last is not None and arrival < last:
-            arrival = last
-        self._chan_last[ch] = arrival
-        if self._arrivals is not None:
-            self._arrivals.append((*ch, arrival))
+    def _transmit(self, msgs):
+        """Account msgs, then queue each one's delivery plan at its arrival,
+        rounded to an int ns and clamped monotone per channel, in order."""
+        on_receive = self._agg.on_receive
+        chan_last = self._chan_last
+        n = self._n_procs
+        t = self._t
+        log = self._arrivals
         workers = self._workers
-        for wid, group in plan:
-            workers[wid].queue.append((arrival, group))
+        for msg, arrival in zip(msgs, self._account(msgs)):
+            plan = on_receive(msg)
+            arrival = int(arrival + 0.5)
+            po = msg[0]
+            pd = plan[0][0] // t
+            ch = po * n + pd
+            if arrival < chan_last[ch]:
+                arrival = chan_last[ch]
+            else:
+                chan_last[ch] = arrival
+            if log is not None:
+                log.append((po, pd, arrival))
+            for wid, group in plan:
+                workers[wid].queue.append((arrival, group))
 
     def local_deliver(self, items):
         # one (None, items) entry per destination, its items in chunk order;
@@ -957,16 +994,24 @@ class ThreadedRun(_BaseRun):
             self._workers[wid].queue.put(entry)
 
     # -- transport interface -------------------------------------------------
-    def _transmit(self, msg):
-        plan = self._agg.on_receive(msg)
+    def _transmit(self, msgs):
+        """Plan each message's delivery, then take _tlock once to account
+        msgs and queue every group, each counted as outstanding work. Only
+        the idle-flush round, which holds _tlock, plans under it."""
+        on_receive = self._agg.on_receive
+        plans = [on_receive(msg) for msg in msgs]
+        workers = self._workers
+        log = self._arrivals
+        t = self._t
         with self._tlock:
-            self._account(msg)
-            if self._arrivals is not None:
-                self._arrivals.append((msg[0], plan[0][0] // self._t,
-                                       time.monotonic_ns() - self._epoch))
-            self._busy += len(plan)
-            for wid, group in plan:
-                self._workers[wid].queue.put((_T_DELIVER, group))
+            self._account(msgs)
+            for msg, plan in zip(msgs, plans):
+                if log is not None:
+                    log.append((msg[0], plan[0][0] // t,
+                                time.monotonic_ns() - self._epoch))
+                self._busy += len(plan)
+                for wid, group in plan:
+                    workers[wid].queue.put((_T_DELIVER, group))
 
     def local_deliver(self, items):
         # one entry per item, each counted before any can be taken, which

@@ -14,7 +14,7 @@ import pytest
 
 from aggsim.benchmarks import ig
 from aggsim.benchmarks.base import resolve_scheme
-from aggsim.benchmarks.graphs import (INF, dijkstra, load_edge_list,
+from aggsim.benchmarks.graphs import (INF, Graph, dijkstra, load_edge_list,
                                       random_graph)
 from aggsim.benchmarks.histogram import (HistogramSpec, _HistWorker,
                                          run_histogram)
@@ -475,6 +475,84 @@ def test_sssp_batch_relax_matches_scalar(scheme):
     r = run_sssp(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
                  timeout_s=60)
     assert np.array_equal(r.distances, expected)
+
+
+class _HeapSSSPWorker(_SSSPWorker):
+    """The SSSP driver with its deferred updates on a min-heap: a push per
+    deferred update, a pop per released one."""
+
+    def _relax(self, ctx, v, d):
+        g = self.spec.graph
+        dests = []
+        updates = []
+        for i in range(g.indptr[v], g.indptr[v + 1]):
+            u, du = int(g.heads[i]), d + int(g.weights[i])
+            if du < self.threshold:
+                dests.append(u // self.block_size)
+                updates.append((u, du))
+            else:
+                heapq.heappush(self.deferred, (du, self._tie, u))
+                self._tie += 1
+        ctx.insert_many(dests, updates)
+
+    def release(self, ctx, new_threshold):
+        self.threshold = new_threshold
+        heap = self.deferred
+        found = len(heap)
+        dests = []
+        updates = []
+        while heap and heap[0][0] < new_threshold:
+            d, _, v = heapq.heappop(heap)
+            dests.append(v // self.block_size)
+            updates.append((v, d))
+        ctx.insert_many(dests, updates)
+        return found
+
+
+class _ChunkCtx:
+    """A ctx that records each insert_many chunk."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def insert_many(self, dests, payloads):
+        self.chunks.append((list(dests), list(payloads)))
+
+
+def test_sssp_release_matches_a_heap():
+    # vertex 0 defers equal distances (12 four times, 35 twice), a
+    # distance at a later threshold (25) and ones several windows out (50,
+    # 64); vertex 1 adds more between releases, one at the threshold
+    heads = [5, 3, 7, 3, 11, 2, 9, 4, 8, 6, 10, 1, 4, 6, 2]
+    weights = [35, 12, 12, 12, 50, 27, 35, 5, 19, 64, 25, 12, 3, 20, 9]
+    indptr = [0, 12] + [15] * 11
+    graph = Graph(12, indptr, heads, weights)
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=10)
+    topo = Topology(1, 1, 4)
+    calls = [("relax", 0, 0), ("release", 25), ("relax", 1, 22),
+             ("release", 26), ("release", 27), ("release", 40),
+             ("release", 100), ("release", 110)]
+
+    def replay(driver):
+        ctx = _ChunkCtx()
+        found = []
+        for call in calls:
+            if call[0] == "relax":
+                driver._relax(ctx, *call[1:])
+            else:
+                found.append(driver.release(ctx, call[1]))
+        return ctx.chunks, found, driver._tie, driver.deferred
+
+    got = replay(_SSSPWorker(0, spec, topo))
+    assert got == replay(_HeapSSSPWorker(0, spec, topo))
+    chunks, found, tie, deferred = got
+    # the first release cuts below 25, which is not a multiple of 10
+    assert chunks[1] == ([1, 2, 1, 0, 2],
+                         [(3, 12), (7, 12), (3, 12), (1, 12), (8, 19)])
+    # 25s from both relaxations, in tie order; then an empty release
+    assert chunks[3] == ([3, 1], [(10, 25), (4, 25)])
+    assert chunks[4] == ([], [])
+    assert found == [11, 9, 7, 7, 3, 0] and tie == 14 and deferred == []
 
 
 # -------------------------------------------------------------------- phold

@@ -289,10 +289,11 @@ def _accounting_run(trace):
 
 def test_message_log_counts_and_bytes():
     run = _accounting_run(trace=False)
-    # the return value is the departure plus the network cost
-    assert run._account(_msg(3, "full", src=1)) == 2.0 + 0.5 * (3 * 8 + 32)
-    run._account(_msg(1, "flush", src=1))
-    run._account(_msg(2, "full", src=3, dest_scope=0))
+    # the return value is each message's departure plus its network cost
+    assert run._account([_msg(3, "full", src=1)]) == [2.0 + 0.5 * (3 * 8 + 32)]
+    assert run._account([_msg(1, "flush", src=1),
+                         _msg(2, "full", src=3, dest_scope=0)]) == [
+        2.0 + 0.5 * (1 * 8 + 32), 2.0 + 0.5 * (2 * 8 + 32)]
     log = run._log
     assert log.msgs_full == [0, 1, 0, 1]
     assert log.msgs_flush == [0, 1, 0, 0]
@@ -306,7 +307,7 @@ def test_message_log_trace_fields():
     run = _accounting_run(trace=True)
     msg = CoalescedMessage(1, 0, [(0, None, 5, 3), (1, None, 6, 7)], True,
                            "flush", 9, 2)
-    run._account(msg)
+    run._account([msg])
     assert run.trace == [{"origin": 1, "dest_scope": 0, "k": 2,
                           "cause": "flush", "grouped": True, "sent_at": 9}]
 

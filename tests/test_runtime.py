@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import sys
 import threading
 import time
@@ -21,7 +22,8 @@ from aggsim.benchmarks.ig import _IGWorker
 from aggsim.benchmarks.phold import _PholdWorker
 from aggsim.runtime import (MAX_THREADED_WORKERS, TransportConfig,
                             WorkerProgram, spawn)
-from aggsim.schemes import GroupingStats, SchemeKind, create_aggregator
+from aggsim.schemes import (CoalescedMessage, GroupingStats, SchemeKind,
+                            create_aggregator)
 from aggsim.topology import Batch, Item, Topology
 
 from helpers import total_buffered
@@ -297,6 +299,115 @@ def test_threaded_records_arrivals():
     assert m.messages_sent > 0
     assert len(h.arrival_log) == m.messages_sent
     assert {(po, dp) for po, dp, _ in h.arrival_log} == {(0, 1), (1, 0)}
+
+
+def _crossing_messages(kind, topo, n, seed):
+    """n sealed messages between random workers of different processes,
+    1-5 items each, with departures out of order on every channel."""
+    rng = random.Random(seed)
+    t = topo.workers_per_proc
+    w = topo.total_workers
+    out = []
+    for _ in range(n):
+        src = rng.randrange(w)
+        dest = rng.choice([d for d in range(w) if d // t != src // t])
+        sent_at = rng.randrange(3000)
+        k = rng.randint(1, 5)
+        if kind is SchemeKind.WW:
+            dests = [dest] * k
+            scope, grouped = dest, True
+        else:
+            dests = [dest // t * t + rng.randrange(t) for _ in range(k)]
+            scope, grouped = dest // t, False
+        items = [Item(d, None, sent_at, i) for i, d in enumerate(dests)]
+        out.append(CoalescedMessage(src // t, scope, items, grouped,
+                                    rng.choice(["full", "flush"]), sent_at,
+                                    src))
+    return out
+
+
+@pytest.mark.parametrize("comm", [False, True], ids=["comm-off", "comm-on"])
+@pytest.mark.parametrize("kind", [SchemeKind.WW, SchemeKind.WPS])
+def test_transmit_list_equals_one_at_a_time(kind, comm):
+    # a _transmit per list queues, logs and accounts exactly what one call
+    # per message does, float costs to the last bit
+    topo = Topology(2, 2, 2)
+    cfg = TransportConfig(alpha_ns=3.3, beta_ns_per_byte=0.7,
+                          comm_cost_ns=5.1, comm_enabled=comm,
+                          header_bytes=13)
+
+    def fresh():
+        return _spawn(topo, kind, 64, cfg=cfg,
+                      program=lambda wid: WorkerProgram(),
+                      trace=True, record_arrivals=True)
+
+    def state(h):
+        log = h._log
+        return ([list(w.queue) for w in h.workers], h.arrival_log,
+                h.comm_stats(), log.msgs_full, log.msgs_flush,
+                log.items_by_scope, log.bytes_sent, log.trace,
+                log.transport_cost_ns.hex(),
+                h.aggregator.grouping_stats.touches)
+
+    msgs = _crossing_messages(kind, topo, 60, seed=23)
+    whole = fresh()
+    whole._transmit(msgs[:7])
+    whole._transmit(msgs[7:])
+    single = fresh()
+    for msg in msgs:
+        single._transmit((msg,))
+    assert state(whole) == state(single)
+    # the FIFO clamp fired: some arrival is later than its own cost says
+    raw = [int(a + 0.5) for a in fresh()._account(msgs)]
+    logged = [a for _, _, a in whole.arrival_log]
+    assert any(a > r for a, r in zip(logged, raw))
+    assert all(a >= r for a, r in zip(logged, raw))
+
+
+def test_first_arrival_on_a_channel_is_not_clamped():
+    # a stamp may be any int64 ns, so a channel's first message keeps an
+    # arrival below 0, rounded as int(arrival + 0.5) as every arrival is
+    class _Early(WorkerProgram):
+        def __init__(self, wid):
+            self.wid = wid
+            self.sent = False
+
+        def step(self, ctx):
+            if self.wid or self.sent:
+                return False
+            self.sent = True
+            ctx.insert_stamped([1], [None], [-1000])
+            return True
+
+        def on_item(self, ctx, item):
+            pass
+
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, program=_Early,
+               record_arrivals=True)
+    m = h.await_quiescence(timeout_s=30)
+    assert m.delivered == 1
+    assert h.arrival_log == [(0, 1, int(-1000 + 0.5))]
+
+
+def test_threaded_flush_round_transmits_every_message():
+    # no buffer fills, so the idle-flush round seals every message and
+    # transmits them as one list under _tlock
+    topo = Topology(2, 1, 4)
+    h = _spawn(topo, SchemeKind.WW, 1000, mode="threaded",
+               program=scatter(40, 8), record_arrivals=True)
+    lists = []
+    transmit = h._transmit
+
+    def recording(msgs):
+        lists.append(len(msgs))
+        transmit(msgs)
+    h._transmit = recording
+    h.run_phase(timeout_s=60)
+    assert h._busy == 0
+    m = h.await_quiescence(timeout_s=60)
+    assert m.produced == m.delivered == 320
+    assert max(lists) >= 8
+    assert sum(lists) == m.messages_sent == len(h.arrival_log)
 
 
 class _YieldingStats(GroupingStats):
