@@ -132,8 +132,9 @@ class _IGWorker(WorkerProgram):
         stamps = []
         t = ctx.time_ns()
         for it in items:
-            # a same-process item arrives at its stamp; ig stamps a
-            # message's items no later than the message arrives
+            # the engine's one rule: a same-process item arrives at its
+            # stamp, and stamps never go back, so a message's items are
+            # stamped no later than the message arrives
             if it[2] > t:
                 t = it[2]
             t += dns

@@ -24,9 +24,15 @@ array or from the clock when it returns None. Same-process items and the
 threaded engine take a column chunk as Items. Each insert hands its
 same-process items to the engine's local_deliver in one call. The
 sequential engine queues them as one (None, items) entry per destination,
-a tuple of Items in chunk order, and _drain delivers each item from the
-later of the clock and its own stamp; the threaded engine queues each item
-as a one-item entry that arrives when it is taken.
+a tuple of Items in chunk order; the threaded engine queues each item as a
+one-item entry that arrives when it is taken.
+
+Virtual time only moves forward: a stamped insert is refused unless no
+stamp is below the worker's clock or the stamp before it, so no item is
+stamped past its message's departure. _drain then delivers every group by
+one rule: from the later of the clock and the group's arrival, item i is
+delivered at t_i = max(t_{i-1}, created_at_i) + deliver_ns, so a
+same-process item arrives at its own stamp.
 
 A remote message pays alpha_ns + beta_ns_per_byte * bytes of network cost.
 With the communication context enabled, each outgoing message first occupies
@@ -102,9 +108,6 @@ _DELIVER_BUDGET = 256  # max items drained per worker turn
 _FOLD_SAMPLES = 4096  # pending latency samples that trigger a fold
 _CREATED = itemgetter(2)
 _SEQ = itemgetter(3)
-# below every arrival: a stamp is an int64 ns and no transport cost is
-# negative, so no channel's first message is clamped
-_NO_ARRIVAL = -2**63
 MAX_THREADED_WORKERS = 512  # one OS thread per worker in threaded mode
 
 
@@ -185,10 +188,10 @@ class WorkerProgram:
     through ctx.insert_stamped or a stamped ctx.insert_columns: from
     t_{-1} = s, the clock at the group's start, item i is delivered at
     t_i = max(t_{i-1}, created_at_i) + deliver_ns, and each insert it
-    makes adds work_ns. The max matters for same-process items, each of
-    which arrives at its own stamp. A message group arrives at once, so
-    the engine delivers it at t_i = t_{i-1} + deliver_ns, which is the
-    same rule unless an item was stamped past its message's arrival.
+    makes adds work_ns. The engine delivers every group by that one rule.
+    The max matters only for same-process items, each of which arrives at
+    its own stamp: stamps never go back, so a message's items are stamped
+    no later than it arrives.
 
     A group is a list of Items; a tuple of Items, when it holds same-process
     items, which each arrive at their own stamp; or a Batch when it came
@@ -278,10 +281,11 @@ class _Worker:
     def insert_columns(self, dests, payloads, stamps=None) -> None:
         """insert_many of two int64 arrays, as one column chunk: a Batch
         stamped with numpy arithmetic, now + work_ns*(1..n), or stamps, an
-        int64 array of ns >= 0, and seqs seq_next + stride*(0..n-1), with no
-        Item per item. The clock ends at the last stamp. The aggregator
-        takes it as a Batch, so the columns travel on to the sink."""
-        n = _column_count(dests, payloads, stamps)
+        int64 array that never goes back, and seqs seq_next +
+        stride*(0..n-1), with no Item per item. The clock ends at the last
+        stamp. The aggregator takes it as a Batch, so the columns travel on
+        to the sink."""
+        n = _column_count(dests, payloads, stamps, self.now)
         if not n:
             return
         stride = self.seq_stride
@@ -302,7 +306,8 @@ class _Worker:
         self.seq_next += n * stride
 
     def insert_stamped(self, dests, payloads, stamps) -> None:
-        """insert_many, with item i stamped stamps[i], an int within int64."""
+        """insert_many, with item i stamped stamps[i], an int within int64
+        that is not below the clock or stamps[i-1]."""
         if len(stamps) != len(dests):
             raise UsageError(f"{len(dests)} destinations but {len(stamps)} "
                              "stamps")
@@ -310,11 +315,13 @@ class _Worker:
             checked = array("q", stamps)
         except (TypeError, OverflowError):
             raise _unstamped(stamps) from None
+        _check_forward(self.now, checked)
         self._insert(dests, payloads, checked)
 
     # The clock and the seq counter move only once the aggregator accepted
     # the chunk, so a refused insert leaves no trace in the run. The stamps
-    # are ints: spawn checks work_ns, insert_stamped the stamps it is given.
+    # are ints that never go back: spawn checks work_ns, insert_stamped the
+    # stamps it is given.
     def _insert(self, dests, payloads, stamps) -> None:
         n = len(dests)
         if len(payloads) != n:
@@ -360,13 +367,14 @@ class _WallWorker(_Worker):
 
     def insert_columns(self, dests, payloads, stamps=None) -> None:
         # as Items, each stamped with the wall time at which it is built
-        _column_count(dests, payloads, stamps)
+        _column_count(dests, payloads, stamps, self.now)
         self.insert_many(dests.tolist(), payloads.tolist())
 
 
-def _column_count(dests, payloads, stamps=None) -> int:
+def _column_count(dests, payloads, stamps, now) -> int:
     """len(dests) of two equal-length 1-d int64 arrays and, unless None, a
-    stamp column of the same kind whose stamps are >= 0; else UsageError."""
+    stamp column of the same kind that passes _check_forward(now); else
+    UsageError."""
     columns = (dests, payloads) if stamps is None else (dests, payloads,
                                                         stamps)
     for a in columns:
@@ -382,12 +390,22 @@ def _column_count(dests, payloads, stamps=None) -> int:
     if stamps is not None:
         if len(stamps) != n:
             raise UsageError(f"{n} destinations but {len(stamps)} stamps")
-        # _drain takes a column group's samples in int64, which every
-        # sample fits when no stamp is negative
-        if n and stamps.min() < 0:
-            raise UsageError(f"insert stamp {int(stamps.min())} is "
-                             "negative; a stamp column holds ns >= 0")
+        _check_forward(now, stamps.tolist())
     return n
+
+
+def _check_forward(now, stamps) -> None:
+    """Refuse with UsageError the first of stamps, ints in chunk order,
+    below now, the worker's clock, or below the stamp before it. Stamps
+    never go back, so none is negative, and each message departs no earlier
+    than its items' stamps."""
+    prev = now
+    for i, t in enumerate(stamps):
+        if t < prev:
+            raise UsageError(f"insert stamp {t} is below "
+                             + ("the stamp before it" if i else "the clock")
+                             + f", {prev}; insert stamps never go back")
+        prev = t
 
 
 def _unstamped(stamps):
@@ -425,7 +443,7 @@ def _miscounted(times, items):
                       f"for {len(items)} items")
 
 
-def _unsampled(times, items):
+def _unsampled(times, items, by="batch sink returned"):
     """The UsageError naming the first delivery time that is not an integer
     ns within int64, or whose latency sample is not."""
     for t, it in zip(times, items):
@@ -433,9 +451,9 @@ def _unsampled(times, items):
             array("q", (t, t - it[2]))
         except (TypeError, OverflowError):
             break
-    return UsageError(f"batch sink returned delivery time {t!r} for an item "
-                      f"sent at {it[2]!r}; delivery times are integer ns, "
-                      "and each time and latency sample must fit in int64")
+    return UsageError(f"{by} delivery time {t!r} for an item sent at "
+                      f"{it[2]!r}; delivery times are integer ns, and each "
+                      "time and latency sample must fit in int64")
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +711,15 @@ class _BaseRun:
     def _drain(self, w, queue, budget):
         """Deliver queue's entries to worker w until budget items are done;
         returns whether any was. A message group, (arrival, items), is
-        delivered whole from its arrival on. A same-process entry, (None,
-        items), delivers item i at t_i = max(t_{i-1}, created_at_i) +
-        deliver_ns, each item arriving at its own stamp; one that would pass
-        the budget is cut there, and its rest goes back to the front. A
-        Batch group whose sink returns None, or its times as an int64 array,
-        takes its samples and seqs as columns."""
+        delivered whole from its arrival on; a same-process entry, (None,
+        items), that would pass the budget is cut there, and its rest goes
+        back to the front. Every group goes by one rule: from t_{-1}, the
+        later of the clock and the group's arrival, item i is delivered at
+        t_i = max(t_{i-1}, created_at_i) + deliver_ns, and a time past int64
+        is refused. Stamps never go back, so the max applies only to
+        same-process items, each arriving at its own stamp. A Batch group
+        whose sink returns None, or its times as an int64 array, takes its
+        samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -715,58 +736,64 @@ class _BaseRun:
                     items = items[:k]
             elif arrival > w.now:
                 w.now = arrival
-            if batch_sink is not None:
-                # the same samples and clock as the per-item loops below
-                now = w.now
-                times = batch_sink(w, items)
-                if times is None:
-                    if arrival is None:
-                        try:
-                            for it in items:
-                                c = it[2]
-                                if c > now:
-                                    now = c
-                                now += dns
-                                sample(now - c)
-                        except OverflowError:
-                            raise _unsampled((now,), (it,)) from None
-                        w.now = now
-                        w.delivered += k
-                        if dl_log is not None:
-                            dl_log.extend(map(_SEQ, items))
-                        done += k
-                        continue
+            done += k
+            if batch_sink is None:
+                on_item = w.driver.on_item
+                for it in items:
+                    c = it[2]
+                    now = w.now
+                    if c > now:
+                        now = c
+                    now += dns
+                    if now >= 2**63:  # stamps are >= 0, so samples fit too
+                        raise _unsampled((now,), (it,), "engine reached")
+                    w.now = now
+                    sample(now - c)
+                    on_item(w, it)
+                    w.delivered += 1
+                    if dl_log is not None:
+                        dl_log.append(it[3])
+                continue
+            now = w.now
+            times = batch_sink(w, items)
+            if times is None:
+                if type(items) is Batch and now + k * dns < 2**63:
+                    # a message's items are stamped no later than it arrives,
+                    # so item i is delivered at now + (i+1)*dns; the times
+                    # fit in int64 and the stamps are >= 0, so samples do too
+                    samples = np.arange(1, k + 1, dtype=np.int64)
+                    samples *= dns
+                    samples += now
+                    samples -= items.created_at
                     w.now = now + k * dns
-                    if type(items) is Batch and w.now < 2**63:
-                        # now + (i+1)*dns - created_at: the times fit in
-                        # int64, as the clock does, and a column chunk's
-                        # stamps are >= 0, so the samples do too
-                        samples = np.arange(1, k + 1, dtype=np.int64)
-                        samples *= dns
-                        samples += now
-                        samples -= items.created_at
-                        _take_columns(w, samples, items)
-                        done += k
-                        continue
-                    times = count(now + dns, dns) if k > 1 else (w.now,)
-                else:
+                    _take_columns(w, samples, items)
+                    continue
+                for it in items:  # the on_item loop's clock and samples
+                    c = it[2]
+                    if c > now:
+                        now = c
+                    now += dns
+                    if now >= 2**63:
+                        raise _unsampled((now,), (it,), "engine reached")
+                    sample(now - c)
+                w.now = now
+            else:
+                if type(times) is np.ndarray:
+                    times = _sink_array(times, items)
                     if type(times) is np.ndarray:
-                        times = _sink_array(times, items)
-                        if type(times) is np.ndarray:
-                            # these times and a column chunk's stamps are
-                            # >= 0, so each sample fits in int64
-                            last = int(times[-1])
-                            if last > w.now:  # else the sink's last stamp
-                                w.now = last
-                            _take_columns(w, times - items.created_at, items)
-                            done += k
-                            continue
-                    if len(times) != k:
-                        raise _miscounted(times, items)
-                    if times[-1] >= 2**63:  # the clock stays int64 too
-                        raise _unsampled(times, items)
-                    if times[-1] > w.now:  # else the sink's last stamp
-                        w.now = times[-1]
+                        # these times and the stamps are >= 0, so each
+                        # sample fits in int64
+                        last = int(times[-1])
+                        if last > w.now:  # else the sink's last stamp
+                            w.now = last
+                        _take_columns(w, times - items.created_at, items)
+                        continue
+                if len(times) != k:
+                    raise _miscounted(times, items)
+                if times[-1] >= 2**63:  # the clock stays int64 too
+                    raise _unsampled(times, items)
+                if times[-1] > w.now:  # else the sink's last stamp
+                    w.now = times[-1]
                 try:
                     if k == 1:
                         sample(times[0] - items[0][2])
@@ -774,33 +801,9 @@ class _BaseRun:
                         pending.extend(map(sub, times, map(_CREATED, items)))
                 except (TypeError, OverflowError):
                     raise _unsampled(times, items) from None
-                w.delivered += k
-                if dl_log is not None:
-                    dl_log.extend(map(_SEQ, items))
-            elif arrival is None:
-                on_item = w.driver.on_item
-                for it in items:
-                    now = w.now
-                    if it[2] > now:
-                        now = it[2]
-                    now += dns
-                    w.now = now
-                    sample(now - it[2])
-                    on_item(w, it)
-                    w.delivered += 1
-                    if dl_log is not None:
-                        dl_log.append(it[3])
-            else:
-                on_item = w.driver.on_item
-                for it in items:
-                    now = w.now + dns
-                    w.now = now
-                    sample(now - it[2])
-                    on_item(w, it)
-                    w.delivered += 1
-                    if dl_log is not None:
-                        dl_log.append(it[3])
-            done += k
+            w.delivered += k
+            if dl_log is not None:
+                dl_log.extend(map(_SEQ, items))
         if done:
             # deliveries may hand the driver new local work; poll it again
             w.driver_done = False
@@ -821,7 +824,7 @@ class SequentialRun(_BaseRun):
     def __init__(self, topo, agg, cfg, program, **kw):
         super().__init__(topo, agg, cfg, program, **kw)
         # each channel's last arrival, at origin * n_procs + dest_proc
-        self._chan_last = [_NO_ARRIVAL] * self._n_procs ** 2
+        self._chan_last = [0] * self._n_procs ** 2
         self._sched = random.Random(repr((self._seed, 0x5EED)))
         for ctx in self._workers:
             ctx.driver.on_start(ctx)

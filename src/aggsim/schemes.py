@@ -20,10 +20,12 @@ The buffered items are the only buffer state, and every layout keeps them
 in one kind of row: a source worker's for ww/wps/wsp, a source process's
 for pp, so pp is wps with one row per process, shared by its workers. A
 row holds only its non-empty buffers, created on first insert and dropped
-at seal. A buffer's timeout deadline is its oldest item's created_at plus
-the timeout, and a pp message departs no earlier than its newest item's
-created_at. No scheme counts its inserts: every buffered item leaves in
-exactly one message, so the engine counts items per scope from the
+at seal. A buffer's timeout deadline is its first-inserted item's
+created_at plus the timeout. Stamps never go back, so in a private row that
+item is the buffer's oldest; in a pp row, whose workers keep their own
+clocks, it may not be. A pp message departs no earlier than its newest
+item's created_at. No scheme counts its inserts: every buffered item leaves
+in exactly one message, so the engine counts items per scope from the
 messages it is sent.
 
 A buffer emits exactly when it reaches g items (cause "full", k == g) or when
@@ -194,7 +196,7 @@ def _stable_order(keys, bound):
 
 
 def _head(buf) -> int:
-    """created_at of a buffer's oldest item."""
+    """created_at of a buffer's first-inserted item."""
     return buf[0][2] if type(buf) is list else buf.head
 
 
@@ -223,10 +225,10 @@ class _Slices:
 
     parts holds its items in order, as (4, m) column slices of the chunks
     and, when a list chunk's items followed, lists of Items; n counts the
-    items, and head is the oldest one's created_at, kept so that a deadline
-    peek reads it without a call. It has the list buffer's append and len,
-    so a list chunk's item loop fills it as it fills a list, and seal()
-    makes it one Batch, or a list of Items when any part is one.
+    items, and head is the first-inserted one's created_at, kept so that a
+    deadline peek reads it without a call. It has the list buffer's append
+    and len, so a list chunk's item loop fills it as it fills a list, and
+    seal() makes it one Batch, or a list of Items when any part is one.
     """
 
     __slots__ = ("parts", "n", "head")
@@ -314,9 +316,9 @@ class Aggregator:
         self._transport = transport
 
     def set_flush_timeout(self, timeout_ns: Optional[int]) -> None:
-        """Flush a buffer once its oldest item is timeout_ns old, an integer
-        > 0; None turns timeout flushing off. Set it before spawning the
-        run."""
+        """Flush a buffer once its first-inserted item is timeout_ns old,
+        an integer > 0; None turns timeout flushing off. Set it before
+        spawning the run."""
         if timeout_ns is not None:
             if not (isinstance(timeout_ns, Integral) and timeout_ns > 0):
                 raise UsageError(f"flush timeout must be None or an integer "
@@ -543,7 +545,7 @@ class Aggregator:
     # row's workers, or the coordinator. list() copies a row in one C call,
     # which no other thread can interleave with; iterating the live dict
     # over several bytecodes could see it change size and raise. A seal
-    # pops a buffer whole, so a non-empty copy keeps its oldest item; an
+    # pops a buffer whole, so a non-empty copy keeps its first item; an
     # insert creates its buffer empty just before it appends, so empty
     # ones are skipped.
     def _buffers(self, worker):
@@ -564,8 +566,8 @@ class Aggregator:
         tns = self.flush_timeout_ns
         if tns is None:
             return None
-        oldest = min(map(_head, self._buffers(worker)), default=None)
-        return None if oldest is None else oldest + tns
+        head = min(map(_head, self._buffers(worker)), default=None)
+        return None if head is None else head + tns
 
     def on_receive(self, msg: CoalescedMessage) -> list:
         """Delivery plan for an arrived message: [(worker, items), ...],

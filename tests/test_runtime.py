@@ -364,31 +364,6 @@ def test_transmit_list_equals_one_at_a_time(kind, comm):
     assert all(a >= r for a, r in zip(logged, raw))
 
 
-def test_first_arrival_on_a_channel_is_not_clamped():
-    # a stamp may be any int64 ns, so a channel's first message keeps an
-    # arrival below 0, rounded as int(arrival + 0.5) as every arrival is
-    class _Early(WorkerProgram):
-        def __init__(self, wid):
-            self.wid = wid
-            self.sent = False
-
-        def step(self, ctx):
-            if self.wid or self.sent:
-                return False
-            self.sent = True
-            ctx.insert_stamped([1], [None], [-1000])
-            return True
-
-        def on_item(self, ctx, item):
-            pass
-
-    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, program=_Early,
-               record_arrivals=True)
-    m = h.await_quiescence(timeout_s=30)
-    assert m.delivered == 1
-    assert h.arrival_log == [(0, 1, int(-1000 + 0.5))]
-
-
 def test_threaded_flush_round_transmits_every_message():
     # no buffer fills, so the idle-flush round seals every message and
     # transmits them as one list under _tlock
@@ -649,9 +624,13 @@ def test_spawn_refuses_non_int_clock_steps(mode, arg, bad):
                program=program, **{arg: bad})
 
 
+_CLOCK = 5  # worker 0's clock when it offers a refused chunk
+
+
 class _BadStamp(WorkerProgram):
-    """Worker 0 offers worker 1 a chunk stamped `stamps`, checks that the
-    refusal moved no clock, seq or buffer, then sends one item."""
+    """Worker 0 moves its clock to _CLOCK, offers worker 1 a chunk stamped
+    `stamps`, checks that the refusal moved no clock, seq or buffer, then
+    sends one item."""
 
     def __init__(self, wid, stamps):
         self.wid = wid
@@ -662,6 +641,7 @@ class _BadStamp(WorkerProgram):
         if self.wid or self.done:
             return False
         self.done = True
+        ctx.advance(_CLOCK)
         now, seq = ctx.now, ctx.seq_next
         with pytest.raises(UsageError) as err:
             ctx.insert_stamped([1, 1], [None, None], self.stamps)
@@ -682,10 +662,15 @@ class _BadStamp(WorkerProgram):
     ([100, 2**63], f"insert stamp {2**63} is not"),
     ([-2**63 - 1, 100], f"insert stamp {-2**63 - 1} is not"),
     ([100], "2 destinations but 1 stamps"),
-], ids=["float", "none", "past-int64", "below-int64", "short"])
+    ([-1000, 100], "insert stamp -1000 is below the clock, 5;"),
+    ([4, 100], "insert stamp 4 is below the clock, 5;"),
+    ([100, 99], "insert stamp 99 is below the stamp before it, 100;"),
+], ids=["float", "none", "past-int64", "below-int64", "short", "negative",
+        "below-clock", "backward"])
 def test_insert_stamped_refuses_non_int64_stamps(mode, stamps, error):
-    # checked before anything moves; the threaded engine checks the stamps
-    # it then replaces with wall times
+    # checked before anything moves: each stamp an int64, and none below
+    # the clock or the stamp before it; the threaded engine checks the
+    # stamps it then replaces with wall times
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
                program=lambda wid: _BadStamp(wid, stamps), record_items=True)
     m = h.await_quiescence(timeout_s=30)
@@ -695,9 +680,9 @@ def test_insert_stamped_refuses_non_int64_stamps(mode, stamps, error):
 
 
 class _BadColumns(WorkerProgram):
-    """Worker 0 offers worker 1 the column chunk (dests, payloads, stamps),
-    checks that the refusal moved no clock, seq or buffer, then sends one
-    item."""
+    """Worker 0 moves its clock to _CLOCK, offers worker 1 the column chunk
+    (dests, payloads, stamps), checks that the refusal moved no clock, seq
+    or buffer, then sends one item."""
 
     def __init__(self, wid, dests, payloads, stamps=None):
         self.wid = wid
@@ -708,6 +693,7 @@ class _BadColumns(WorkerProgram):
         if self.wid or self.done:
             return False
         self.done = True
+        ctx.advance(_CLOCK)
         now, seq = ctx.now, ctx.seq_next
         with pytest.raises(UsageError) as err:
             ctx.insert_columns(*self.chunk)
@@ -736,12 +722,18 @@ _I64 = np.array([1, 1], dtype=np.int64)
      "insert_columns takes 1-d int64 arrays, got a 1-d int32 array"),
     ((_I64, _I64, _I64[:1]), "2 destinations but 1 stamps"),
     ((_I64, _I64, np.array([5, -1], dtype=np.int64)),
-     "insert stamp -1 is negative"),
+     "insert stamp -1 is below the stamp before it, 5;"),
+    ((_I64, _I64, np.array([4, 100], dtype=np.int64)),
+     "insert stamp 4 is below the clock, 5;"),
+    ((_I64, _I64, np.array([100, 99], dtype=np.int64)),
+     "insert stamp 99 is below the stamp before it, 100;"),
 ], ids=["list", "float", "2-d", "short", "bad-dest", "list-stamps",
-        "int32-stamps", "short-stamps", "negative-stamps"])
+        "int32-stamps", "short-stamps", "negative-stamps", "below-clock",
+        "backward"])
 def test_insert_columns_refuses_bad_chunks(mode, chunk, error):
-    # checked before anything moves; the threaded engine checks a stamp
-    # column it then replaces with wall times
+    # checked before anything moves, as insert_stamped checks its stamps;
+    # the threaded engine checks a stamp column it then replaces with wall
+    # times
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
                program=lambda wid: _BadColumns(wid, *chunk),
                record_items=True)
@@ -779,7 +771,7 @@ class _StampedColumns(WorkerProgram):
 def test_insert_columns_takes_a_stamp_column(mode):
     # the sequential engine stamps item i with stamps[i] and ends the clock
     # at the last one; the threaded engine stamps each with its wall time
-    stamps = [10**15 + 500, 10**15 + 300, 10**15 + 900]
+    stamps = [10**15 + 300, 10**15 + 300, 10**15 + 900]
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
                program=lambda wid: _StampedColumns(wid, stamps),
                record_items=True)
@@ -830,9 +822,11 @@ def _drain_groups(groups, dns, record_items, **sink):
             w.driver.seen, len(w.queue))
 
 
-def _group(k, first_seq):
-    """k items for worker 1: a list of Items and the same rows as a Batch."""
-    items = [Item(1, 7 * i - 3, 20 * i, first_seq + 2 * i) for i in range(k)]
+def _group(k, first_seq, gap=20):
+    """k items for worker 1, stamped gap ns apart from 0: a list of Items
+    and the same rows as a Batch."""
+    items = [Item(1, 7 * i - 3, gap * i, first_seq + 2 * i)
+             for i in range(k)]
     return items, Batch(np.array([list(c) for c in zip(*items)],
                                  dtype=np.int64).reshape(4, k))
 
@@ -841,9 +835,10 @@ def _group(k, first_seq):
 @pytest.mark.parametrize("sizes", [(1, 3), (300, 2), (5, 1)])
 @pytest.mark.parametrize("record_items", [False, True])
 def test_drain_of_a_batch_group_matches_the_item_loop(dns, sizes, record_items):
-    # the first group arrives before the clock, the second after it; a
-    # group past _DELIVER_BUDGET is drained whole and ends the turn
-    (l1, b1), (l2, b2) = _group(sizes[0], 0), _group(sizes[1], 1000)
+    # the first group arrives before the clock, the second after it, each
+    # stamped no later than its arrival; a group past _DELIVER_BUDGET is
+    # drained whole and ends the turn
+    (l1, b1), (l2, b2) = _group(sizes[0], 0, 3), _group(sizes[1], 1000, 3)
     loop = _drain_groups([(900, l1), (4000, l2)], dns, record_items,
                          batch=False)
     def listed(ctx, items):
@@ -955,9 +950,10 @@ def _rule_times(t, dns, stamps):
 @pytest.mark.parametrize("dns", [0, 50])
 def test_same_process_entry_keeps_each_items_clock(sink, dns):
     # one chunk's same-process items reach their destination as one entry,
-    # and each still arrives at its own stamp: the stamps jump past the
-    # receiver's clock (2000, 5000) and fall behind it (500, 1900, 100)
-    stamps = [500, 2000, 1900, 2100, 100, 5000, 5000, 4000]
+    # and each still arrives at its own stamp: the stamps never go back, and
+    # they jump past the receiver's clock (2000, 5000, and 2010 and 2100
+    # when deliver_ns is 0) and fall behind it (500, 700, the second 2000)
+    stamps = [500, 700, 2000, 2000, 2010, 2100, 5000, 5000]
     topo = Topology(1, 1, 2)
     h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=dns, record_items=True,
                program=lambda wid: _LocalChunks(wid, [stamps], 1000, sink))
@@ -970,19 +966,37 @@ def test_same_process_entry_keeps_each_items_clock(sink, dns):
     calls = w.driver.calls
     assert calls == ([[c] for c in stamps] if sink == "on_item"
                      else [stamps])
+    # the same items as two message groups, a list and a Batch, each
+    # stamped no later than its arrival, go by the same rule from the later
+    # of the clock and the arrival: every _drain path against _rule_times
+    items, batch = _group(len(stamps), 0)
+    items = [it._replace(created_at=c) for it, c in zip(items, stamps)]
+    batch.created_at[:] = stamps
+    want = _rule_times(1000, dns, stamps[:2])
+    want += _rule_times(max(want[-1], 5000), dns, stamps[2:])
+    kw = ({"batch": False} if sink == "on_item" else
+          {"times": None} if sink == "none" else
+          {"times": lambda ctx, its: _rule_times(
+              ctx.time_ns(), ctx.deliver_ns, [it[2] for it in its])})
+    for group in (items, batch):
+        got = _drain_groups([(700, group[:2]), (5000, group[2:])], dns, True,
+                            **kw)
+        assert got[0] == [t - c for t, c in zip(want, stamps)]
+        assert got[1:4] == (want[-1], len(stamps), w.dl_log)
 
 
-@pytest.mark.parametrize("sink", ["none", "times"])
+@pytest.mark.parametrize("sink", ["on_item", "none", "times"])
 def test_same_process_sample_past_int64_is_refused(sink):
-    # the second item is delivered at 1100, and its sample, 1100 + 2**63,
-    # does not fit in int64
+    # the second item is delivered at 2**63 + 40, past int64, which every
+    # sink kind refuses before the clock takes it
     topo = Topology(1, 1, 2)
     h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=50,
-               program=lambda wid: _LocalChunks(wid, [[7, -2**63]], 1000,
+               program=lambda wid: _LocalChunks(wid, [[7, 2**63 - 10]], 1000,
                                                 sink))
-    with pytest.raises(UsageError, match=f"delivery time 1100 for an item "
-                                         f"sent at {-2**63}"):
+    with pytest.raises(UsageError, match=f"delivery time {2**63 + 40} for an "
+                                         f"item sent at {2**63 - 10}"):
         h.run_phase(timeout_s=30)
+    assert h.workers[1].now < 2**63
 
 
 @pytest.mark.parametrize("sink", ["on_item", "none"])
@@ -991,7 +1005,7 @@ def test_same_process_entry_is_cut_at_the_budget(sink):
     # goes back to the front, before the next chunk's entry, in order
     budget = runtime._DELIVER_BUDGET
     first = list(range(100, 100 + budget + 44))
-    second = [7] * 10
+    second = [first[-1]] * 10
     topo = Topology(1, 1, 2)
     h = _spawn(topo, SchemeKind.WW, 4, deliver_ns=50, record_items=True,
                program=lambda wid: _LocalChunks(wid, [first, second], 0,
