@@ -8,8 +8,11 @@ against message count and grouping work:
 * wps: one buffer per (source worker, destination process), grouped by
   destination worker on arrival
 * wsp: same layout as wps, grouped before sending
-* pp: one shared buffer per (source process, destination process), guarded
-  by a lock and grouped on arrival
+* pp: one buffer per (source process, destination process), shared by the
+  process's workers and grouped on arrival
+
+Every layout keeps its buffers in rows, one per source worker or, for pp,
+per source process, and each row has one lock.
 
 An analytic cost model predicts memory overhead, message counts, wire cost,
 and residence latency for each layout, and the simulation engine measures

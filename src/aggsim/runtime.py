@@ -261,9 +261,10 @@ class _Worker:
         return self.now
 
     def advance(self, ns: int) -> None:
-        # an int64 sample buffer takes no float: keep the clock integer
-        if not isinstance(ns, Integral) or ns < 0:
-            raise UsageError(f"cannot advance a clock by {ns!r} ns")
+        # an int64 sample buffer takes no float: keep the clock an int64
+        if not (isinstance(ns, Integral) and 0 <= ns < 2**63 - self.now):
+            raise UsageError(f"cannot advance a clock at {self.now} ns by "
+                             f"{ns!r} ns; it stays a count within int64")
         self.now += ns
 
     def insert(self, dest: int, payload) -> None:
@@ -288,6 +289,8 @@ class _Worker:
         n = _column_count(dests, payloads, stamps, self.now)
         if not n:
             return
+        if stamps is None and self.now + n * self.work_ns >= 2**63:
+            raise _unstamped((self.now + n * self.work_ns,))
         stride = self.seq_stride
         data = np.empty((4, n), dtype=np.int64)
         data[0] = dests
@@ -321,7 +324,7 @@ class _Worker:
     # The clock and the seq counter move only once the aggregator accepted
     # the chunk, so a refused insert leaves no trace in the run. The stamps
     # are ints that never go back: spawn checks work_ns, insert_stamped the
-    # stamps it is given.
+    # stamps it is given, and the last one, so every one, is within int64.
     def _insert(self, dests, payloads, stamps) -> None:
         n = len(dests)
         if len(payloads) != n:
@@ -337,8 +340,10 @@ class _Worker:
         else:
             items = list(map(tuple.__new__, repeat(Item), zip(
                 dests, payloads, stamps, count(self.seq_next, stride))))
-        self._agg.insert_batch(self.wid, items)
         last = items[-1]
+        if last[2] >= 2**63:
+            raise _unstamped((last[2],))
+        self._agg.insert_batch(self.wid, items)
         self.now = last[2]
         self.seq_next = last[3] + stride
 
@@ -717,15 +722,17 @@ class _BaseRun:
         later of the clock and the group's arrival, item i is delivered at
         t_i = max(t_{i-1}, created_at_i) + deliver_ns, and a time past int64
         is refused. Stamps never go back, so the max applies only to
-        same-process items, each arriving at its own stamp. A Batch group
-        whose sink returns None, or its times as an int64 array, takes its
-        samples and seqs as columns."""
+        same-process items, each arriving at its own stamp. on_item gets
+        the clock at each item's delivery and may move it. A Batch group
+        whose batch sink returns None, or its times as an int64 array, takes
+        its samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
         sample = pending.append
         dl_log = w.dl_log
         batch_sink = w.batch_sink
+        on_item = w.driver.on_item if batch_sink is None else None
         while done < budget and queue:
             arrival, items = queue.popleft()
             k = len(items)
@@ -737,27 +744,11 @@ class _BaseRun:
             elif arrival > w.now:
                 w.now = arrival
             done += k
-            if batch_sink is None:
-                on_item = w.driver.on_item
-                for it in items:
-                    c = it[2]
-                    now = w.now
-                    if c > now:
-                        now = c
-                    now += dns
-                    if now >= 2**63:  # stamps are >= 0, so samples fit too
-                        raise _unsampled((now,), (it,), "engine reached")
-                    w.now = now
-                    sample(now - c)
-                    on_item(w, it)
-                    w.delivered += 1
-                    if dl_log is not None:
-                        dl_log.append(it[3])
-                continue
             now = w.now
-            times = batch_sink(w, items)
+            times = None if on_item else batch_sink(w, items)
             if times is None:
-                if type(items) is Batch and now + k * dns < 2**63:
+                if (on_item is None and type(items) is Batch
+                        and now + k * dns < 2**63):
                     # a message's items are stamped no later than it arrives,
                     # so item i is delivered at now + (i+1)*dns; the times
                     # fit in int64 and the stamps are >= 0, so samples do too
@@ -768,14 +759,18 @@ class _BaseRun:
                     w.now = now + k * dns
                     _take_columns(w, samples, items)
                     continue
-                for it in items:  # the on_item loop's clock and samples
+                for it in items:
                     c = it[2]
                     if c > now:
                         now = c
                     now += dns
-                    if now >= 2**63:
+                    if now >= 2**63:  # stamps are >= 0, so samples fit too
                         raise _unsampled((now,), (it,), "engine reached")
                     sample(now - c)
+                    if on_item is not None:  # it may read and move the clock
+                        w.now = now
+                        on_item(w, it)
+                        now = w.now
                 w.now = now
             else:
                 if type(times) is np.ndarray:
@@ -832,7 +827,8 @@ class SequentialRun(_BaseRun):
     # -- transport interface (called by the aggregator) --------------------
     def _transmit(self, msgs):
         """Account msgs, then queue each one's delivery plan at its arrival,
-        rounded to an int ns and clamped monotone per channel, in order."""
+        rounded to an int ns no earlier than its departure and clamped
+        monotone per channel, in order."""
         on_receive = self._agg.on_receive
         chan_last = self._chan_last
         n = self._n_procs
@@ -842,6 +838,8 @@ class SequentialRun(_BaseRun):
         for msg, arrival in zip(msgs, self._account(msgs)):
             plan = on_receive(msg)
             arrival = int(arrival + 0.5)
+            if arrival < msg[5]:  # a float past 2**53 may round below it
+                arrival = msg[5]
             po = msg[0]
             pd = plan[0][0] // t
             ch = po * n + pd

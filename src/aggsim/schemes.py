@@ -34,8 +34,8 @@ flushed while non-empty (cause "flush", k < g, message resized to k).
 Every seal builds its CoalescedMessage with tuple.__new__ under its row's
 lock, and the messages go to transport.send once the lock is released, one
 call per message, in emit order: a flush seals in ascending destination
-order. Aggregator writes every insert, seal, flush and query once for all
-four layouts; a scheme class sets only its layout.
+order. Aggregator is the one class of all four layouts: it writes every
+insert, seal, flush and query once, and sets its layout from its kind.
 
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
 int64 columns (insert_columns). A column chunk is split by column with one
@@ -280,16 +280,15 @@ class Aggregator:
     its row without the lock, takes it only when something is due, and
     checks again under it. next_deadline and owner_buffered take no lock,
     so a threaded worker asks them while others insert. The engines ask
-    per flush owner (flush_owners); each scheme class sets only its layout.
+    per flush owner (flush_owners).
+
+    kind, a SchemeKind, sets that layout in __init__, and whether a
+    message is dest-contiguous (ww's and wsp's) and grouped at its source
+    (only wsp's).
     """
 
-    kind: SchemeKind  # set by each scheme class
-    scope_kind = "worker"      # a row's owner; pp's is a process
-    _per_process = False       # a column is a destination process
-    _grouped = True            # a message's items are dest-contiguous
-    _group_at_source = False   # wsp sorts each sealed batch before sending
-
-    def __init__(self, topo: Topology, g: int, item_bytes: int):
+    def __init__(self, kind: SchemeKind, topo: Topology, g: int,
+                 item_bytes: int):
         for name, v in (("g", g), ("item_bytes", item_bytes)):
             if not (isinstance(v, Integral) and v >= 1):
                 raise UsageError(f"{name} must be an integer >= 1, got {v!r}")
@@ -299,12 +298,15 @@ class Aggregator:
         self.flush_timeout_ns: Optional[int] = None
         self.grouping_stats = GroupingStats()
         self._transport = None
+        self.kind = kind
         t = self._t = topo.workers_per_proc
         self._w = topo.total_workers
-        self._width = t if self._per_process else 1
+        self._width = 1 if kind is SchemeKind.WW else t
         self._cols = self._w // self._width
-        # workers per row
-        self._owner_width = t if self.scope_kind == "process" else 1
+        self.scope_kind = "process" if kind is SchemeKind.PP else "worker"
+        self._owner_width = t if kind is SchemeKind.PP else 1
+        self._group_at_source = kind is SchemeKind.WSP
+        self._grouped = kind in (SchemeKind.WW, SchemeKind.WSP)
         rows = self._w // self._owner_width
         self._rows = [defaultdict(list) for _ in range(rows)]
         self._locks = [threading.Lock() for _ in range(rows)]
@@ -571,56 +573,19 @@ class Aggregator:
 
     def on_receive(self, msg: CoalescedMessage) -> list:
         """Delivery plan for an arrived message: [(worker, items), ...],
-        grouped by destination worker here unless the sender grouped it."""
+        grouped by destination worker here unless the sender grouped it.
+        A grouped message whose column is one worker, as ww's always is, has
+        a single destination and owns its list or Batch, so its group takes
+        it whole."""
         items = msg[2]
-        if msg[3]:
-            return split_grouped(items)
-        return split_grouped(group_items(items, self.topo,
-                                         self.grouping_stats))
-
-
-class _WWAggregator(Aggregator):
-    """ww: one buffer per destination worker at each source worker."""
-
-    kind = SchemeKind.WW
-
-    def on_receive(self, msg):
-        # single destination: trivially contiguous; each message owns its
-        # list or Batch, so the group takes it whole
-        return [(msg[1], msg[2])]
-
-
-class _ProcBufferedAggregator(Aggregator):
-    """wps/wsp/pp: one buffer per destination process in each row."""
-
-    _per_process = True
-    _grouped = False
-
-
-class _WPsAggregator(_ProcBufferedAggregator):
-    kind = SchemeKind.WPS
-
-
-class _WsPAggregator(_ProcBufferedAggregator):
-    """wsp groups at the source worker, so receivers only split runs."""
-
-    kind = SchemeKind.WSP
-    _grouped = True
-    _group_at_source = True
-
-
-class _PPAggregator(_ProcBufferedAggregator):
-    """pp: wps with one row per source process, which its workers share."""
-
-    kind = SchemeKind.PP
-    scope_kind = "process"
-
-
-_SCHEME_CLASSES = {cls.kind: cls for cls in (
-    _WWAggregator, _WPsAggregator, _WsPAggregator, _PPAggregator)}
+        if not msg[3]:
+            items = group_items(items, self.topo, self.grouping_stats)
+        elif self._width == 1:
+            return [(msg[1], items)]
+        return split_grouped(items)
 
 
 def create_aggregator(kind, topo: Topology, g: int,
                       item_bytes: int) -> Aggregator:
     """Build an aggregator of the given scheme for a topology."""
-    return _SCHEME_CLASSES[SchemeKind.parse(kind)](topo, g, item_bytes)
+    return Aggregator(SchemeKind.parse(kind), topo, g, item_bytes)

@@ -788,6 +788,73 @@ def test_insert_columns_takes_a_stamp_column(mode):
         assert sent == sorted(sent) and sent[-1] <= after < stamps[0]
 
 
+class _OneStamped(WorkerProgram):
+    """Worker 0 sends worker 1 one item stamped `stamp`, as a list chunk
+    (insert_stamped) or a column chunk; worker 1's batch sink returns
+    None."""
+
+    def __init__(self, wid, stamp, columns):
+        self.wid = wid
+        self.stamp = stamp
+        self.columns = columns
+        self.done = False
+
+    def step(self, ctx):
+        if self.wid or self.done:
+            return False
+        self.done = True
+        if self.columns:
+            one = np.ones(1, dtype=np.int64)
+            ctx.insert_columns(one, one, one * self.stamp)
+        else:
+            ctx.insert_stamped([1], [1], [self.stamp])
+        return True
+
+    def on_items(self, ctx, items):
+        return None
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["list", "batch"])
+def test_message_never_arrives_before_it_departs(columns):
+    # 2**53 + 1 rounds through a float cost to 2**53; the arrival is
+    # clamped to the integer departure, so with free delivery the item's
+    # one latency sample is 0, not -1
+    stamp = 2**53 + 1
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, deliver_ns=0,
+               trace=True, record_arrivals=True,
+               program=lambda wid: _OneStamped(wid, stamp, columns))
+    m = h.await_quiescence(timeout_s=30)
+    assert [e["sent_at"] for e in h.trace] == [stamp]
+    assert h.arrival_log == [(0, 1, stamp)]
+    assert h.workers[1].now == stamp
+    assert m.delivered == 1 and m.item_latency["max_ns"] == 0
+
+
+@pytest.mark.parametrize("insert", ["many", "columns"])
+def test_clock_and_insert_stamps_stay_within_int64(insert):
+    # a clock or stamp of 2**63 or more is refused before the clock or the
+    # seq moves: unchecked, the third stamp of the chunk wraps to a
+    # negative int64, and a clock at 2**63 makes numpy raise OverflowError
+    h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, work_ns=100,
+               program=lambda wid: WorkerProgram())
+    w = h.workers[0]
+    with pytest.raises(UsageError, match="cannot advance a clock at 0 ns"):
+        w.advance(2**63)
+    w.advance(2**63 - 250)
+    with pytest.raises(UsageError, match=f"insert stamp {2**63 + 50} is not"):
+        if insert == "many":
+            w.insert_many([1, 1, 1], [0, 1, 2])
+        else:
+            w.insert_columns(np.ones(3, dtype=np.int64),
+                             np.arange(3, dtype=np.int64))
+    assert (w.now, w.seq_next, w.produced) == (2**63 - 250, 0, 0)
+    assert total_buffered(h.aggregator) == 0
+    w.advance(249)  # the clock's last int64 value
+    with pytest.raises(UsageError, match="it stays a count within int64"):
+        w.advance(1)
+    assert w.now == 2**63 - 1
+
+
 class _GroupSink(WorkerProgram):
     """Records each delivered item's row and the clock its sink starts at;
     on_items returns times(ctx, items), None when times is None."""

@@ -327,8 +327,17 @@ def test_ww_on_receive_single_run():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2)
     agg.insert(0, mk_item(1, 0))
     agg.insert(0, mk_item(1, 1))
-    [msg] = tr.messages
+    agg.insert_columns(0, Batch(np.array(
+        [[1, 1], [0, 0], [5, 6], [2, 3]], dtype=np.int64)))
+    msg, columns = tr.messages
     assert agg.on_receive(msg) == [(1, list(msg.items))]
+    # the one group is the message's own list or Batch, not a copy: that
+    # no-copy hand-over is why ww skips grouping
+    for m in (msg, columns):
+        [(dest, group)] = agg.on_receive(m)
+        assert dest == 1 and group is m.items
+    assert type(columns.items) is Batch
+    assert agg.grouping_stats.calls == 0
 
 
 def test_pp_shares_buffer_across_source_workers():
