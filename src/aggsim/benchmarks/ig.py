@@ -15,13 +15,12 @@ ctx.insert_columns and stamps request i of the chunk with the chunk's start
 time plus i*work_ns; on the virtual clock that is exactly the time the
 request's insert begins. The sink takes a Batch group with numpy: one cumsum
 gives its delivery times, which it returns as an int64 array, and it answers
-the group's requests with one stamped column chunk. Groups of Items (a
-tuple of same-process items per chunk and destination, and every group in
-the threaded engine) are taken item by item, each item's delivery starting
-at the later of the clock and its stamp, and answered with one
-ctx.insert_stamped. In threaded mode the inserts carry their own wall
-stamps, so a request's send stamp is that estimate, not the wall time its
-insert began.
+the group's requests with one stamped column chunk. A tuple of
+same-process items, one per chunk and destination, is taken item by item,
+each item's delivery starting at the later of the clock and its stamp, and
+answered with one stamped ctx.insert_many. Both engines take these paths;
+in threaded mode the inserts carry their own wall stamps, so a request's
+send stamp is that estimate, not the wall time its insert began.
 """
 from __future__ import annotations
 
@@ -154,7 +153,7 @@ class _IGWorker(WorkerProgram):
                 self.rtts.append(t - self.send_ts.item(rid))
                 self.answered[rid] = True
         if dests:
-            ctx.insert_stamped(dests, replies, stamps)
+            ctx.insert_many(dests, replies, stamps)
         return times
 
     def _on_batch(self, ctx, items):

@@ -20,12 +20,12 @@ columns: a column chunk from ctx.insert_columns, stamped by the engine or
 by the caller, stays a Batch through the buffers of every scheme, the
 message and the delivery group, and _drain takes such a group's latency
 samples in one vector op, from the times its sink returns as an int64
-array or from the clock when it returns None. Same-process items and the
-threaded engine take a column chunk as Items. Each insert hands its
-same-process items to the engine's local_deliver in one call. The
-sequential engine queues them as one (None, items) entry per destination,
-a tuple of Items in chunk order; the threaded engine queues each item as a
-one-item entry that arrives when it is taken.
+array or from the clock when it returns None. Both engines insert every
+chunk the same way and differ only in its stamps: virtual ones in the
+sequential engine, one wall-clock read per chunk in the threaded one. Each
+insert hands its same-process items to local_deliver in one call, which
+queues them as one (None, items) entry per destination, a tuple of Items
+in chunk order, into either engine's queue.
 
 Virtual time only moves forward: a stamped insert is refused unless no
 stamp is below the worker's clock or the stamp before it, so no item is
@@ -181,11 +181,12 @@ class WorkerProgram:
     has no more self-generated work (delivery sinks may still run after
     that). A worker that can receive items needs one delivery sink: on_item
     per item, or the batch sink on_items(ctx, items), which both engines
-    hand each delivered group whole, but for a same-process entry cut at a
-    turn's budget. A batch sink that neither reads the clock nor inserts
-    returns None; any other returns each item's delivery time, the clock
-    the per-item loop reads, and stamps its inserts in that sequence
-    through ctx.insert_stamped or a stamped ctx.insert_columns: from
+    hand each delivered group whole, but for a same-process entry that the
+    sequential engine cuts at a turn's budget. A batch sink that neither
+    reads the clock nor inserts returns None; any other returns each item's
+    delivery time, the clock the per-item loop reads, and stamps its
+    inserts in that sequence through a stamped ctx.insert_many or
+    ctx.insert_columns: from
     t_{-1} = s, the clock at the group's start, item i is delivered at
     t_i = max(t_{i-1}, created_at_i) + deliver_ns, and each insert it
     makes adds work_ns. The engine delivers every group by that one rule.
@@ -193,13 +194,13 @@ class WorkerProgram:
     its own stamp: stamps never go back, so a message's items are stamped
     no later than it arrives.
 
-    A group is a list of Items; a tuple of Items, when it holds same-process
-    items, which each arrive at their own stamp; or a Batch when it came
-    through the buffers from column chunks: the Batches of int64 columns
-    that ctx.insert_columns builds from two arrays. A Batch iterates as
-    Items, so a sink that loops over Items takes any group; for a Batch
-    group it may return the times as a 1-d int64 array. Same-process items
-    and the threaded engine deliver a column chunk's items as Items.
+    A group is a list of Items; a tuple of Items, when it holds one list or
+    column chunk's same-process items, which each arrive at their own
+    stamp; or a Batch when it came through the buffers from column chunks:
+    the Batches of int64 columns that ctx.insert_columns builds from two
+    arrays. A Batch iterates as Items, so a sink that loops over Items
+    takes any group; for a Batch group it may return the times as a 1-d
+    int64 array.
     """
 
     on_items = None
@@ -270,14 +271,24 @@ class _Worker:
     def insert(self, dest: int, payload) -> None:
         self.insert_many((dest,), (payload,))
 
-    def insert_many(self, dests, payloads) -> None:
+    def insert_many(self, dests, payloads, stamps=None) -> None:
         """insert(dests[i], payloads[i]) for each i, in order, as one chunk.
 
-        Item i is stamped now + (i+1)*work_ns and takes the i-th next seq;
-        the clock ends at the last stamp.
+        Item i takes the i-th next seq and is stamped stamps[i], an int
+        within int64 that is not below the clock or stamps[i-1], or, when
+        stamps is None, now + (i+1)*work_ns; the clock ends at the last
+        stamp.
         """
-        wns = self.work_ns
-        self._insert(dests, payloads, count(self.now + wns, wns))
+        if stamps is None:
+            wns = self.work_ns
+            self._insert(dests, payloads, count(self.now + wns, wns))
+            return
+        try:
+            checked = array("q", stamps)
+        except (TypeError, OverflowError):
+            raise _unstamped(stamps) from None
+        _check_forward(self.now, checked, len(dests))
+        self._insert(dests, payloads, checked)
 
     def insert_columns(self, dests, payloads, stamps=None) -> None:
         """insert_many of two int64 arrays, as one column chunk: a Batch
@@ -285,45 +296,48 @@ class _Worker:
         int64 array that never goes back, and seqs seq_next +
         stride*(0..n-1), with no Item per item. The clock ends at the last
         stamp. The aggregator takes it as a Batch, so the columns travel on
-        to the sink."""
-        n = _column_count(dests, payloads, stamps, self.now)
+        to the sink. Each column is a 1-d int64 array, all of one length,
+        and stamps passes the check insert_many's do; else UsageError."""
+        for a in (dests, payloads, stamps)[:2 if stamps is None else 3]:
+            if not (isinstance(a, np.ndarray) and a.dtype == np.int64
+                    and a.ndim == 1):
+                what = (f"a {a.ndim}-d {a.dtype} array"
+                        if isinstance(a, np.ndarray) else type(a).__name__)
+                raise UsageError(f"insert_columns takes 1-d int64 arrays, "
+                                 f"got {what}")
+        n = len(dests)
+        if len(payloads) != n:
+            raise UsageError(f"{n} destinations but {len(payloads)} payloads")
+        if stamps is not None:
+            _check_forward(self.now, stamps.tolist(), n)
         if not n:
             return
-        if stamps is None and self.now + n * self.work_ns >= 2**63:
-            raise _unstamped((self.now + n * self.work_ns,))
         stride = self.seq_stride
         data = np.empty((4, n), dtype=np.int64)
         data[0] = dests
         data[1] = payloads
         ramp = np.arange(n, dtype=np.int64)
-        if stamps is None:
-            wns = self.work_ns
-            np.multiply(ramp, wns, out=data[2])
-            data[2] += self.now + wns
-        else:
-            data[2] = stamps
+        data[2] = self._column_stamps(ramp, stamps)
         np.multiply(ramp, stride, out=data[3])
         data[3] += self.seq_next
         self._agg.insert_columns(self.wid, Batch(data))
         self.now = int(data[2, -1])
         self.seq_next += n * stride
 
-    def insert_stamped(self, dests, payloads, stamps) -> None:
-        """insert_many, with item i stamped stamps[i], an int within int64
-        that is not below the clock or stamps[i-1]."""
-        if len(stamps) != len(dests):
-            raise UsageError(f"{len(dests)} destinations but {len(stamps)} "
-                             "stamps")
-        try:
-            checked = array("q", stamps)
-        except (TypeError, OverflowError):
-            raise _unstamped(stamps) from None
-        _check_forward(self.now, checked)
-        self._insert(dests, payloads, checked)
+    def _column_stamps(self, ramp, stamps):
+        """A column chunk's stamps: stamps, checked already, or now +
+        work_ns*(ramp + 1), refused past int64."""
+        if stamps is not None:
+            return stamps
+        wns = self.work_ns
+        last = self.now + len(ramp) * wns
+        if last >= 2**63:
+            raise _unstamped((last,))
+        return ramp * wns + (self.now + wns)
 
     # The clock and the seq counter move only once the aggregator accepted
     # the chunk, so a refused insert leaves no trace in the run. The stamps
-    # are ints that never go back: spawn checks work_ns, insert_stamped the
+    # are ints that never go back: spawn checks work_ns, insert_many the
     # stamps it is given, and the last one, so every one, is within int64.
     def _insert(self, dests, payloads, stamps) -> None:
         n = len(dests)
@@ -354,12 +368,14 @@ class _Worker:
 class _WallWorker(_Worker):
     """Worker context on the wall clock (threaded engine).
 
-    time_ns reads the wall clock, and each item is stamped with the wall
-    time at which it is built, whatever stamps the caller computed. now is
-    the clock the shared delivery path reads: the worker sets it to the
-    wall time at which it takes a group, and deliveries (deliver_ns per
-    item), advance and inserts (their last wall stamp) move it from there,
-    so a group's latency samples are estimates anchored at its take.
+    time_ns reads the wall clock, and every item of an insert, a list or a
+    column chunk, is stamped with one wall-clock read taken as the chunk is
+    inserted, whatever stamps the caller gave; given stamps are checked
+    first all the same. now is the clock the shared delivery path reads:
+    the worker sets it to the wall time at which it takes a group, and
+    deliveries (deliver_ns per item), advance and inserts (their wall
+    stamp) move it from there, so a group's latency samples are estimates
+    anchored at its take.
     """
 
     __slots__ = ()
@@ -368,42 +384,19 @@ class _WallWorker(_Worker):
         return time.monotonic_ns() - self._epoch
 
     def _insert(self, dests, payloads, stamps) -> None:
-        super()._insert(dests, payloads, iter(self.time_ns, None))
+        super()._insert(dests, payloads, repeat(self.time_ns()))
 
-    def insert_columns(self, dests, payloads, stamps=None) -> None:
-        # as Items, each stamped with the wall time at which it is built
-        _column_count(dests, payloads, stamps, self.now)
-        self.insert_many(dests.tolist(), payloads.tolist())
+    def _column_stamps(self, ramp, stamps):
+        return self.time_ns()
 
 
-def _column_count(dests, payloads, stamps, now) -> int:
-    """len(dests) of two equal-length 1-d int64 arrays and, unless None, a
-    stamp column of the same kind that passes _check_forward(now); else
-    UsageError."""
-    columns = (dests, payloads) if stamps is None else (dests, payloads,
-                                                        stamps)
-    for a in columns:
-        if not (isinstance(a, np.ndarray) and a.dtype == np.int64
-                and a.ndim == 1):
-            what = (f"a {a.ndim}-d {a.dtype} array"
-                    if isinstance(a, np.ndarray) else type(a).__name__)
-            raise UsageError(f"insert_columns takes 1-d int64 arrays, got "
-                             f"{what}")
-    n = len(dests)
-    if len(payloads) != n:
-        raise UsageError(f"{n} destinations but {len(payloads)} payloads")
-    if stamps is not None:
-        if len(stamps) != n:
-            raise UsageError(f"{n} destinations but {len(stamps)} stamps")
-        _check_forward(now, stamps.tolist())
-    return n
-
-
-def _check_forward(now, stamps) -> None:
-    """Refuse with UsageError the first of stamps, ints in chunk order,
-    below now, the worker's clock, or below the stamp before it. Stamps
-    never go back, so none is negative, and each message departs no earlier
-    than its items' stamps."""
+def _check_forward(now, stamps, n) -> None:
+    """Refuse with UsageError stamps, ints in chunk order, unless they are
+    n, one per destination, or the first of them below now, the worker's
+    clock, or below the stamp before it. Stamps never go back, so none is
+    negative, and each message departs no earlier than its items' stamps."""
+    if len(stamps) != n:
+        raise UsageError(f"{n} destinations but {len(stamps)} stamps")
     prev = now
     for i, t in enumerate(stamps):
         if t < prev:
@@ -633,7 +626,8 @@ class _BaseRun:
                 agg.flush(owner, workers[owner].time_ns())
         finally:
             self._held = None
-        self._transmit(held)
+        if held:
+            self._transmit(held)
         return len(held)
 
     def _stop(self):
@@ -653,6 +647,16 @@ class _BaseRun:
         else:
             held.append(msg)
 
+    def local_deliver(self, items):
+        """Queue a chunk's same-process items, in chunk order, as one (None,
+        items) entry per destination, items a tuple; _drain delivers each
+        item from its own stamp on."""
+        runs = defaultdict(list)
+        for it in items:
+            runs[it[0]].append(it)
+        for dest, run in runs.items():
+            self._put(dest, (None, tuple(run)))
+
     def _account(self, msgs) -> list:
         """Record each message's items, bytes, network cost and
         comm-context occupancy, in list order.
@@ -661,7 +665,9 @@ class _BaseRun:
         ns on the origin's clock: departure, then the comm context if
         enabled, then the network cost. It is the one accounting path of
         both engines and reads the messages' slots directly; each float is
-        rounded as one message at a time rounds it.
+        rounded as one message at a time rounds it. An arrival that rounds
+        to 2**63 ns or more is refused with UsageError, so no engine queues
+        a group of the list.
         """
         cfg = self._cfg
         alpha = cfg.alpha_ns
@@ -708,6 +714,15 @@ class _BaseRun:
                     first[po] = start
                 started[po] += 1
             arrivals.append(base + net)
+        # once per list, which is never empty: an arrival below 2.0**63
+        # rounds to an int below 2**63, as floats there are 1024 apart
+        if max(arrivals) >= 2.0**63:
+            i = next(i for i, a in enumerate(arrivals) if a >= 2.0**63)
+            net = alpha + beta * (len(msgs[i][2]) * item_bytes + header)
+            raise UsageError(f"a message sent at {msgs[i][5]} ns with a "
+                             f"network cost of {net} ns arrives at "
+                             f"{int(arrivals[i])} ns; arrival times must "
+                             "fit in int64")
         log.bytes_sent += nbytes_sum
         log.transport_cost_ns = cost
         return arrivals
@@ -852,15 +867,9 @@ class SequentialRun(_BaseRun):
             for wid, group in plan:
                 workers[wid].queue.append((arrival, group))
 
-    def local_deliver(self, items):
-        # one (None, items) entry per destination, its items in chunk order;
-        # _drain delivers each item from its own stamp on
-        runs = defaultdict(list)
-        for it in items:
-            runs[it[0]].append(it)
-        workers = self._workers
-        for dest, run in runs.items():
-            workers[dest].queue.append((None, tuple(run)))
+    def _put(self, wid, entry):
+        """Queue entry for worker wid."""
+        self._workers[wid].queue.append(entry)
 
     # -- stepping -----------------------------------------------------------
     def _round(self, order):
@@ -942,7 +951,7 @@ class SequentialRun(_BaseRun):
 # threaded engine
 # ---------------------------------------------------------------------------
 
-_T_DELIVER = 0
+_T_DELIVER = None  # local_deliver's (None, items) entries are deliveries
 _T_TASK = 1
 _T_STOP = 2
 _ACK_TIMEOUT_S = 10.0  # wait for workers to ack a task or stop
@@ -1014,14 +1023,6 @@ class ThreadedRun(_BaseRun):
                 for wid, group in plan:
                     workers[wid].queue.put((_T_DELIVER, group))
 
-    def local_deliver(self, items):
-        # one entry per item, each counted before any can be taken, which
-        # arrives when it is taken, as a message group does
-        with self._tlock:
-            self._busy += len(items)
-            for it in items:
-                self._workers[it[0]].queue.put((_T_DELIVER, (it,)))
-
     # -- worker thread --------------------------------------------------------
     def _wloop(self, w):
         agg = self._agg
@@ -1062,7 +1063,7 @@ class ThreadedRun(_BaseRun):
                     with idle:
                         self._busy -= 1
                 tag = e[0]
-                if tag == _T_DELIVER:
+                if tag is _T_DELIVER:
                     # the group arrives at its take, on the wall clock
                     now = w.now = w.time_ns()
                     self._drain(w, deque([(now, e[1])]), _DELIVER_BUDGET)

@@ -44,8 +44,7 @@ them into one Batch, which the message carries and on_receive groups with
 one stable argsort of dest, so a delivery group may be a Batch or a list
 of Items. A column chunk's same-process items go to local_deliver as one
 Batch, which iterates as Items. A buffer that both kinds of chunk fill
-seals into a list of Items. The threaded engine inserts a column chunk as
-Items, so its aggregator sees only lists.
+seals into a list of Items. Both engines insert chunks of both kinds.
 """
 from __future__ import annotations
 

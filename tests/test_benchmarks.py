@@ -253,8 +253,9 @@ def test_ig_batch_step_matches_scalar(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
 def test_ig_threaded_answers_every_request(scheme):
-    # every group reaches the sink as a list of Items with int payloads;
-    # send stamps are wall estimates, but every request is answered once
+    # requests and replies travel as int64 columns, as in the sequential
+    # engine; send stamps are wall estimates, but every request is answered
+    # once
     topo = Topology(2, 2, 2)
     spec = IGSpec(requests_per_worker=200, table_size=97, seed=6)
     r = run_ig(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
@@ -265,31 +266,38 @@ def test_ig_threaded_answers_every_request(scheme):
 
 class _GroupKinds(_IGWorker):
     """_IGWorker that counts the items its sink takes, and its calls, by
-    group type."""
+    group type, under a lock that the threaded engine's workers share."""
 
     kinds = Counter()
     calls = Counter()
+    lock = threading.Lock()
 
     def on_items(self, ctx, items):
-        self.kinds[type(items)] += len(items)
-        self.calls[type(items)] += 1
+        with self.lock:
+            self.kinds[type(items)] += len(items)
+            self.calls[type(items)] += 1
         return super().on_items(ctx, items)
 
 
-@pytest.mark.parametrize("timeout_ns", [None, 700])
+@pytest.mark.parametrize("timeout_ns,mode", [
+    (None, "sequential"), (700, "sequential"), (None, "threaded"),
+], ids=["None", "700", "threaded"])
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
 def test_ig_remote_groups_reach_the_sink_as_batches(monkeypatch, scheme,
-                                                    timeout_ns):
+                                                    timeout_ns, mode):
     # every remote item stays on the column path, from the request chunk
-    # through the buffers and the reply chunk; only same-process items
-    # arrive as tuples, one entry per chunk and destination, so there are
-    # fewer such sink calls than same-process items
+    # through the buffers and the reply chunk, in both engines; only
+    # same-process items arrive as tuples, one entry per chunk and
+    # destination, so there are fewer such sink calls than same-process
+    # items
     monkeypatch.setattr(ig, "_IGWorker", _GroupKinds)
     monkeypatch.setattr(_GroupKinds, "kinds", Counter())
     monkeypatch.setattr(_GroupKinds, "calls", Counter())
     topo = Topology(2, 2, 2)
     r = run_ig(IGSpec(requests_per_worker=300, table_size=97, seed=3),
-               scheme=scheme, g=16, topo=topo, flush_timeout_ns=timeout_ns)
+               scheme=scheme, g=16, topo=topo, mode=mode,
+               flush_timeout_ns=timeout_ns, timeout_s=60)
+    assert r.matched == 300 * topo.total_workers and r.unmatched == 0
     m = r.metrics
     assert _GroupKinds.kinds == {Batch: m.delivered - m.self_sends,
                                  tuple: m.self_sends}

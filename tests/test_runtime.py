@@ -264,6 +264,69 @@ def test_same_process_traffic_sends_no_messages(token, mode):
     assert m.delivered == 400
 
 
+class _LocalFanOut(WorkerProgram):
+    """Every worker of one process inserts `chunks` chunks of the same 12
+    items, to itself and two other workers of its process, as lists or
+    column chunks; each sink call records the receiver and its items' seqs
+    under a lock the threaded engine's workers share."""
+
+    OFFSETS = (1, 2, 1, 0, 2, 2, 1, 0, 0, 2, 1, 2)  # dest - source, mod w
+    lock = threading.Lock()
+
+    def __init__(self, wid, w, chunks, columns, calls):
+        self.dests = [(wid + d) % w for d in self.OFFSETS]
+        self.chunks = chunks
+        self.columns = columns
+        self.calls = calls
+
+    def step(self, ctx):
+        if not self.chunks:
+            return False
+        self.chunks -= 1
+        n = len(self.dests)
+        if self.columns:
+            ctx.insert_columns(np.array(self.dests, dtype=np.int64),
+                               np.arange(n, dtype=np.int64))
+        else:
+            ctx.insert_many(self.dests, list(range(n)))
+        return True
+
+    def on_items(self, ctx, items):
+        with self.lock:
+            self.calls.append((ctx.wid, [it[3] for it in items]))
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["lists", "columns"])
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_same_process_items_are_handed_over_per_destination(mode, columns):
+    # both engines hand each chunk's items for one destination to its sink
+    # in one call, in chunk order, however the chunk was inserted; threads
+    # switch often, so a lost entry or busy count would hang or miscount
+    w, chunks = 4, 20
+    calls = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        h = _spawn(Topology(1, 1, w), SchemeKind.WPS, 16, mode=mode,
+                   program=lambda wid: _LocalFanOut(wid, w, chunks, columns,
+                                                    calls))
+        m = h.await_quiescence(timeout_s=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert m.messages_sent == 0
+    assert m.produced == m.delivered == w * chunks * 12
+    offsets = _LocalFanOut.OFFSETS
+    assert len(calls) == w * chunks * len(set(offsets))
+    for dest, seqs in calls:
+        src = seqs[0] % w
+        assert {q % w for q in seqs} == {src}
+        # the seq of chunk j's item i from src is src + w*(12*j + i)
+        j, i = zip(*(divmod((q - src) // w, 12) for q in seqs))
+        assert len(set(j)) == 1
+        assert list(i) == [k for k, d in enumerate(offsets)
+                           if d == (dest - src) % w]
+
+
 @pytest.mark.parametrize("mode", ["sequential", "threaded"])
 @pytest.mark.parametrize("call", ["run_phase", "await_quiescence"])
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -1],
@@ -644,7 +707,7 @@ class _BadStamp(WorkerProgram):
         ctx.advance(_CLOCK)
         now, seq = ctx.now, ctx.seq_next
         with pytest.raises(UsageError) as err:
-            ctx.insert_stamped([1, 1], [None, None], self.stamps)
+            ctx.insert_many([1, 1], [None, None], stamps=self.stamps)
         assert (ctx.now, ctx.seq_next) == (now, seq)
         assert total_buffered(ctx._agg) == 0
         self.error = str(err.value)
@@ -731,7 +794,7 @@ _I64 = np.array([1, 1], dtype=np.int64)
         "int32-stamps", "short-stamps", "negative-stamps", "below-clock",
         "backward"])
 def test_insert_columns_refuses_bad_chunks(mode, chunk, error):
-    # checked before anything moves, as insert_stamped checks its stamps;
+    # checked before anything moves, as insert_many checks its stamps;
     # the threaded engine checks a stamp column it then replaces with wall
     # times
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
@@ -770,7 +833,8 @@ class _StampedColumns(WorkerProgram):
 @pytest.mark.parametrize("mode", ["sequential", "threaded"])
 def test_insert_columns_takes_a_stamp_column(mode):
     # the sequential engine stamps item i with stamps[i] and ends the clock
-    # at the last one; the threaded engine stamps each with its wall time
+    # at the last one; the threaded engine stamps every item with one
+    # wall-clock read, where the clock ends
     stamps = [10**15 + 300, 10**15 + 300, 10**15 + 900]
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 4, mode=mode,
                program=lambda wid: _StampedColumns(wid, stamps),
@@ -784,13 +848,13 @@ def test_insert_columns_takes_a_stamp_column(mode):
     after = h.workers[0].driver.after
     if mode == "sequential":
         assert sent == stamps and after == stamps[-1]
-    else:  # wall stamps, which a run's first seconds keep below 10**15
-        assert sent == sorted(sent) and sent[-1] <= after < stamps[0]
+    else:  # a wall stamp, which a run's first seconds keep below 10**15
+        assert sent == [after] * 3 and after < stamps[0]
 
 
 class _OneStamped(WorkerProgram):
     """Worker 0 sends worker 1 one item stamped `stamp`, as a list chunk
-    (insert_stamped) or a column chunk; worker 1's batch sink returns
+    (stamped insert_many) or a column chunk; worker 1's batch sink returns
     None."""
 
     def __init__(self, wid, stamp, columns):
@@ -807,7 +871,7 @@ class _OneStamped(WorkerProgram):
             one = np.ones(1, dtype=np.int64)
             ctx.insert_columns(one, one, one * self.stamp)
         else:
-            ctx.insert_stamped([1], [1], [self.stamp])
+            ctx.insert_many([1], [1], stamps=[self.stamp])
         return True
 
     def on_items(self, ctx, items):
@@ -828,6 +892,22 @@ def test_message_never_arrives_before_it_departs(columns):
     assert h.arrival_log == [(0, 1, stamp)]
     assert h.workers[1].now == stamp
     assert m.delivered == 1 and m.item_latency["max_ns"] == 0
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["list", "batch"])
+def test_arrival_past_int64_is_refused_before_it_is_queued(columns):
+    # 2**63 - 10 plus a 1000 ns network cost arrives past int64: the
+    # transport refuses the message, naming its departure and cost, before
+    # the receiver's clock or queue moves
+    stamp = 2**63 - 10
+    h = _spawn(Topology(2, 1, 1), SchemeKind.WW, 1, deliver_ns=0,
+               cfg=TransportConfig(alpha_ns=1000.0),
+               program=lambda wid: _OneStamped(wid, stamp, columns))
+    with pytest.raises(UsageError, match=f"a message sent at {stamp} ns "
+                                         "with a network cost of 1000.0 ns "
+                                         f"arrives at {2**63} ns"):
+        h.run_phase(timeout_s=30)
+    assert h.workers[1].now == 0 and not h.workers[1].queue
 
 
 @pytest.mark.parametrize("insert", ["many", "columns"])
@@ -989,8 +1069,8 @@ class _LocalChunks(WorkerProgram):
         if self.wid or not self.chunks:
             return False
         stamps = self.chunks.pop(0)
-        ctx.insert_stamped([1] * len(stamps), list(range(len(stamps))),
-                           stamps)
+        ctx.insert_many([1] * len(stamps), list(range(len(stamps))),
+                        stamps=stamps)
         return True
 
     def on_items(self, ctx, items):
