@@ -8,8 +8,9 @@ final table must match it exactly for any scheme, mode, or buffer size.
 The updates travel as int64 columns: each step inserts a slice of the
 pre-drawn array with ctx.insert_columns, as a column chunk (a Batch of the
 columns dest, payload, created_at and seq), and the sink adds one bincount
-per delivered Batch group. Groups that reach it as lists of Items
-(same-process updates, the threaded engine) are counted one by one.
+per delivered Batch group, in either engine. Same-process updates reach it
+as tuples of Items, one entry per chunk and destination, and are counted
+one by one.
 """
 from __future__ import annotations
 

@@ -8,12 +8,15 @@ Run modes:
 * threaded: one OS thread per worker with wall clocks. Interleavings are
   real; transport costs are recorded but not slept.
 
-Both engines share one worker context, one per-message cost and accounting
-path, one delivery path (_drain, which takes each item's latency sample),
-one quiescence path and the handle surface; they differ only in the
-clock, the delivery queue, how a message is enqueued and how a run stalls
-and stops. The threaded engine hands _drain each group as it takes it,
-with the worker's clock set to the wall time of the take.
+Both engines share one worker context, one transport (_transmit accounts
+each message, plans its delivery, clamps its arrival per channel, logs it
+and queues its groups; local_deliver queues same-process items), one
+delivery path (_drain, which takes each item's latency sample), one
+quiescence path and the handle surface; they differ only in the clock, the
+delivery queue, how queued work is counted and how a run stalls and stops.
+The threaded engine queues under its lock and counts each entry as
+outstanding work, and hands _drain each group as it takes it, with the
+worker's clock set to the wall time of the take.
 
 Items travel as a list of Items, or on the column path as a Batch of int64
 columns: a column chunk from ctx.insert_columns, stamped by the engine or
@@ -25,7 +28,7 @@ chunk the same way and differ only in its stamps: virtual ones in the
 sequential engine, one wall-clock read per chunk in the threaded one. Each
 insert hands its same-process items to local_deliver in one call, which
 queues them as one (None, items) entry per destination, a tuple of Items
-in chunk order, into either engine's queue.
+in chunk order.
 
 Virtual time only moves forward: a stamped insert is refused unless no
 stamp is below the worker's clock or the stamp before it, so no item is
@@ -141,8 +144,8 @@ class TransportConfig:
     """Cost knobs for the simulated transport.
 
     comm_cost_ns is the per-message serial occupancy of the origin process's
-    communication context; it only applies when comm_enabled. header_bytes is
-    added to every message's byte count.
+    communication context; it only applies when comm_enabled. header_bytes,
+    an int, is added to every message's byte count.
     """
 
     alpha_ns: float = 0.0
@@ -152,6 +155,10 @@ class TransportConfig:
     header_bytes: int = 0
 
     def __post_init__(self):
+        # a byte count stays an int, so bytes_sent does too
+        if not isinstance(self.header_bytes, int):
+            raise UsageError(f"header_bytes must be an int, got "
+                             f"{self.header_bytes!r}")
         for name in ("alpha_ns", "beta_ns_per_byte", "comm_cost_ns",
                      "header_bytes"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -487,6 +494,8 @@ class _BaseRun:
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
+        # each channel's last arrival, at origin * n_procs + dest_proc
+        self._chan_last = [0] * n ** 2
         self._arrivals = [] if record_arrivals else None
         self._quiesced = False
         self._tns_active = agg.flush_timeout_ns is not None
@@ -647,15 +656,47 @@ class _BaseRun:
         else:
             held.append(msg)
 
-    def local_deliver(self, items):
+    def local_deliver(self, items) -> int:
         """Queue a chunk's same-process items, in chunk order, as one (None,
         items) entry per destination, items a tuple; _drain delivers each
-        item from its own stamp on."""
+        item from its own stamp on. Returns the entries queued."""
         runs = defaultdict(list)
         for it in items:
             runs[it[0]].append(it)
+        workers = self._workers
         for dest, run in runs.items():
-            self._put(dest, (None, tuple(run)))
+            workers[dest].queue.append((None, tuple(run)))
+        return len(runs)
+
+    def _transmit(self, msgs) -> int:
+        """Account msgs, then queue each one's delivery plan at its arrival,
+        rounded to an int ns no earlier than its departure and clamped
+        monotone per channel, in order; returns the entries queued."""
+        on_receive = self._agg.on_receive
+        chan_last = self._chan_last
+        n = self._n_procs
+        t = self._t
+        log = self._arrivals
+        workers = self._workers
+        queued = 0
+        for msg, arrival in zip(msgs, self._account(msgs)):
+            plan = on_receive(msg)
+            arrival = int(arrival + 0.5)
+            if arrival < msg[5]:  # a float past 2**53 may round below it
+                arrival = msg[5]
+            po = msg[0]
+            pd = plan[0][0] // t
+            ch = po * n + pd
+            if arrival < chan_last[ch]:
+                arrival = chan_last[ch]
+            else:
+                chan_last[ch] = arrival
+            if log is not None:
+                log.append((po, pd, arrival))
+            queued += len(plan)
+            for wid, group in plan:
+                workers[wid].queue.append((arrival, group))
+        return queued
 
     def _account(self, msgs) -> list:
         """Record each message's items, bytes, network cost and
@@ -833,43 +874,9 @@ class SequentialRun(_BaseRun):
 
     def __init__(self, topo, agg, cfg, program, **kw):
         super().__init__(topo, agg, cfg, program, **kw)
-        # each channel's last arrival, at origin * n_procs + dest_proc
-        self._chan_last = [0] * self._n_procs ** 2
         self._sched = random.Random(repr((self._seed, 0x5EED)))
         for ctx in self._workers:
             ctx.driver.on_start(ctx)
-
-    # -- transport interface (called by the aggregator) --------------------
-    def _transmit(self, msgs):
-        """Account msgs, then queue each one's delivery plan at its arrival,
-        rounded to an int ns no earlier than its departure and clamped
-        monotone per channel, in order."""
-        on_receive = self._agg.on_receive
-        chan_last = self._chan_last
-        n = self._n_procs
-        t = self._t
-        log = self._arrivals
-        workers = self._workers
-        for msg, arrival in zip(msgs, self._account(msgs)):
-            plan = on_receive(msg)
-            arrival = int(arrival + 0.5)
-            if arrival < msg[5]:  # a float past 2**53 may round below it
-                arrival = msg[5]
-            po = msg[0]
-            pd = plan[0][0] // t
-            ch = po * n + pd
-            if arrival < chan_last[ch]:
-                arrival = chan_last[ch]
-            else:
-                chan_last[ch] = arrival
-            if log is not None:
-                log.append((po, pd, arrival))
-            for wid, group in plan:
-                workers[wid].queue.append((arrival, group))
-
-    def _put(self, wid, entry):
-        """Queue entry for worker wid."""
-        self._workers[wid].queue.append(entry)
 
     # -- stepping -----------------------------------------------------------
     def _round(self, order):
@@ -951,15 +958,17 @@ class SequentialRun(_BaseRun):
 # threaded engine
 # ---------------------------------------------------------------------------
 
-_T_DELIVER = None  # local_deliver's (None, items) entries are deliveries
-_T_TASK = 1
-_T_STOP = 2
+# a task or stop entry's tag; every other entry is a delivery, tagged with
+# its arrival or None, which no sentinel equals
+_T_TASK = object()
+_T_STOP = object()
 _ACK_TIMEOUT_S = 10.0  # wait for workers to ack a task or stop
 _PARK_S = 0.005  # longest park of a worker under a flush timeout
 
 
 class _TQueue(queue.SimpleQueue):
     __len__ = queue.SimpleQueue.qsize
+    append = queue.SimpleQueue.put
 
 
 class ThreadedRun(_BaseRun):
@@ -967,10 +976,13 @@ class ThreadedRun(_BaseRun):
 
     _busy, guarded by _tlock, counts the workers not parked in a blocking
     get plus the queue entries put and not yet taken (Dijkstra & Scholten,
-    IPL 1980). Workers put entries only while busy, so once _busy is 0 under
-    _tlock no sink, step or flush runs, and no buffer changes until the
-    coordinator puts an entry. _run then runs the shared idle-flush round
-    under _tlock; _stop joins the workers and raises a worker's error.
+    IPL 1980). Entries are put under _tlock and counted before it is
+    released, and every take is counted under it, so the count is exact
+    whenever _tlock is free. Workers put entries only while busy, so once
+    _busy is 0 under _tlock no sink, step or flush runs, and no buffer
+    changes until the coordinator puts an entry. _run then runs the shared
+    idle-flush round under _tlock; _stop joins the workers and raises a
+    worker's error.
     """
 
     mode = MODE_THREADED
@@ -997,31 +1009,14 @@ class ThreadedRun(_BaseRun):
         for ctx in self._workers:
             ctx.thread.start()
 
-    def _put(self, wid, entry):
-        """Count entry as outstanding work and queue it for worker wid."""
+    # -- transport: the shared queueing, counted as outstanding work --------
+    def local_deliver(self, items):
         with self._tlock:
-            self._busy += 1
-            self._workers[wid].queue.put(entry)
+            self._busy += super().local_deliver(items)
 
-    # -- transport interface -------------------------------------------------
     def _transmit(self, msgs):
-        """Plan each message's delivery, then take _tlock once to account
-        msgs and queue every group, each counted as outstanding work. Only
-        the idle-flush round, which holds _tlock, plans under it."""
-        on_receive = self._agg.on_receive
-        plans = [on_receive(msg) for msg in msgs]
-        workers = self._workers
-        log = self._arrivals
-        t = self._t
         with self._tlock:
-            self._account(msgs)
-            for msg, plan in zip(msgs, plans):
-                if log is not None:
-                    log.append((msg[0], plan[0][0] // t,
-                                time.monotonic_ns() - self._epoch))
-                self._busy += len(plan)
-                for wid, group in plan:
-                    workers[wid].queue.put((_T_DELIVER, group))
+            self._busy += super()._transmit(msgs)
 
     # -- worker thread --------------------------------------------------------
     def _wloop(self, w):
@@ -1063,15 +1058,16 @@ class ThreadedRun(_BaseRun):
                     with idle:
                         self._busy -= 1
                 tag = e[0]
-                if tag is _T_DELIVER:
+                if tag is _T_TASK:
+                    e[2].append(e[1](w))
+                    with idle:
+                        idle.notify_all()
+                elif tag is _T_STOP:
+                    break
+                else:
                     # the group arrives at its take, on the wall clock
                     now = w.now = w.time_ns()
                     self._drain(w, deque([(now, e[1])]), _DELIVER_BUDGET)
-                elif tag == _T_TASK:
-                    e[3].append(e[1](w))
-                    e[2].set()
-                else:
-                    break
         except BaseException as exc:  # propagate through the coordinator
             with idle:
                 if self._error is None:
@@ -1120,28 +1116,31 @@ class ThreadedRun(_BaseRun):
         if self._stopped:
             return
         self._stopped = True
-        for w in self._workers:
-            self._put(w.wid, (_T_STOP,))
+        with self._tlock:
+            for w in self._workers:
+                w.queue.append((_T_STOP,))
+            self._busy += len(self._workers)
         deadline = time.monotonic() + _ACK_TIMEOUT_S
         for w in self._workers:
             w.thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # -- handle surface --------------------------------------------------------
     def broadcast_task(self, fn):
-        evs = []
-        boxes = []
-        for w in self._workers:
-            ev = threading.Event()
-            box = []
-            evs.append(ev)
-            boxes.append(box)
-            self._put(w.wid, (_T_TASK, fn, ev, box))
-        out = []
-        for ev, box in zip(evs, boxes):
-            if not ev.wait(_ACK_TIMEOUT_S):
-                self._timed_out("task did not acknowledge")
-            out.append(box[0])
-        return out
+        """Run fn(ctx) once on every worker thread; returns the results.
+        Each worker appends its result to its box and wakes _idle, as a
+        worker's error does, which is raised at once."""
+        boxes = [[] for _ in self._workers]
+        with self._idle:
+            for w, box in zip(self._workers, boxes):
+                w.queue.append((_T_TASK, fn, box))
+            self._busy += len(boxes)
+            acked = self._idle.wait_for(
+                lambda: all(boxes) or self._error is not None,
+                _ACK_TIMEOUT_S)
+        self._raise_pending()
+        if not acked:
+            self._timed_out("task did not acknowledge")
+        return [box[0] for box in boxes]
 
     def _runtime_ns(self):
         return time.monotonic_ns() - self._epoch
@@ -1159,17 +1158,20 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
 
     program is a callable worker_id -> WorkerProgram. work_ns advances the
     inserting worker's clock per insert and deliver_ns the destination's per
-    delivered item, in both engines; both must be non-negative ints. In
-    threaded mode a delivered group starts at the wall time its worker takes
-    it, so its items' delivery times and latency samples are estimates
-    anchored there, and inserts are stamped with the wall clock. Threaded
-    mode refuses more than MAX_THREADED_WORKERS workers. Returns the run
-    handle; call await_quiescence on it.
+    delivered item, in both engines; both, and seed, must be non-negative
+    ints, and a bad one is refused before any worker is built. In threaded
+    mode a delivered group starts at the wall time its worker takes it, so
+    its items' delivery times and latency samples are estimates anchored
+    there, and inserts are stamped with the wall clock. Threaded mode
+    refuses more than MAX_THREADED_WORKERS workers. Returns the run handle;
+    call await_quiescence on it.
     """
-    for name, ns in (("work_ns", work_ns), ("deliver_ns", deliver_ns)):
-        # the clock and every stamp insert_many derives from it stay ints
-        if not isinstance(ns, int) or ns < 0:
-            raise UsageError(f"{name} must be a non-negative int, got {ns!r}")
+    # the clock and every stamp insert_many derives from work_ns stay ints;
+    # each worker's rng draws its entropy from seed
+    for name, v in (("work_ns", work_ns), ("deliver_ns", deliver_ns),
+                    ("seed", seed)):
+        if not isinstance(v, int) or v < 0:
+            raise UsageError(f"{name} must be a non-negative int, got {v!r}")
     engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL
               else ThreadedRun)
     return engine(topo, agg, cfg, program, seed=seed, work_ns=work_ns,

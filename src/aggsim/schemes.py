@@ -359,10 +359,6 @@ class Aggregator:
         return range(0, self._w, self._owner_width)
 
     # -- inserts -------------------------------------------------------------
-    def insert(self, source: int, item: Item) -> None:
-        """insert_batch of the one item."""
-        self.insert_batch(source, (item,))
-
     def insert_batch(self, source: int, items: Sequence[Item]) -> None:
         """Buffer one source's chunk in order, and hand its same-process
         items to one local_deliver. An item's created_at is its insert's

@@ -70,6 +70,13 @@ def test_unknown_scheme_exits_2(capsys):
     assert "scheme" in err
 
 
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_negative_seed_exits_2(capsys, mode):
+    assert cli.parse_and_run(["histogram", "--mode", mode] + SMALL[:-2]
+                             + ["--seed", "-1"]) == 2
+    assert "seed must be a non-negative int" in capsys.readouterr().err
+
+
 def test_none_scheme_token_means_ungrouped(capsys):
     code, d = run_json(capsys, ["histogram"] + SMALL + ["--scheme", "none"])
     assert code == 0

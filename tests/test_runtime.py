@@ -355,6 +355,25 @@ def test_arrivals_fifo_per_channel():
         assert all(a <= b for a, b in zip(seq, seq[1:]))
 
 
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_arrival_log_holds_the_modelled_arrivals(mode):
+    # both engines log the arrival they model: the departure plus alpha +
+    # beta * bytes (within 1 ns of rounding), clamped monotone per channel
+    cfg = TransportConfig(alpha_ns=1e6, beta_ns_per_byte=2.0,
+                          header_bytes=32)
+    h = _spawn(Topology(2, 2, 2), SchemeKind.WPS, 4, cfg=cfg, mode=mode,
+               program=scatter(200, 8), trace=True, record_arrivals=True)
+    m = h.await_quiescence(timeout_s=60)
+    assert m.messages_sent == len(h.trace) == len(h.arrival_log) > 0
+    chans = defaultdict(list)
+    for e, (po, dp, arrival) in zip(h.trace, h.arrival_log):
+        assert (po, dp) == (e["origin"], e["dest_scope"])
+        assert arrival >= e["sent_at"] + 1e6 + 2.0 * (e["k"] * 8 + 32) - 1
+        chans[(po, dp)].append(arrival)
+    for seq in chans.values():
+        assert seq == sorted(seq)
+
+
 def test_threaded_records_arrivals():
     h = _spawn(Topology(2, 1, 2), SchemeKind.WPS, 4, mode="threaded",
                program=scatter(100, 4), record_arrivals=True)
@@ -533,6 +552,14 @@ def test_transport_config_refuses_non_finite(field, value):
         TransportConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, 32.0, "32", np.int64(32)],
+                         ids=["float", "integral-float", "str", "numpy-int"])
+def test_transport_config_refuses_non_int_header_bytes(value):
+    # a float header would make every message's byte count a float
+    with pytest.raises(UsageError, match="header_bytes must be an int"):
+        TransportConfig(header_bytes=value)
+
+
 class _RejectedInsert(WorkerProgram):
     """Worker 0 offers destination 99 (out of range) alone or inside a
     chunk, catches the refusal, then sends worker 1 one item."""
@@ -677,8 +704,11 @@ def test_threaded_sink_time_before_the_send_raises(mode):
 @pytest.mark.parametrize("mode", ["sequential", "threaded"])
 @pytest.mark.parametrize("arg,bad", [("work_ns", 0.5), ("deliver_ns", 0.5),
                                      ("work_ns", -5), ("deliver_ns", -1),
-                                     ("work_ns", None)])
+                                     ("work_ns", None), ("seed", -1),
+                                     ("seed", 1.5), ("seed", "3")])
 def test_spawn_refuses_non_int_clock_steps(mode, arg, bad):
+    # so is a seed that is not a non-negative int, before any context or
+    # thread is built
     def program(wid):
         raise AssertionError("a context was built")
     with pytest.raises(UsageError, match=f"{arg} must be a non-negative "
@@ -1504,6 +1534,26 @@ def test_threaded_task_timeout_stops_workers(monkeypatch):
             h.broadcast_task(task)
     finally:
         release.set()
+    assert _joined(h) == before
+
+
+def test_threaded_task_error_is_raised_at_once(monkeypatch):
+    # the failing worker wakes the waiting caller, which raises its error
+    # without waiting out the acknowledgement timeout
+    monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 5)
+
+    def task(ctx):
+        if ctx.wid == 1:
+            raise _Boom()
+        return ctx.wid
+
+    before = threading.active_count()
+    h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4, mode="threaded",
+               program=lambda wid: WorkerProgram())
+    t0 = time.monotonic()
+    with pytest.raises(_Boom):
+        h.broadcast_task(task)
+    assert time.monotonic() - t0 < 2
     assert _joined(h) == before
 
 

@@ -201,7 +201,7 @@ def test_needs_transport_and_sinks():
     topo = Topology(1, 2, 1)
     agg = create_aggregator(SchemeKind.WW, topo, 4, 8)
     with pytest.raises(SetupError):  # not bound to a run yet
-        agg.insert(0, mk_item(1, 0))
+        agg.insert_batch(0, [mk_item(1, 0)])
     agg.bind(LoopbackTransport())
     with pytest.raises(UsageError):  # one run per aggregator
         agg.bind(LoopbackTransport())
@@ -212,11 +212,11 @@ def test_rejects_out_of_range_dest(kind):
     topo = Topology(1, 2, 1)
     agg, tr = make_agg(kind, topo, 4)
     with pytest.raises(UsageError):
-        agg.insert(0, mk_item(9, 0))
+        agg.insert_batch(0, [mk_item(9, 0)])
     # the inline range test fails over to _refuse, which names the dest
     for dest in (-1, topo.total_workers):
         with pytest.raises(UsageError) as got:
-            agg.insert(0, mk_item(dest, 0))
+            agg.insert_batch(0, [mk_item(dest, 0)])
         assert str(got.value) == f"destination worker {dest} out of range"
     assert tr.messages == [] and tr.local == []
     assert total_buffered(agg) == 0
@@ -228,10 +228,10 @@ def test_unbound_scalar_insert_raises_setup_error(kind):
     unbound = create_aggregator(kind, topo, 4, 8)
     for dest in (0, 1):  # same process and remote
         with pytest.raises(SetupError) as got:
-            unbound.insert(0, mk_item(dest, 0))
+            unbound.insert_batch(0, [mk_item(dest, 0)])
         assert str(got.value) == "aggregator not attached to a run"
     with pytest.raises(UsageError):  # the range is checked first
-        unbound.insert(0, mk_item(2, 0))
+        unbound.insert_batch(0, [mk_item(2, 0)])
 
 
 # -- layout vs analytic model ----------------------------------------------
@@ -266,14 +266,14 @@ def test_ww_fills_and_flushes():
     topo = Topology(1, 2, 2)  # workers 0,1 | 2,3
     agg, tr = make_agg(SchemeKind.WW, topo, g=3)
     for seq in range(3):
-        agg.insert(0, mk_item(2, seq, created_at=seq * 10))
+        agg.insert_batch(0, [mk_item(2, seq, created_at=seq * 10)])
     assert len(tr.messages) == 1
     msg = tr.messages[0]
     assert msg.cause == "full" and msg.k == 3
     assert msg.dest_scope == 2 and msg.origin == 0 and msg.src_worker == 0
     assert msg.sent_at == 20
     # partially filled buffer flushes with k < g
-    agg.insert(0, mk_item(3, 3, created_at=40))
+    agg.insert_batch(0, [mk_item(3, 3, created_at=40)])
     assert agg.owner_buffered(0) == 1
     assert agg.flush(0, now=50) == 1
     assert tr.messages[-1].cause == "flush" and tr.messages[-1].k == 1
@@ -286,7 +286,7 @@ def test_same_process_bypasses_buffers():
     for kind in ALL_KINDS:
         agg, tr = make_agg(kind, Topology(1, 1, 4), g=8)
         item = mk_item(3, 0, created_at=5)
-        agg.insert(0, item)
+        agg.insert_batch(0, [item])
         assert tr.messages == []
         assert tr.local == [(3, (item,), 5)]
         assert total_buffered(agg) == 0
@@ -296,10 +296,10 @@ def test_wps_buffers_per_dest_process():
     topo = Topology(1, 3, 2)  # three processes
     agg, tr = make_agg(SchemeKind.WPS, topo, g=4)
     # worker 0 scatters to both workers of process 1: same buffer
-    agg.insert(0, mk_item(2, 0))
-    agg.insert(0, mk_item(3, 1))
-    agg.insert(0, mk_item(2, 2))
-    agg.insert(0, mk_item(3, 3))
+    agg.insert_batch(0, [mk_item(2, 0)])
+    agg.insert_batch(0, [mk_item(3, 1)])
+    agg.insert_batch(0, [mk_item(2, 2)])
+    agg.insert_batch(0, [mk_item(3, 3)])
     [msg] = tr.messages
     assert msg.dest_scope == 1 and msg.k == 4
     assert not msg.grouped  # wps leaves grouping to the receiver
@@ -312,7 +312,7 @@ def test_wsp_groups_at_source():
     topo = Topology(1, 3, 2)
     agg, tr = make_agg(SchemeKind.WSP, topo, g=4)
     for seq, dest in enumerate((3, 2, 3, 2)):
-        agg.insert(0, mk_item(dest, seq))
+        agg.insert_batch(0, [mk_item(dest, seq)])
     [msg] = tr.messages
     assert msg.grouped
     assert [it.dest for it in msg.items] == [2, 2, 3, 3]
@@ -325,8 +325,8 @@ def test_wsp_groups_at_source():
 
 def test_ww_on_receive_single_run():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2)
-    agg.insert(0, mk_item(1, 0))
-    agg.insert(0, mk_item(1, 1))
+    agg.insert_batch(0, [mk_item(1, 0)])
+    agg.insert_batch(0, [mk_item(1, 1)])
     agg.insert_columns(0, Batch(np.array(
         [[1, 1], [0, 0], [5, 6], [2, 3]], dtype=np.int64)))
     msg, columns = tr.messages
@@ -343,12 +343,12 @@ def test_ww_on_receive_single_run():
 def test_pp_shares_buffer_across_source_workers():
     topo = Topology(1, 2, 2)  # process 0: workers 0,1; process 1: workers 2,3
     agg, tr = make_agg(SchemeKind.PP, topo, g=4)
-    agg.insert(0, mk_item(2, 0, created_at=10))
-    agg.insert(1, mk_item(3, 1, created_at=11))
-    agg.insert(0, mk_item(2, 2, created_at=12))
+    agg.insert_batch(0, [mk_item(2, 0, created_at=10)])
+    agg.insert_batch(1, [mk_item(3, 1, created_at=11)])
+    agg.insert_batch(0, [mk_item(2, 2, created_at=12)])
     assert agg.owner_buffered(0) == agg.owner_buffered(1) == 3
     # the fourth item seals the shared buffer
-    agg.insert(1, mk_item(3, 3, created_at=13))
+    agg.insert_batch(1, [mk_item(3, 3, created_at=13)])
     [msg] = tr.messages
     assert msg.k == 4 and msg.origin == 0 and msg.dest_scope == 1
     assert total_buffered(agg) == 0
@@ -362,19 +362,20 @@ def test_pp_seal_timestamp_covers_newest_item():
     # the message must not depart before its newest item was created
     topo = Topology(1, 2, 2)
     agg, tr = make_agg(SchemeKind.PP, topo, g=2)
-    agg.insert(0, mk_item(2, 0, created_at=1000))
-    agg.insert(1, mk_item(2, 1, created_at=50))  # seals at its own now=50
+    agg.insert_batch(0, [mk_item(2, 0, created_at=1000)])
+    # seals at its own now=50
+    agg.insert_batch(1, [mk_item(2, 1, created_at=50)])
     [msg] = tr.messages
     assert msg.sent_at == 1000
     # flush path: another worker flushes a buffer holding a newer item
-    agg.insert(0, mk_item(3, 2, created_at=700))
+    agg.insert_batch(0, [mk_item(3, 2, created_at=700)])
     assert agg.flush(1, now=80) == 1
     assert tr.messages[-1].sent_at == 700
     # expiry path: the timer runs from the oldest item, but the message
     # still departs no earlier than the newest one
     agg, tr = make_agg(SchemeKind.PP, topo, g=4, timeout_ns=100)
-    agg.insert(1, mk_item(2, 3, created_at=10))
-    agg.insert(0, mk_item(3, 4, created_at=900))
+    agg.insert_batch(1, [mk_item(2, 3, created_at=10)])
+    agg.insert_batch(0, [mk_item(3, 4, created_at=900)])
     assert agg.flush_expired(1, now=120) == 1
     assert tr.messages[-1].sent_at == 900
 
@@ -459,7 +460,7 @@ def test_pp_flush_expired_checks_again_under_the_lock():
     # 110), but by the time the lock is held the buffer holds a fresh item of
     # 120, due at 220; the check under the lock leaves it buffered
     agg, tr = make_agg(SchemeKind.PP, Topology(1, 2, 1), g=4, timeout_ns=100)
-    agg.insert(0, mk_item(1, 0, created_at=10))
+    agg.insert_batch(0, [mk_item(1, 0, created_at=10)])
     row = agg._rows[0]
     fresh = mk_item(1, 1, created_at=120)
     agg._locks[0] = _SwapLock(row, 1, [fresh])
@@ -486,8 +487,8 @@ def test_flush_owners_cover_each_buffer_once():
     topo = Topology(1, 2, 3)
     for kind in ALL_KINDS:
         agg, tr = make_agg(kind, topo, g=100)
-        agg.insert(0, mk_item(4, 0))
-        agg.insert(5, mk_item(1, 1))
+        agg.insert_batch(0, [mk_item(4, 0)])
+        agg.insert_batch(5, [mk_item(1, 1)])
         total = sum(agg.flush(owner, 0) for owner in agg.flush_owners())
         assert total == 2
         assert total_buffered(agg) == 0
@@ -498,8 +499,8 @@ def test_flush_owners_cover_each_buffer_once():
 def test_flush_expired_only_due_buffers(kind):
     topo = Topology(1, 3, 1)  # one worker per process: no local shortcut
     agg, tr = make_agg(kind, topo, g=10, timeout_ns=100)
-    agg.insert(0, mk_item(1, 0))
-    agg.insert(0, mk_item(2, 1, created_at=90))
+    agg.insert_batch(0, [mk_item(1, 0)])
+    agg.insert_batch(0, [mk_item(2, 1, created_at=90)])
     assert agg.flush_expired(0, now=50) == 0
     assert agg.flush_expired(0, now=100) == 1  # only the older buffer is due
     assert tr.messages[-1].cause == "flush"
@@ -511,8 +512,8 @@ def test_flush_expired_only_due_buffers(kind):
 
 def test_next_deadline_follows_each_owners_flush():
     agg, _ = make_agg(SchemeKind.WW, Topology(1, 3, 1), g=10, timeout_ns=100)
-    agg.insert(2, mk_item(0, 0, created_at=40))
-    agg.insert(0, mk_item(1, 1, created_at=10))
+    agg.insert_batch(2, [mk_item(0, 0, created_at=40)])
+    agg.insert_batch(0, [mk_item(1, 1, created_at=10)])
     assert [agg.next_deadline(o) for o in range(3)] == [110, None, 140]
     assert buffer_heads(agg) == [(0, 1, mk_item(1, 1, created_at=10)),
                                  (2, 0, mk_item(0, 0, created_at=40))]
@@ -528,9 +529,9 @@ def test_next_deadline_is_the_scopes_earliest(kind):
     topo = Topology(1, 3, 2)
     agg, _ = make_agg(kind, topo, g=10, timeout_ns=100)
     assert [agg.next_deadline(w) for w in range(6)] == [None] * 6
-    agg.insert(1, mk_item(4, 0, created_at=40))
-    agg.insert(1, mk_item(2, 1, created_at=10))
-    agg.insert(0, mk_item(5, 2, created_at=70))
+    agg.insert_batch(1, [mk_item(4, 0, created_at=40)])
+    agg.insert_batch(1, [mk_item(2, 1, created_at=10)])
+    agg.insert_batch(0, [mk_item(5, 2, created_at=70)])
     want = {0: 170, 1: 110}
     if kind is SchemeKind.PP:  # workers 0 and 1 share process 0's row
         want = {0: 110, 1: 110}
@@ -543,8 +544,9 @@ def test_next_deadline_is_the_scopes_earliest(kind):
 
 def test_seal_clears_timeout_timer():
     agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=2, timeout_ns=100)
-    agg.insert(0, mk_item(1, 0))
-    agg.insert(0, mk_item(1, 1, created_at=1))  # fills: timer must vanish
+    agg.insert_batch(0, [mk_item(1, 0)])
+    # fills: timer must vanish
+    agg.insert_batch(0, [mk_item(1, 1, created_at=1)])
     assert [agg.next_deadline(o) for o in range(2)] == [None, None]
     assert buffer_heads(agg) == []
     assert agg.flush_expired(0, now=10**9) == 0
@@ -584,7 +586,7 @@ def test_flush_sends_one_message_per_buffer_in_dest_order(kind, g, data):
     for seq, (src, dest, created) in enumerate(inserts):
         item = mk_item(dest, seq, created_at=created)
         sent = len(tr.messages)
-        agg.insert(src, item)
+        agg.insert_batch(src, [item])
         if dest // t == src // t:
             assert len(tr.messages) == sent
             continue
@@ -643,7 +645,7 @@ def test_insert_batch_matches_insert_loop(kind, data):
         seq += len(items)
         a.insert_batch(src, items)
         for it in items:
-            b.insert(src, it)
+            b.insert_batch(src, [it])
         if data.draw(st.booleans()):
             a.flush_expired(src, now + 60)
             b.flush_expired(src, now + 60)
@@ -726,7 +728,7 @@ def test_buffered_counts_readable_while_owners_fill(kind):
     def owner(src):
         try:
             for seq in range(n):
-                agg.insert(src, mk_item(seq % w, seq))
+                agg.insert_batch(src, [mk_item(seq % w, seq)])
                 if seq % 5 == 0:
                     agg.flush(src, 0)
         except Exception as exc:
@@ -840,7 +842,7 @@ def test_exactly_once_hand_driven(kind, data):
     for seq in range(n):
         src = data.draw(st.integers(0, 3))
         dest = data.draw(st.integers(0, 3))
-        agg.insert(src, mk_item(dest, seq, created_at=seq))
+        agg.insert_batch(src, [mk_item(dest, seq, created_at=seq)])
         sent.append((dest, seq))
         if data.draw(st.booleans()):
             agg.flush(src, now=seq)
