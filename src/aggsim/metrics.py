@@ -163,12 +163,13 @@ class LatencyShard:
 class MessageLog:
     """Origin-side message counters, optionally with a trace.
 
-    The engines' per-message accounting (_BaseRun._account) updates the
+    The engines' one transport pass (_BaseRun._transmit) updates the
     fields in place: msgs_full and msgs_flush count messages per scope by
     cause and items_by_scope their items, bytes_sent and transport_cost_ns
-    sum over messages, and trace, when kept, gets one dict per message.
-    Threaded engines account under the transport lock; sequential engines
-    are single-threaded, so plain ints are safe in both.
+    sum over messages, written once per list, and trace, when kept, gets
+    one dict per message. A message whose arrival is refused is recorded
+    in none of them. The threaded engine transmits under its lock; the
+    sequential one is single-threaded, so plain ints are safe in both.
     """
 
     __slots__ = ("msgs_full", "msgs_flush", "items_by_scope", "bytes_sent",

@@ -8,12 +8,14 @@ Run modes:
 * threaded: one OS thread per worker with wall clocks. Interleavings are
   real; transport costs are recorded but not slept.
 
-Both engines share one worker context, one transport (_transmit accounts
-each message, plans its delivery, clamps its arrival per channel, logs it
-and queues its groups; local_deliver queues same-process items), one
-delivery path (_drain, which takes each item's latency sample), one
-quiescence path and the handle surface; they differ only in the clock, the
-delivery queue, how queued work is counted and how a run stalls and stops.
+Both engines share one worker context, one transport (_transmit makes one
+pass per message: it refuses an arrival past int64 before it records any
+of the message, then accounts it, plans its delivery, clamps its arrival
+per channel, logs it in a traced run and queues its groups; local_deliver
+queues same-process items), one delivery path (_drain, which takes each
+item's latency sample), one quiescence path and the handle surface; they
+differ only in the clock, the delivery queue, how queued work is counted
+and how a run stalls and stops.
 The threaded engine queues under its lock and counts each entry as
 outstanding work, and hands _drain each group as it takes it, with the
 worker's clock set to the wall time of the take.
@@ -55,14 +57,16 @@ which it cannot while a sink, step or flush still runs. It then runs the
 shared idle-flush round, which seals every buffer before it sends any, and
 goes on while the round sends. run_phase and await_quiescence then apply
 one end check; await_quiescence, or a failed check, first stops the engine
-(_stop), which joins the threaded workers. With a flush timeout set, each
-scheduling turn first flushes the worker's expired buffers. A stalled
-sequential run then serves the deadlines before it falls back to the
-idle-flush round: it heaps each flush owner's next_deadline as (deadline,
-owner), and for the earliest moves that owner's clock up to the deadline,
-flushes its expired buffers and pushes its next deadline back, until none
-is left. A parked threaded worker wakes at its scope's next_deadline, and
-at least every _PARK_S.
+(_stop), which joins the threaded workers. A stopped threaded run, also
+one stopped by a timeout or a worker's error, refuses run_phase,
+await_quiescence and broadcast_task with UsageError at once. With a flush
+timeout set, each scheduling turn first flushes the worker's expired
+buffers. A stalled sequential run then serves the deadlines before it
+falls back to the idle-flush round: it heaps each flush owner's
+next_deadline as (deadline, owner), and for the earliest moves that
+owner's clock up to the deadline, flushes its expired buffers and pushes
+its next deadline back, until none is left. A parked threaded worker
+wakes at its scope's next_deadline, and at least every _PARK_S.
 
 The sequential run_phase, await_quiescence and broadcast_task suspend
 CPython's cyclic garbage collector while they run driver code and restore
@@ -474,8 +478,7 @@ class _BaseRun:
     _epoch = 0          # wall-clock origin, threaded engine only
 
     def __init__(self, topo: Topology, agg: Aggregator, cfg: TransportConfig,
-                 program, *, seed, work_ns, deliver_ns, record_items, trace,
-                 record_arrivals):
+                 program, *, seed, work_ns, deliver_ns, record_items, trace):
         if agg.topo != topo:
             raise UsageError("aggregator topology does not match the run")
         agg.bind(self)
@@ -494,9 +497,10 @@ class _BaseRun:
         self._comm_ready = [0.0] * n
         self._comm_count = [0] * n
         self._comm_first = [None] * n
-        # each channel's last arrival, at origin * n_procs + dest_proc
-        self._chan_last = [0] * n ** 2
-        self._arrivals = [] if record_arrivals else None
+        # each channel's last arrival, at [origin][dest_proc]
+        self._chan_last = [[0] * n for _ in range(n)]
+        # a traced run logs each message's (origin, dest process, arrival)
+        self._arrivals = [] if trace else None
         self._quiesced = False
         self._tns_active = agg.flush_timeout_ns is not None
         cap = max(1, DEFAULT_SAMPLES_CAP // w)
@@ -669,46 +673,25 @@ class _BaseRun:
         return len(runs)
 
     def _transmit(self, msgs) -> int:
-        """Account msgs, then queue each one's delivery plan at its arrival,
-        rounded to an int ns no earlier than its departure and clamped
-        monotone per channel, in order; returns the entries queued."""
-        on_receive = self._agg.on_receive
-        chan_last = self._chan_last
-        n = self._n_procs
-        t = self._t
-        log = self._arrivals
-        workers = self._workers
-        queued = 0
-        for msg, arrival in zip(msgs, self._account(msgs)):
-            plan = on_receive(msg)
-            arrival = int(arrival + 0.5)
-            if arrival < msg[5]:  # a float past 2**53 may round below it
-                arrival = msg[5]
-            po = msg[0]
-            pd = plan[0][0] // t
-            ch = po * n + pd
-            if arrival < chan_last[ch]:
-                arrival = chan_last[ch]
-            else:
-                chan_last[ch] = arrival
-            if log is not None:
-                log.append((po, pd, arrival))
-            queued += len(plan)
-            for wid, group in plan:
-                workers[wid].queue.append((arrival, group))
-        return queued
+        """Transmit msgs in list order, one pass per message; returns the
+        entries queued. It is the one transport path of both engines and
+        reads the messages' slots directly.
 
-    def _account(self, msgs) -> list:
-        """Record each message's items, bytes, network cost and
-        comm-context occupancy, in list order.
-
-        Returns, per message, when it reaches its destination process, in
-        ns on the origin's clock: departure, then the comm context if
-        enabled, then the network cost. It is the one accounting path of
-        both engines and reads the messages' slots directly; each float is
-        rounded as one message at a time rounds it. An arrival that rounds
-        to 2**63 ns or more is refused with UsageError, so no engine queues
-        a group of the list.
+        A message reaches its destination process at its departure, then
+        the comm context if enabled, then alpha + beta * bytes, in ns on the
+        origin's clock, each float rounded as one message at a time rounds
+        it. An arrival of 2**63 ns or more is refused with UsageError
+        before anything of its message is recorded or queued, while the
+        list's earlier messages stay recorded and queued. That is safe:
+        only the idle-flush round transmits more than one message, and the
+        threaded _run shuts the run down on any exception from that round;
+        a lone send is refused before anything moves, so the threaded _busy
+        count stays exact for every list a worker transmits. Otherwise the
+        message's items, bytes, cost, trace entry and comm-context time are
+        recorded, its delivery plan is made, and its groups are queued at
+        its arrival, rounded to an int ns no earlier than its departure,
+        clamped monotone per channel and, in a traced run, logged. The byte
+        and cost sums reach the log once per list, also on a refusal.
         """
         cfg = self._cfg
         alpha = cfg.alpha_ns
@@ -717,7 +700,6 @@ class _BaseRun:
         comm = cfg.comm_enabled
         comm_ns = cfg.comm_cost_ns
         ready = self._comm_ready
-        first = self._comm_first
         started = self._comm_count
         item_bytes = self._item_bytes
         worker_scoped = self._worker_scoped
@@ -726,62 +708,85 @@ class _BaseRun:
         full = log.msgs_full
         flushed = log.msgs_flush
         trace = log.trace
+        arrivals = self._arrivals
+        on_receive = self._agg.on_receive
+        chan_last = self._chan_last
+        t = self._t
+        workers = self._workers
         nbytes_sum = 0
         cost = log.transport_cost_ns
-        arrivals = []
-        for po, dest_scope, items, grouped, cause, sent_at, src in msgs:
-            k = len(items)
-            nbytes = k * item_bytes + header
-            net = alpha + beta * nbytes
-            scope = src if worker_scoped else po
-            by_scope[scope] += k
-            nbytes_sum += nbytes
-            cost += net
-            if cause == CAUSE_FULL:
-                full[scope] += 1
-            else:
-                flushed[scope] += 1
-            if trace is not None:
-                trace.append({"origin": po, "dest_scope": dest_scope,
-                              "k": k, "cause": cause, "grouped": grouped,
-                              "sent_at": sent_at})
-            base = float(sent_at)
-            if comm:
-                start = ready[po]
-                if base > start:
-                    start = base
-                base = ready[po] = start + comm_ns
-                if not started[po]:
-                    first[po] = start
-                started[po] += 1
-            arrivals.append(base + net)
-        # once per list, which is never empty: an arrival below 2.0**63
-        # rounds to an int below 2**63, as floats there are 1024 apart
-        if max(arrivals) >= 2.0**63:
-            i = next(i for i, a in enumerate(arrivals) if a >= 2.0**63)
-            net = alpha + beta * (len(msgs[i][2]) * item_bytes + header)
-            raise UsageError(f"a message sent at {msgs[i][5]} ns with a "
-                             f"network cost of {net} ns arrives at "
-                             f"{int(arrivals[i])} ns; arrival times must "
-                             "fit in int64")
-        log.bytes_sent += nbytes_sum
-        log.transport_cost_ns = cost
-        return arrivals
+        queued = 0
+        try:
+            for msg in msgs:
+                po, dest_scope, items, grouped, cause, sent_at, src = msg
+                k = len(items)
+                nbytes = k * item_bytes + header
+                net = alpha + beta * nbytes
+                base = float(sent_at)
+                if comm:
+                    start = ready[po]
+                    if base > start:
+                        start = base
+                    base = start + comm_ns
+                arrival = base + net
+                # an arrival below 2.0**63 rounds to an int below 2**63, as
+                # floats there are 1024 apart
+                if arrival >= 2.0**63:
+                    raise UsageError(f"a message sent at {sent_at} ns with a "
+                                     f"network cost of {net} ns arrives at "
+                                     f"{int(arrival)} ns; arrival times must "
+                                     "fit in int64")
+                scope = src if worker_scoped else po
+                by_scope[scope] += k
+                nbytes_sum += nbytes
+                cost += net
+                if cause == CAUSE_FULL:
+                    full[scope] += 1
+                else:
+                    flushed[scope] += 1
+                if trace is not None:
+                    trace.append({"origin": po, "dest_scope": dest_scope,
+                                  "k": k, "cause": cause, "grouped": grouped,
+                                  "sent_at": sent_at})
+                if comm:
+                    ready[po] = base
+                    if not started[po]:
+                        self._comm_first[po] = start
+                    started[po] += 1
+                plan = on_receive(msg)
+                arrival = int(arrival + 0.5)
+                if arrival < sent_at:  # a float past 2**53 may round below
+                    arrival = sent_at
+                pd = plan[0][0] // t
+                last = chan_last[po]
+                if arrival < last[pd]:
+                    arrival = last[pd]
+                else:
+                    last[pd] = arrival
+                if arrivals is not None:
+                    arrivals.append((po, pd, arrival))
+                queued += len(plan)
+                for wid, group in plan:
+                    workers[wid].queue.append((arrival, group))
+        finally:
+            log.bytes_sent += nbytes_sum
+            log.transport_cost_ns = cost
+        return queued
 
     # -- delivery: the one path of both engines ---------------------------
-    def _drain(self, w, queue, budget):
-        """Deliver queue's entries to worker w until budget items are done;
-        returns whether any was. A message group, (arrival, items), is
-        delivered whole from its arrival on; a same-process entry, (None,
-        items), that would pass the budget is cut there, and its rest goes
-        back to the front. Every group goes by one rule: from t_{-1}, the
-        later of the clock and the group's arrival, item i is delivered at
-        t_i = max(t_{i-1}, created_at_i) + deliver_ns, and a time past int64
-        is refused. Stamps never go back, so the max applies only to
-        same-process items, each arriving at its own stamp. on_item gets
-        the clock at each item's delivery and may move it. A Batch group
-        whose batch sink returns None, or its times as an int64 array, takes
-        its samples and seqs as columns."""
+    def _drain(self, w, queue):
+        """Deliver queue's entries to worker w until _DELIVER_BUDGET items
+        are done; returns whether any was. A message group, (arrival,
+        items), is delivered whole from its arrival on; a same-process
+        entry, (None, items), that would pass the budget is cut there, and
+        its rest goes back to the front. Every group goes by one rule: from
+        t_{-1}, the later of the clock and the group's arrival, item i is
+        delivered at t_i = max(t_{i-1}, created_at_i) + deliver_ns, and a
+        time past int64 is refused. Stamps never go back, so the max applies
+        only to same-process items, each arriving at its own stamp. on_item
+        gets the clock at each item's delivery and may move it. A Batch
+        group whose batch sink returns None, or its times as an int64 array,
+        takes its samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -789,12 +794,12 @@ class _BaseRun:
         dl_log = w.dl_log
         batch_sink = w.batch_sink
         on_item = w.driver.on_item if batch_sink is None else None
-        while done < budget and queue:
+        while done < _DELIVER_BUDGET and queue:
             arrival, items = queue.popleft()
             k = len(items)
             if arrival is None:
-                if k > budget - done:
-                    k = budget - done
+                if k > _DELIVER_BUDGET - done:
+                    k = _DELIVER_BUDGET - done
                     queue.appendleft((None, items[k:]))
                     items = items[:k]
             elif arrival > w.now:
@@ -890,7 +895,7 @@ class SequentialRun(_BaseRun):
             if tns and agg.flush_expired(wid, w.now):
                 progress = True
             if w.queue:
-                if self._drain(w, w.queue, _DELIVER_BUDGET):
+                if self._drain(w, w.queue):
                     progress = True
             elif not w.driver_done:
                 if w.driver.step(w):
@@ -982,7 +987,8 @@ class ThreadedRun(_BaseRun):
     _busy is 0 under _tlock no sink, step or flush runs, and no buffer
     changes until the coordinator puts an entry. _run then runs the shared
     idle-flush round under _tlock; _stop joins the workers and raises a
-    worker's error.
+    worker's error. A stopped run refuses run_phase, await_quiescence and
+    broadcast_task with UsageError at once.
     """
 
     mode = MODE_THREADED
@@ -1067,7 +1073,7 @@ class ThreadedRun(_BaseRun):
                 else:
                     # the group arrives at its take, on the wall clock
                     now = w.now = w.time_ns()
-                    self._drain(w, deque([(now, e[1])]), _DELIVER_BUDGET)
+                    self._drain(w, deque([(now, e[1])]))
         except BaseException as exc:  # propagate through the coordinator
             with idle:
                 if self._error is None:
@@ -1080,9 +1086,14 @@ class ThreadedRun(_BaseRun):
             self._shutdown()
             raise self._error
 
+    def _refuse_if_stopped(self):
+        if self._stopped:  # its workers are gone: no entry would be taken
+            raise UsageError("this threaded run has stopped") from self._error
+
     def _run(self, timeout_s):
         """Wait until every worker is parked and no entry is outstanding,
         then run the idle-flush round; again while the round sends."""
+        self._refuse_if_stopped()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
             try:
@@ -1129,6 +1140,7 @@ class ThreadedRun(_BaseRun):
         """Run fn(ctx) once on every worker thread; returns the results.
         Each worker appends its result to its box and wakes _idle, as a
         worker's error does, which is raised at once."""
+        self._refuse_if_stopped()
         boxes = [[] for _ in self._workers]
         with self._idle:
             for w, box in zip(self._workers, boxes):
@@ -1152,8 +1164,7 @@ RunHandle = _BaseRun  # public name for type hints
 def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
           mode: str = MODE_SEQUENTIAL, program, seed: int = 0,
           work_ns: int = 100, deliver_ns: int = 50,
-          record_items: bool = False, trace: bool = False,
-          record_arrivals: bool = False) -> RunHandle:
+          record_items: bool = False, trace: bool = False) -> RunHandle:
     """Create worker contexts, wire the aggregator, and start the run.
 
     program is a callable worker_id -> WorkerProgram. work_ns advances the
@@ -1163,8 +1174,13 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     mode a delivered group starts at the wall time its worker takes it, so
     its items' delivery times and latency samples are estimates anchored
     there, and inserts are stamped with the wall clock. Threaded mode
-    refuses more than MAX_THREADED_WORKERS workers. Returns the run handle;
-    call await_quiescence on it.
+    refuses more than MAX_THREADED_WORKERS workers. trace keeps one trace
+    entry per message and, in arrival_log, each message's (origin process,
+    destination process, arrival) as modelled and clamped; record_items
+    logs each delivered item's seq. Returns the run handle; call
+    await_quiescence on it. A threaded run stops there, at a timeout or at
+    a worker's error, and then refuses run_phase, await_quiescence and
+    broadcast_task with UsageError.
     """
     # the clock and every stamp insert_many derives from work_ns stay ints;
     # each worker's rng draws its entropy from seed
@@ -1176,4 +1192,4 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
               else ThreadedRun)
     return engine(topo, agg, cfg, program, seed=seed, work_ns=work_ns,
                   deliver_ns=deliver_ns, record_items=record_items,
-                  trace=trace, record_arrivals=record_arrivals)
+                  trace=trace)

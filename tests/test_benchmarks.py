@@ -653,8 +653,7 @@ def test_phold_batch_step_matches_scalar(scheme):
         agg.set_flush_timeout(timeout_ns)
         h = spawn(topo, agg,
                   program=lambda wid: driver(wid, spec, topo, True),
-                  seed=9, record_items=True, trace=True,
-                  record_arrivals=True)
+                  seed=9, record_items=True, trace=True)
         m = h.await_quiescence(timeout_s=60)
         drivers = [wk.driver for wk in h.workers]
         m.out_of_order_events = sum(d.ooo for d in drivers)

@@ -278,7 +278,7 @@ def _msg(k, cause, src=0, dest_scope=1, t=2):
 
 def _accounting_run(trace):
     """An unstarted ww run on 4 workers whose MessageLog is fed by calling
-    _account by hand: 8-byte items, 32 header bytes, alpha 2 ns, beta
+    _transmit by hand: 8-byte items, 32 header bytes, alpha 2 ns, beta
     0.5 ns per byte."""
     topo = Topology(1, 2, 2)
     cfg = TransportConfig(alpha_ns=2.0, beta_ns_per_byte=0.5,
@@ -289,27 +289,31 @@ def _accounting_run(trace):
 
 def test_message_log_counts_and_bytes():
     run = _accounting_run(trace=False)
-    # the return value is each message's departure plus its network cost
-    assert run._account([_msg(3, "full", src=1)]) == [2.0 + 0.5 * (3 * 8 + 32)]
-    assert run._account([_msg(1, "flush", src=1),
-                         _msg(2, "full", src=3, dest_scope=0)]) == [
-        2.0 + 0.5 * (1 * 8 + 32), 2.0 + 0.5 * (2 * 8 + 32)]
+    # each message is queued at its departure plus its network cost, but
+    # the flush message's 22 is clamped to the full one's 30 on channel
+    # (0, 0); _transmit returns the entries queued
+    assert run._transmit([_msg(3, "full", src=1)]) == 1
+    assert run._transmit([_msg(1, "flush", src=1),
+                          _msg(2, "full", src=3, dest_scope=0)]) == 2
+    assert [[a for a, _ in w.queue] for w in run.workers] == [
+        [2.0 + 0.5 * (2 * 8 + 32)], [2.0 + 0.5 * (3 * 8 + 32)] * 2, [], []]
     log = run._log
     assert log.msgs_full == [0, 1, 0, 1]
     assert log.msgs_flush == [0, 1, 0, 0]
     assert log.items_by_scope == [0, 4, 0, 2]
     assert log.bytes_sent == (3 * 8 + 32) + (1 * 8 + 32) + (2 * 8 + 32)
     assert log.transport_cost_ns == (2 + 28.0) + (2 + 20.0) + (2 + 24.0)
-    assert log.trace is None
+    assert log.trace is None and run.arrival_log is None
 
 
 def test_message_log_trace_fields():
     run = _accounting_run(trace=True)
     msg = CoalescedMessage(1, 0, [(0, None, 5, 3), (1, None, 6, 7)], True,
                            "flush", 9, 2)
-    run._account([msg])
+    run._transmit([msg])
     assert run.trace == [{"origin": 1, "dest_scope": 0, "k": 2,
                           "cause": "flush", "grouped": True, "sent_at": 9}]
+    assert run.arrival_log == [(1, 0, 9 + 2 + 0.5 * (2 * 8 + 32))]
 
 
 def test_json_stable_key_order():

@@ -345,7 +345,7 @@ def test_wall_budget_refuses_what_it_cannot_honour(mode, call, budget):
 
 def test_arrivals_fifo_per_channel():
     h = _spawn(Topology(2, 2, 2), SchemeKind.WPS, 4,
-               program=scatter(200, 8), record_arrivals=True)
+               program=scatter(200, 8), trace=True)
     h.await_quiescence(timeout_s=30)
     chans = defaultdict(list)
     for po, dp, arrival in h.arrival_log:
@@ -362,7 +362,7 @@ def test_arrival_log_holds_the_modelled_arrivals(mode):
     cfg = TransportConfig(alpha_ns=1e6, beta_ns_per_byte=2.0,
                           header_bytes=32)
     h = _spawn(Topology(2, 2, 2), SchemeKind.WPS, 4, cfg=cfg, mode=mode,
-               program=scatter(200, 8), trace=True, record_arrivals=True)
+               program=scatter(200, 8), trace=True)
     m = h.await_quiescence(timeout_s=60)
     assert m.messages_sent == len(h.trace) == len(h.arrival_log) > 0
     chans = defaultdict(list)
@@ -376,7 +376,7 @@ def test_arrival_log_holds_the_modelled_arrivals(mode):
 
 def test_threaded_records_arrivals():
     h = _spawn(Topology(2, 1, 2), SchemeKind.WPS, 4, mode="threaded",
-               program=scatter(100, 4), record_arrivals=True)
+               program=scatter(100, 4), trace=True)
     m = h.await_quiescence(timeout_s=60)
     assert m.messages_sent > 0
     assert len(h.arrival_log) == m.messages_sent
@@ -421,7 +421,7 @@ def test_transmit_list_equals_one_at_a_time(kind, comm):
     def fresh():
         return _spawn(topo, kind, 64, cfg=cfg,
                       program=lambda wid: WorkerProgram(),
-                      trace=True, record_arrivals=True)
+                      trace=True)
 
     def state(h):
         log = h._log
@@ -439,8 +439,16 @@ def test_transmit_list_equals_one_at_a_time(kind, comm):
     for msg in msgs:
         single._transmit((msg,))
     assert state(whole) == state(single)
-    # the FIFO clamp fired: some arrival is later than its own cost says
-    raw = [int(a + 0.5) for a in fresh()._account(msgs)]
+    # the FIFO clamp fired: some arrival is later than its own cost says,
+    # the traced departure, then the comm context, then alpha + beta * bytes
+    ready = defaultdict(float)
+    raw = []
+    for e in whole.trace:
+        base = float(e["sent_at"])
+        if comm:
+            po = e["origin"]
+            base = ready[po] = max(ready[po], base) + 5.1
+        raw.append(int(base + (3.3 + 0.7 * (e["k"] * 8 + 13)) + 0.5))
     logged = [a for _, _, a in whole.arrival_log]
     assert any(a > r for a, r in zip(logged, raw))
     assert all(a >= r for a, r in zip(logged, raw))
@@ -451,7 +459,7 @@ def test_threaded_flush_round_transmits_every_message():
     # transmits them as one list under _tlock
     topo = Topology(2, 1, 4)
     h = _spawn(topo, SchemeKind.WW, 1000, mode="threaded",
-               program=scatter(40, 8), record_arrivals=True)
+               program=scatter(40, 8), trace=True)
     lists = []
     transmit = h._transmit
 
@@ -915,7 +923,7 @@ def test_message_never_arrives_before_it_departs(columns):
     # one latency sample is 0, not -1
     stamp = 2**53 + 1
     h = _spawn(Topology(1, 2, 1), SchemeKind.WW, 1, deliver_ns=0,
-               trace=True, record_arrivals=True,
+               trace=True,
                program=lambda wid: _OneStamped(wid, stamp, columns))
     m = h.await_quiescence(timeout_s=30)
     assert [e["sent_at"] for e in h.trace] == [stamp]
@@ -938,6 +946,38 @@ def test_arrival_past_int64_is_refused_before_it_is_queued(columns):
                                          f"arrives at {2**63} ns"):
         h.run_phase(timeout_s=30)
     assert h.workers[1].now == 0 and not h.workers[1].queue
+
+
+class _RefusedOneStamped(_OneStamped):
+    """_OneStamped whose sender catches the UsageError its insert raises
+    and keeps it in refused."""
+
+    def __init__(self, wid, stamp, columns):
+        super().__init__(wid, stamp, columns)
+        self.refused = []
+
+    def step(self, ctx):
+        try:
+            return super().step(ctx)
+        except UsageError as exc:
+            self.refused.append(exc)
+            return True
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["list", "batch"])
+def test_refused_arrival_leaves_no_message_in_the_log(columns):
+    # the transport refuses the message before it records any of it, so a
+    # sender that catches the refusal still reaches quiescence with no
+    # message, self-send, trace entry or arrival logged
+    h = _spawn(Topology(2, 1, 1), SchemeKind.WW, 1, deliver_ns=0,
+               cfg=TransportConfig(alpha_ns=1000.0), trace=True,
+               program=lambda wid: _RefusedOneStamped(wid, 2**63 - 10,
+                                                      columns))
+    m = h.await_quiescence(timeout_s=30)
+    assert len(h.workers[0].driver.refused) == 1
+    assert (m.messages_sent, m.self_sends) == (0, 0)
+    assert m.produced == m.delivered == 0
+    assert h.trace == [] and h.arrival_log == []
 
 
 @pytest.mark.parametrize("insert", ["many", "columns"])
@@ -994,7 +1034,7 @@ def _drain_groups(groups, dns, record_items, **sink):
     w = h.workers[1]
     w.now = 1000
     w.queue.extend(groups)
-    h._drain(w, w.queue, runtime._DELIVER_BUDGET)
+    h._drain(w, w.queue)
     return (w.shard.pending.tolist(), w.now, w.delivered, w.dl_log,
             w.driver.seen, len(w.queue))
 
@@ -1573,6 +1613,37 @@ def test_threaded_flush_round_error_stops_workers():
     with pytest.raises(RuntimeError, match="flush failed"):
         h.await_quiescence(timeout_s=30)
     assert _joined(h) == before
+
+
+@pytest.mark.parametrize("stop", ["quiesced", "task_error", "timeout"])
+def test_stopped_threaded_run_refuses_further_calls(monkeypatch, stop):
+    # once await_quiescence, a worker error or a timeout stopped the run,
+    # its worker threads are gone: each call is refused at once instead of
+    # waiting out its budget or the ack timeout
+    monkeypatch.setattr(runtime, "_ACK_TIMEOUT_S", 1)
+
+    def task(ctx):
+        raise _Boom()
+
+    before = threading.active_count()
+    h = _spawn(Topology(1, 1, 2), SchemeKind.WW, 4, mode="threaded",
+               program=lambda wid: (_Spinner() if stop == "timeout"
+                                    else WorkerProgram()))
+    if stop == "quiesced":
+        h.await_quiescence(timeout_s=30)
+    elif stop == "task_error":
+        with pytest.raises(_Boom):
+            h.broadcast_task(task)
+    else:
+        with pytest.raises(QuiescenceTimeout):
+            h.run_phase(timeout_s=0.2)
+    assert _joined(h) == before
+    for call in (h.run_phase, h.await_quiescence,
+                 lambda timeout_s: h.broadcast_task(lambda ctx: ctx.wid)):
+        t0 = time.monotonic()
+        with pytest.raises(UsageError, match="threaded run has stopped"):
+            call(timeout_s=1)
+        assert time.monotonic() - t0 < 0.5
 
 
 @pytest.mark.parametrize("call", ["run_phase", "await_quiescence"])
