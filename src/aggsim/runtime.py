@@ -680,18 +680,15 @@ class _BaseRun:
         A message reaches its destination process at its departure, then
         the comm context if enabled, then alpha + beta * bytes, in ns on the
         origin's clock, each float rounded as one message at a time rounds
-        it. An arrival of 2**63 ns or more is refused with UsageError
-        before anything of its message is recorded or queued, while the
-        list's earlier messages stay recorded and queued. That is safe:
-        only the idle-flush round transmits more than one message, and the
-        threaded _run shuts the run down on any exception from that round;
-        a lone send is refused before anything moves, so the threaded _busy
-        count stays exact for every list a worker transmits. Otherwise the
-        message's items, bytes, cost, trace entry and comm-context time are
-        recorded, its delivery plan is made, and its groups are queued at
-        its arrival, rounded to an int ns no earlier than its departure,
+        it. A message arriving at 2**63 ns or more is refused: nothing of
+        it is recorded or queued, and once the list's other messages are,
+        _refuse_arrival raises the first refusal, so an idle-flush round
+        whose seals emptied their buffers loses no other message. Otherwise
+        the message's items, bytes, cost, trace entry and comm-context time
+        are recorded, its delivery plan is made, and its groups are queued
+        at its arrival, rounded to an int ns no earlier than its departure,
         clamped monotone per channel and, in a traced run, logged. The byte
-        and cost sums reach the log once per list, also on a refusal.
+        and cost sums reach the log once per list.
         """
         cfg = self._cfg
         alpha = cfg.alpha_ns
@@ -716,6 +713,7 @@ class _BaseRun:
         nbytes_sum = 0
         cost = log.transport_cost_ns
         queued = 0
+        refused = None
         try:
             for msg in msgs:
                 po, dest_scope, items, grouped, cause, sent_at, src = msg
@@ -732,10 +730,12 @@ class _BaseRun:
                 # an arrival below 2.0**63 rounds to an int below 2**63, as
                 # floats there are 1024 apart
                 if arrival >= 2.0**63:
-                    raise UsageError(f"a message sent at {sent_at} ns with a "
-                                     f"network cost of {net} ns arrives at "
-                                     f"{int(arrival)} ns; arrival times must "
-                                     "fit in int64")
+                    if refused is None:
+                        refused = UsageError(
+                            f"a message sent at {sent_at} ns with a network "
+                            f"cost of {net} ns arrives at {int(arrival)} ns; "
+                            "arrival times must fit in int64")
+                    continue
                 scope = src if worker_scoped else po
                 by_scope[scope] += k
                 nbytes_sum += nbytes
@@ -771,7 +771,14 @@ class _BaseRun:
         finally:
             log.bytes_sent += nbytes_sum
             log.transport_cost_ns = cost
+        if refused is not None:
+            self._refuse_arrival(refused, queued)
         return queued
+
+    def _refuse_arrival(self, refused, queued):
+        """Raise a transmit's first refusal, once the list's other messages
+        are queued, as queued entries."""
+        raise refused
 
     # -- delivery: the one path of both engines ---------------------------
     def _drain(self, w, queue):
@@ -1024,6 +1031,10 @@ class ThreadedRun(_BaseRun):
         with self._tlock:
             self._busy += super()._transmit(msgs)
 
+    def _refuse_arrival(self, refused, queued):
+        self._busy += queued  # under _tlock, which _transmit holds
+        raise refused
+
     # -- worker thread --------------------------------------------------------
     def _wloop(self, w):
         agg = self._agg
@@ -1170,23 +1181,23 @@ def spawn(topo: Topology, agg: Aggregator, cfg: TransportConfig = None, *,
     program is a callable worker_id -> WorkerProgram. work_ns advances the
     inserting worker's clock per insert and deliver_ns the destination's per
     delivered item, in both engines; both, and seed, must be non-negative
-    ints, and a bad one is refused before any worker is built. In threaded
-    mode a delivered group starts at the wall time its worker takes it, so
-    its items' delivery times and latency samples are estimates anchored
-    there, and inserts are stamped with the wall clock. Threaded mode
-    refuses more than MAX_THREADED_WORKERS workers. trace keeps one trace
-    entry per message and, in arrival_log, each message's (origin process,
-    destination process, arrival) as modelled and clamped; record_items
-    logs each delivered item's seq. Returns the run handle; call
-    await_quiescence on it. A threaded run stops there, at a timeout or at
-    a worker's error, and then refuses run_phase, await_quiescence and
-    broadcast_task with UsageError.
+    ints, not bools, and a bad one is refused before any worker is built.
+    In threaded mode a delivered group starts at the wall time its worker
+    takes it, so its items' delivery times and latency samples are
+    estimates anchored there, and inserts are stamped with the wall clock.
+    Threaded mode refuses more than MAX_THREADED_WORKERS workers. trace
+    keeps one trace entry per message and, in arrival_log, each message's
+    (origin process, destination process, arrival) as modelled and
+    clamped; record_items logs each delivered item's seq. Returns the run
+    handle; call await_quiescence on it. A threaded run stops there, at a
+    timeout or at a worker's error, and then refuses run_phase,
+    await_quiescence and broadcast_task with UsageError.
     """
     # the clock and every stamp insert_many derives from work_ns stay ints;
     # each worker's rng draws its entropy from seed
     for name, v in (("work_ns", work_ns), ("deliver_ns", deliver_ns),
                     ("seed", seed)):
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise UsageError(f"{name} must be a non-negative int, got {v!r}")
     engine = (SequentialRun if parse_mode(mode) == MODE_SEQUENTIAL
               else ThreadedRun)

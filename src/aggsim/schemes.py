@@ -24,7 +24,9 @@ at seal. A buffer's timeout deadline is its first-inserted item's
 created_at plus the timeout. Stamps never go back, so in a private row that
 item is the buffer's oldest; in a pp row, whose workers keep their own
 clocks, it may not be. A pp message departs no earlier than its newest
-item's created_at. No scheme counts its inserts: every buffered item leaves
+item's created_at. Each row keeps a deadline floor, a lower bound on its
+buffers' heads, so a timeout poll of a row with nothing due costs one
+comparison. No scheme counts its inserts: every buffered item leaves
 in exactly one message, so the engine counts items per scope from the
 messages it is sent.
 
@@ -39,12 +41,13 @@ insert, seal, flush and query once, and sets its layout from its kind.
 
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
 int64 columns (insert_columns). A column chunk is split by column with one
-stable argsort; a buffer it fills keeps the chunk's column slices and seals
-them into one Batch, which the message carries and on_receive groups with
-one stable argsort of dest, so a delivery group may be a Batch or a list
-of Items. A column chunk's same-process items go to local_deliver as one
-Batch, which iterates as Items. A buffer that both kinds of chunk fill
-seals into a list of Items. Both engines insert chunks of both kinds.
+stable argsort, unless it falls in one column; a buffer it fills keeps the
+chunk's column slices and seals them into one Batch, which the message
+carries and on_receive groups with one stable argsort of dest, so a
+delivery group may be a Batch or a list of Items. A column chunk's
+same-process items go to local_deliver as one Batch, which iterates as
+Items. A buffer that both kinds of chunk fill seals into a list of Items.
+Both engines insert chunks of both kinds.
 """
 from __future__ import annotations
 
@@ -65,6 +68,7 @@ CAUSE_FULL = "full"
 CAUSE_FLUSH = "flush"
 _DEST = itemgetter(0)
 _CREATED = itemgetter(2)
+_NO_HEAD = 2**63  # an empty row's deadline floor, above every int64 stamp
 
 
 class SchemeKind(str, Enum):
@@ -206,17 +210,19 @@ def _newest(batch) -> int:
     return max(map(_CREATED, batch))
 
 
-def _extend(row, col, part):
+def _extend(row, col, part) -> int:
     """Append the (4, m) column slice part to row's buffer col, which it
-    creates, or turns from a list of Items into _Slices, as needed."""
+    creates, or turns from a list of Items into _Slices, as needed; returns
+    the buffer's head."""
     buf = row.get(col)
     if buf is None:
-        row[col] = _Slices([part], part.shape[1], int(part[2, 0]))
-        return
+        buf = row[col] = _Slices([part], part.shape[1], int(part[2, 0]))
+        return buf.head
     if type(buf) is list:  # a list chunk's items come first
         buf = row[col] = _Slices([buf], len(buf), buf[0][2])
     buf.parts.append(part)
     buf.n += part.shape[1]
+    return buf.head
 
 
 class _Slices:
@@ -276,10 +282,22 @@ class Aggregator:
     Every change to a row runs under the row's lock, which a chunk takes at
     most once. No transport call runs under it: the messages sealed under
     the lock are sent after its release, in seal order. A flush peeks at
-    its row without the lock, takes it only when something is due, and
-    checks again under it. next_deadline and owner_buffered take no lock,
+    its row without the lock, takes it only when something may be due,
+    and decides under it. next_deadline and owner_buffered take no lock,
     so a threaded worker asks them while others insert. The engines ask
     per flush owner (flush_owners).
+
+    Each row also keeps a deadline floor, an int never above the head (the
+    first-inserted item's created_at) of any of its buffers, or _NO_HEAD.
+    It is lowered under the row lock where a buffer is created, since that
+    fixes its head: insert_columns by the head itself, insert_batch by its
+    chunk's earliest stamp, as stamps may go back within a chunk. Each
+    scan of the row, by flush or flush_expired, sets it to the exact
+    earliest head left, under the lock. So while floor + timeout is later
+    than now, nothing in the row is due, and flush_expired returns without
+    reading a buffer. insert_batch keeps the floors only while a timeout
+    is set, so a run without one does no floor work per item, and
+    set_flush_timeout recomputes them.
 
     kind, a SchemeKind, sets that layout in __init__, and whether a
     message is dest-contiguous (ww's and wsp's) and grouped at its source
@@ -289,7 +307,8 @@ class Aggregator:
     def __init__(self, kind: SchemeKind, topo: Topology, g: int,
                  item_bytes: int):
         for name, v in (("g", g), ("item_bytes", item_bytes)):
-            if not (isinstance(v, Integral) and v >= 1):
+            if not (isinstance(v, Integral) and not isinstance(v, bool)
+                    and v >= 1):
                 raise UsageError(f"{name} must be an integer >= 1, got {v!r}")
         self.topo = topo
         self.g = int(g)
@@ -309,6 +328,7 @@ class Aggregator:
         rows = self._w // self._owner_width
         self._rows = [defaultdict(list) for _ in range(rows)]
         self._locks = [threading.Lock() for _ in range(rows)]
+        self._floors = [_NO_HEAD] * rows
 
     # -- wiring -----------------------------------------------------------
     def bind(self, transport) -> None:
@@ -319,12 +339,18 @@ class Aggregator:
     def set_flush_timeout(self, timeout_ns: Optional[int]) -> None:
         """Flush a buffer once its first-inserted item is timeout_ns old,
         an integer > 0; None turns timeout flushing off. Set it before
-        spawning the run."""
+        spawning the run. Setting a timeout recomputes every row's deadline
+        floor from the buffers it holds."""
         if timeout_ns is not None:
-            if not (isinstance(timeout_ns, Integral) and timeout_ns > 0):
+            if not (isinstance(timeout_ns, Integral)
+                    and not isinstance(timeout_ns, bool) and timeout_ns > 0):
                 raise UsageError(f"flush timeout must be None or an integer "
                                  f"ns count > 0, got {timeout_ns!r}")
             timeout_ns = int(timeout_ns)
+            for r, row in enumerate(self._rows):
+                with self._locks[r]:
+                    self._floors[r] = min(map(_head, row.values()),
+                                          default=_NO_HEAD)
         self.flush_timeout_ns = timeout_ns
 
     def _refuse(self, dests):
@@ -390,27 +416,40 @@ class Aggregator:
                 if len(buf) == g:
                     self._seal(row, source, (col,), CAUSE_FULL, it[2],
                                sealed)
+            if self.flush_timeout_ns is not None:
+                # no head this chunk set is older than its earliest stamp
+                low = min(map(_CREATED, items))
+                if low < self._floors[r]:
+                    self._floors[r] = low
         self._send(sealed, local)
 
     def insert_columns(self, source: int, batch: Batch) -> None:
         """insert_batch of a column chunk, with the same effects. A buffer
         it fills keeps its column slices, and seals into one Batch."""
         # One stable argsort of the columns splits the chunk into runs, each
-        # in chunk order. The runs' buffer fills are sealed in the chunk
-        # order of their filling items, each sent at that item's stamp, as
-        # the item loop sends them; what is left of each run is then
-        # buffered. Same-process items go to local_deliver as one Batch, in
-        # chunk order.
+        # in chunk order; a chunk whose destinations fall in one column is
+        # its own run, and is not sorted. The runs' buffer fills are sealed
+        # in the chunk order of their filling items, each sent at that
+        # item's stamp, as the item loop sends them; what is left of each
+        # run is then buffered, and lowers the row's floor by the head of
+        # its buffer. Same-process items go to local_deliver as one Batch,
+        # in chunk order.
         data = batch.data
         dest = data[0]
         if not (dest.size and self._transport is not None
-                and dest.min() >= 0 and dest.max() < self._w):
+                and (low := int(dest.min())) >= 0
+                and (high := int(dest.max())) < self._w):
             self._refuse(dest.tolist())
             return  # an empty chunk
         width = self._width
-        col = dest // width if width > 1 else dest
-        order = _stable_order(col, self._cols)
-        data = data.take(order, axis=1)
+        if low // width == high // width:
+            order = None  # chunk order is run order
+            runs = ((low // width, dest.size),)
+        else:
+            col = dest // width if width > 1 else dest
+            order = _stable_order(col, self._cols)
+            data = data.take(order, axis=1)
+            runs = enumerate(np.bincount(col).tolist())
         t = self._t
         lo = (source // t) * t // width     # source process's columns
         hi = lo + t // width
@@ -423,7 +462,7 @@ class Aggregator:
         sealed = []
         e = 0
         with self._locks[r]:
-            for c, m in enumerate(np.bincount(col).tolist()):
+            for c, m in runs:
                 if not m:
                     continue
                 s = e
@@ -433,7 +472,8 @@ class Aggregator:
                     continue
                 f = s + g - len(row.get(c, ()))
                 while f <= e:
-                    fills.append((int(order[f - 1]), c, s, f))
+                    fills.append((f - 1 if order is None
+                                  else int(order[f - 1]), c, s, f))
                     s = f
                     f += g
                 if s < e:
@@ -443,12 +483,17 @@ class Aggregator:
                 _extend(row, c, data[:, s:f])
                 self._seal(row, source, (c,), CAUSE_FULL,
                            int(data[2, f - 1]), sealed)
+            floor = self._floors[r]
             for c, s, e in rests:
-                _extend(row, c, data[:, s:e])
+                head = _extend(row, c, data[:, s:e])
+                if head < floor:
+                    floor = head
+            self._floors[r] = floor
         if local is not None:
             s, e = local
             local = data[:, s:e]
-            if hi - lo > 1:  # ww: back to chunk order across destinations
+            # ww: back to chunk order across destinations
+            if order is not None and hi - lo > 1:
                 local = local[:, order[s:e].argsort()]
             local = Batch(local)
         self._send(sealed, local)
@@ -502,9 +547,13 @@ class Aggregator:
 
     def flush_expired(self, source: int, now: int) -> int:
         """Flush buffers in source's row whose first item is at least the
-        timeout old, as flush does. Returns messages emitted."""
+        timeout old, as flush does. Returns messages emitted, 0 at the cost
+        of one comparison while the row's deadline floor is not due: the
+        floor is never above a buffer's head, so then nothing is due, as a
+        scan at that moment would decide."""
         tns = self.flush_timeout_ns
-        if tns is None:
+        if (tns is None
+                or self._floors[source // self._owner_width] + tns > now):
             return 0
         return self._flush_row(source, now, tns)
 
@@ -512,29 +561,36 @@ class Aggregator:
         """Seal the buffers in source's row whose first item is tns old, or
         every non-empty one when tns is None, as flush ships them.
 
-        The row is first peeked at without its lock, and left alone when
-        empty or when nothing in it is due. An item never changes and a
-        buffer never empties in place, so a skip is what a locked check at
-        the peek would decide; an insert after the peek waits for a later
-        flush, as one after a locked check would. The buffers the peek
-        picks are checked again under the lock.
+        A row is peeked at without its lock, by flush_expired at its
+        deadline floor and here, for a flush, at whether it is empty; a
+        skipped row is left alone. An item never changes and a buffer never
+        empties in place, so a skip is what a locked check at the peek would
+        decide; an insert after the peek waits for a later flush, as one
+        after a locked check would. Otherwise the row is scanned under the
+        lock, and the floor set to the earliest head left, so the next poll
+        skips until that head is due. The floor is written only under the
+        lock, where no insert can create a buffer the scan missed.
         """
         r = source // self._owner_width
         row = self._rows[r]
-        if tns is not None:
-            due = [col for col, buf in list(row.items())
-                   if buf and _head(buf) + tns <= now]
-            if not due:
-                return 0
-        elif not row:
+        if tns is None and not row:
             return 0
         sealed = []
         with self._locks[r]:
-            self._seal(row, source, sorted(
-                row if tns is None else
-                (col for col in due if col in row
-                 and _head(row[col]) + tns <= now)),
-                CAUSE_FLUSH, now, sealed)
+            floor = _NO_HEAD
+            if tns is None:
+                due = sorted(row)
+            else:
+                due = []
+                for col, buf in row.items():
+                    head = _head(buf)
+                    if head + tns <= now:
+                        due.append(col)
+                    elif head < floor:
+                        floor = head
+                due.sort()
+            self._floors[r] = floor
+            self._seal(row, source, due, CAUSE_FLUSH, now, sealed)
         self._send(sealed, None)
         return len(sealed)
 
@@ -559,7 +615,9 @@ class Aggregator:
         covers, or None when they are empty or no timeout is set. It is the
         one deadline query: it reads only that row, so an owner thread can
         ask while others insert, and the sequential engine walks the owners'
-        answers in (deadline, owner) order."""
+        answers in (deadline, owner) order. It reads every buffer's head,
+        not the row's deadline floor, which is only a lower bound, and it
+        leaves the floor alone, since it takes no lock."""
         tns = self.flush_timeout_ns
         if tns is None:
             return None

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggsim import runtime
+from aggsim import runtime, schemes
 from aggsim.benchmarks.base import resolve_scheme
 from aggsim.costmodel import CostInputs, grouping_cost, send_cost
 from aggsim.errors import (InternalInvariantError, QuiescenceTimeout,
@@ -713,7 +713,9 @@ def test_threaded_sink_time_before_the_send_raises(mode):
 @pytest.mark.parametrize("arg,bad", [("work_ns", 0.5), ("deliver_ns", 0.5),
                                      ("work_ns", -5), ("deliver_ns", -1),
                                      ("work_ns", None), ("seed", -1),
-                                     ("seed", 1.5), ("seed", "3")])
+                                     ("seed", 1.5), ("seed", "3"),
+                                     ("seed", True), ("work_ns", True),
+                                     ("deliver_ns", True)])
 def test_spawn_refuses_non_int_clock_steps(mode, arg, bad):
     # so is a seed that is not a non-negative int, before any context or
     # thread is built
@@ -978,6 +980,87 @@ def test_refused_arrival_leaves_no_message_in_the_log(columns):
     assert (m.messages_sent, m.self_sends) == (0, 0)
     assert m.produced == m.delivered == 0
     assert h.trace == [] and h.arrival_log == []
+
+
+class _TwoSenders(WorkerProgram):
+    """Worker 0 sends worker 2 one item stamped `stamp`, worker 1 sends
+    worker 3 one item stamped on its clock; every worker records what it
+    receives in got."""
+
+    def __init__(self, wid, stamp):
+        self.wid = wid
+        self.stamp = stamp
+        self.done = False
+        self.got = []
+
+    def step(self, ctx):
+        if self.wid > 1 or self.done:
+            return False
+        self.done = True
+        if self.wid:
+            ctx.insert(3, "ordinary")
+        else:
+            ctx.insert_many([2], ["late"], stamps=[self.stamp])
+        return True
+
+    def on_item(self, ctx, item):
+        self.got.append(item[1])
+
+
+def test_refused_arrival_queues_the_rounds_other_messages():
+    # the idle-flush round seals worker 0's buffer, whose arrival is past
+    # int64, and worker 1's; the refusal is raised once worker 1's message
+    # is queued, so worker 3 still receives its item, and the run ends
+    # short of quiescence only for worker 2's
+    h = _spawn(Topology(2, 1, 2), SchemeKind.WW, 8,
+               cfg=TransportConfig(alpha_ns=1000.0),
+               program=lambda wid: _TwoSenders(wid, 2**63 - 10))
+    with pytest.raises(UsageError, match="arrival times must fit in int64"):
+        h.run_phase(timeout_s=30)
+    assert len(h.workers[3].queue) == 1
+    with pytest.raises(InternalInvariantError,
+                       match="run ended short of quiescence"):
+        h.run_phase(timeout_s=30)
+    assert [w.driver.got for w in h.workers] == [[], [], [], ["ordinary"]]
+    assert (h.workers[3].delivered, h.workers[2].delivered) == (1, 0)
+
+
+class _Recorder(WorkerProgram):
+    """Sends nothing; records the items it receives in got."""
+
+    def __init__(self, wid):
+        self.got = []
+
+    def on_item(self, ctx, item):
+        self.got.append(item)
+
+
+def test_threaded_refused_arrival_keeps_the_busy_count_exact():
+    # a transmitted list whose first message is refused still counts the
+    # entries it queued for the others: worker 3 takes its group, parks,
+    # and the run settles at once, short of quiescence only because no
+    # worker produced the item; an uncounted entry would leave the count
+    # at -1, and the run would wait out its budget
+    h = _spawn(Topology(2, 1, 2), SchemeKind.WW, 8, mode="threaded",
+               cfg=TransportConfig(alpha_ns=1000.0), program=_Recorder)
+    h.run_phase(timeout_s=30)
+    late = CoalescedMessage(0, 2, [Item(2, None, 2**63 - 10, 0)], True,
+                            "flush", 2**63 - 10, 0)
+    ordinary = CoalescedMessage(0, 3, [Item(3, None, 5, 1)], True, "flush",
+                                5, 1)
+    with pytest.raises(UsageError, match="arrival times must fit in int64"):
+        h._transmit([late, ordinary])
+    deadline = time.monotonic() + 10
+    while not h.workers[3].delivered and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.05)  # worker 3 parks again
+    t0 = time.monotonic()
+    with pytest.raises(InternalInvariantError,
+                       match="run ended short of quiescence"):
+        h.await_quiescence(timeout_s=10)
+    assert time.monotonic() - t0 < 5
+    assert [w.driver.got for w in h.workers] == [
+        [], [], [], [Item(3, None, 5, 1)]]
 
 
 @pytest.mark.parametrize("insert", ["many", "columns"])
@@ -1668,6 +1751,74 @@ def test_flush_round_that_ships_nothing_ends_sequential_or_threaded(mode,
 
 
 # ------------------------------------------------ threaded flush timeout
+
+class _Chatter(WorkerProgram):
+    """Each worker sends n chunks of 1-3 items to random workers, on its
+    own rng, and counts what it receives."""
+
+    def __init__(self, wid, n, w):
+        self.n = n
+        self.w = w
+        self.received = 0
+
+    def step(self, ctx):
+        if not self.n:
+            return False
+        self.n -= 1
+        k = int(ctx.rng.integers(1, 4))
+        ctx.insert_many(ctx.rng.integers(self.w, size=k).tolist(), [None] * k)
+        return True
+
+    def on_item(self, ctx, item):
+        self.received += 1
+
+
+def test_threaded_pp_timeout_flushes_due_buffers_only():
+    # four workers share each pp row, threads switch every 10 us, and a
+    # 50 us timeout flushes buffers mid-run: no timeout poll seals a buffer
+    # before its deadline, every item is delivered, and the run settles,
+    # so no stale deadline floor hides a buffer for good
+    tns = 50_000
+    topo = Topology(1, 2, 4)
+    w = topo.total_workers
+    agg = create_aggregator(SchemeKind.PP, topo, 1024, 8)
+    agg.set_flush_timeout(tns)
+    polling = threading.local()
+    early = []
+    expired = []
+    flush_expired, seal = agg.flush_expired, agg._seal
+
+    def checked_flush_expired(source, now):
+        polling.now = now
+        try:
+            return flush_expired(source, now)
+        finally:
+            polling.now = None
+
+    def checked_seal(row, source, cols, cause, now, out):
+        # under the row lock: the heads are the ones the poll decided on
+        if getattr(polling, "now", None) is not None:
+            heads = [schemes._head(row[col]) for col in cols]
+            expired.extend(heads)
+            early.extend(h for h in heads if h + tns > now)
+        return seal(row, source, cols, cause, now, out)
+
+    agg.flush_expired = checked_flush_expired
+    agg._seal = checked_seal
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        h = spawn(topo, agg, mode="threaded",
+                  program=lambda wid: _Chatter(wid, 300, w))
+        m = h.await_quiescence(timeout_s=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert early == []
+    assert expired  # the timeout fired mid-run
+    assert m.produced == m.delivered == sum(
+        wk.driver.received for wk in h.workers)
+    assert total_buffered(agg) == 0
+
 
 def test_threaded_park_ends_at_the_flush_deadline(monkeypatch):
     # a parked owner wakes by its earliest buffer deadline, not after the

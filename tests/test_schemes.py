@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -195,6 +195,23 @@ def test_refuses_what_no_run_can_honour(bad):
     assert (agg.g, agg.item_bytes, agg.flush_timeout_ns) == (4, 8, 300)
     assert {type(agg.g), type(agg.item_bytes),
             type(agg.flush_timeout_ns)} == {int}
+
+
+@pytest.mark.parametrize("arg", ["g", "item_bytes", "flush_timeout"])
+def test_refuses_a_bool_as_a_count(arg):
+    # True is an Integral: it built g=1 or set a 1 ns timeout
+    topo = Topology(1, 2, 2)
+    if arg == "flush_timeout":
+        agg = create_aggregator(SchemeKind.PP, topo, 4, 8)
+        with pytest.raises(UsageError, match="flush timeout must be None "
+                                             "or an integer ns count > 0"):
+            agg.set_flush_timeout(True)
+        assert agg.flush_timeout_ns is None
+        return
+    kw = {"g": 4, "item_bytes": 8, arg: True}
+    with pytest.raises(UsageError, match=f"{arg} must be an integer >= 1, "
+                                         "got True"):
+        create_aggregator(SchemeKind.PP, topo, kw["g"], kw["item_bytes"])
 
 
 def test_needs_transport_and_sinks():
@@ -540,6 +557,166 @@ def test_next_deadline_is_the_scopes_earliest(kind):
     agg.flush(1, 200)
     left = None if kind is SchemeKind.PP else 170
     assert [agg.next_deadline(0), agg.next_deadline(1)] == [left, None]
+
+
+class _ScanRef:
+    """The buffers as the docstrings describe them, item by item, with no
+    deadline floor. A row belongs to a flush owner (a worker, or a process
+    for pp) and maps a column (the destination worker for ww, its process
+    otherwise) to its items in insert order; a same-process item bypasses
+    the buffers. A buffer seals at g items, departing at the filling item's
+    stamp; a flush seals the row's buffers in ascending column order, and a
+    timeout poll those whose head, the first-inserted item's created_at,
+    is the timeout old. wsp sorts a message by destination, stably, and a
+    pp message departs no earlier than its newest item. Every poll and
+    deadline query scans every buffer's head."""
+
+    def __init__(self, kind, topo, g, timeout_ns):
+        self.kind = kind
+        self.t = topo.workers_per_proc
+        self.width = 1 if kind is SchemeKind.WW else self.t
+        self.owner_width = self.t if kind is SchemeKind.PP else 1
+        self.g = g
+        self.timeout_ns = timeout_ns
+        self.rows = [{} for _ in range(topo.total_workers // self.owner_width)]
+        self.messages = []
+        self.local = []
+
+    def insert(self, source, items):
+        row = self.rows[source // self.owner_width]
+        for it in items:
+            if it[0] // self.t == source // self.t:
+                self.local.append((it[0], [tuple(it)], it[2]))
+                continue
+            col = it[0] // self.width
+            buf = row.setdefault(col, [])
+            buf.append(tuple(it))
+            if len(buf) == self.g:
+                self._seal(row, source, col, "full", it[2])
+
+    def _seal(self, row, source, col, cause, now):
+        items = row.pop(col)
+        if self.kind is SchemeKind.WSP:
+            items.sort(key=lambda it: it[0])
+        if self.kind is SchemeKind.PP:
+            now = max(now, max(it[2] for it in items))
+        self.messages.append((
+            source // self.t, col,
+            self.kind in (SchemeKind.WW, SchemeKind.WSP), cause, now, source,
+            items))
+
+    def flush(self, source, now, due=lambda head: True):
+        row = self.rows[source // self.owner_width]
+        cols = sorted(col for col, buf in row.items() if due(buf[0][2]))
+        for col in cols:
+            self._seal(row, source, col, "flush", now)
+        return len(cols)
+
+    def flush_expired(self, source, now):
+        tns = self.timeout_ns
+        if tns is None:
+            return 0
+        return self.flush(source, now, lambda head: head + tns <= now)
+
+    def next_deadline(self, worker):
+        heads = [buf[0][2] for buf in
+                 self.rows[worker // self.owner_width].values()]
+        if self.timeout_ns is None or not heads:
+            return None
+        return min(heads) + self.timeout_ns
+
+    def buffered(self, worker):
+        return sum(map(len, self.rows[worker // self.owner_width].values()))
+
+
+def _check_against_scan(agg, tr, ref, w):
+    assert _outputs(agg, tr) == (ref.messages, ref.local)
+    assert [agg.next_deadline(o) for o in range(w)] == [
+        ref.next_deadline(o) for o in range(w)]
+    assert [agg.owner_buffered(o) for o in range(w)] == [
+        ref.buffered(o) for o in range(w)]
+
+
+def _insert(agg, ref, source, items, columns):
+    if columns:
+        agg.insert_columns(source, Batch(np.array(
+            [list(col) for col in zip(*items)], dtype=np.int64)))
+    else:
+        agg.insert_batch(source, items)
+    ref.insert(source, items)
+
+
+@given(st.sampled_from(ALL_KINDS),
+       st.sampled_from([Topology(1, 3, 2), Topology(2, 1, 3),
+                        Topology(1, 4, 2), Topology(1, 4, 1)]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_deadline_floor_polls_match_a_scan(kind, topo, data):
+    """flush_expired, which skips a row while its deadline floor is not
+    due, seals what a scan of every buffer's head seals, in the same
+    order, and next_deadline reads the scan's answer. Chunks are lists or
+    columns whose stamps may go back, a pp row's workers stamp on their own
+    clocks, and the timeout may be set, changed or cleared while items are
+    buffered."""
+    w = topo.total_workers
+    g = data.draw(st.integers(1, 5), label="g")
+    timeout_ns = data.draw(st.none() | st.integers(1, 60), label="timeout")
+    agg, tr = make_agg(kind, topo, g, timeout_ns=timeout_ns)
+    ref = _ScanRef(kind, topo, g, timeout_ns)
+    seqs = count()
+    for _ in range(data.draw(st.integers(1, 24), label="calls")):
+        call = data.draw(st.sampled_from(
+            ["list", "columns", "expire", "sweep", "flush", "timeout"]))
+        src = data.draw(st.integers(0, w - 1), label="source")
+        now = data.draw(st.integers(0, 160), label="now")
+        if call in ("list", "columns"):
+            rows = data.draw(st.lists(st.tuples(
+                st.integers(0, w - 1), st.integers(0, 100)),
+                min_size=1, max_size=3 * g), label="chunk")
+            items = [Item(d, seq, c, seq) for (d, c), seq in zip(rows, seqs)]
+            _insert(agg, ref, src, items, call == "columns")
+        elif call == "expire":
+            assert agg.flush_expired(src, now) == ref.flush_expired(src, now)
+        elif call == "sweep":  # polls as the clock moves on, one per ns
+            for at in range(now, now + 40):
+                assert agg.flush_expired(src, at) == ref.flush_expired(src,
+                                                                       at)
+        elif call == "flush":
+            assert agg.flush(src, now) == ref.flush(src, now)
+        else:
+            tns = data.draw(st.none() | st.integers(1, 60), label="reset")
+            agg.set_flush_timeout(tns)
+            ref.timeout_ns = tns
+        _check_against_scan(agg, tr, ref, w)
+    for o in agg.flush_owners():
+        assert agg.flush(o, 10**6) == ref.flush(o, 10**6)
+    _check_against_scan(agg, tr, ref, w)
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["list", "columns"])
+def test_deadline_floor_takes_a_chunks_earliest_stamp(columns):
+    # worker 0's chunk stamps its same-process item at 60, then goes back
+    # to 0 for process 1's buffer, due at 1: a floor taken from the chunk's
+    # first stamp would skip the poll at 60
+    topo = Topology(1, 3, 2)
+    agg, tr = make_agg(SchemeKind.PP, topo, g=2, timeout_ns=1)
+    ref = _ScanRef(SchemeKind.PP, topo, 2, 1)
+    _insert(agg, ref, 0, [mk_item(0, 0, created_at=60, payload=0),
+                          mk_item(2, 1, created_at=0, payload=0)], columns)
+    assert agg.flush_expired(0, 60) == ref.flush_expired(0, 60) == 1
+    _check_against_scan(agg, tr, ref, topo.total_workers)
+
+
+def test_timeout_set_while_items_are_buffered_is_not_hidden():
+    # insert_batch keeps no floor while no timeout is set; setting one
+    # recomputes the floors from the buffered heads
+    agg, tr = make_agg(SchemeKind.WW, Topology(1, 2, 1), g=10)
+    agg.insert_batch(0, [mk_item(1, 0, created_at=5)])
+    agg.set_flush_timeout(10)
+    assert agg.next_deadline(0) == 15
+    assert agg.flush_expired(0, 14) == 0
+    assert agg.flush_expired(0, 15) == 1
+    assert tr.messages[-1].sent_at == 15
 
 
 def test_seal_clears_timeout_timer():
