@@ -10,20 +10,27 @@ threshold_delta, so cheap paths propagate before expensive ones
 Dijkstra run; wasted updates are schedule-dependent and only compared as
 trends.
 
-A relaxation reads its edge slice with tolist(), appends the updates at or
-beyond the threshold to the deferred list as (distance, tie, vertex) in
-edge order, and inserts the rest with one ctx.insert_many call. A release
-sorts the list, cuts it below the new threshold and inserts that prefix
-the same way, in (distance, tie) order: the ties are unique, so it is the
-order in which a min-heap would pop them. The rest stays sorted, so the
-next sort mostly merges runs. Deferring reads neither the clock nor a
-sequence number, so every output equals that of one ctx.insert per update
-in edge order. Distances are a list per worker, cheaper to index than
-numpy, made an array once.
+A relaxation reads its edge slice with tolist(), appends each update at or
+beyond the threshold to two int64 columns (array "q"), its distance and
+its vertex, in edge order, and inserts the rest with one ctx.insert_many
+call. A release takes one stable argsort of the distance column, cuts the
+sorted columns below the new threshold with searchsorted and inserts that
+prefix the same way; the rest is kept, sorted, as new columns. Within one
+distance the columns are in defer order: every entry kept from the last
+release was deferred before every entry appended since, and the kept
+entries are sorted. So the stable sort on distance alone inserts in
+(distance, defer order), the order in which a min-heap of (distance, tie)
+would pop them. Deferring reads neither the clock nor a sequence number,
+so every output equals that of one ctx.insert per update in edge order.
+Distances are a list per worker, cheaper to index than numpy, made an
+array once. SSSPSpec refuses a graph whose largest weight times n reaches
+INF: a stored distance is the length of a simple path, so below that
+bound every tentative distance fits in int64 and stays below the
+unreachable sentinel.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -50,6 +57,11 @@ class SSSPSpec:
         positive("threshold_delta", self.threshold_delta)
         if not 0 <= self.source < self.graph.n:
             raise UsageError("source vertex out of range")
+        w = self.graph.weights
+        if w.size and int(w.max()) * self.graph.n >= INF:
+            raise UsageError(
+                "largest edge weight times the vertex count must stay below "
+                f"INF ({INF}), or a distance could reach the sentinel")
 
     def validate(self, topo: Topology) -> None:
         if self.graph.n < topo.total_workers:
@@ -73,8 +85,9 @@ class _SSSPWorker(WorkerProgram):
         self.lo, self.hi = _block(g.n, self.w, wid)
         self.dist = [INF] * (self.hi - self.lo)
         self.threshold = spec.threshold_delta
-        self.deferred = []  # (distance, tie, vertex), in defer order
-        self._tie = 0
+        # deferred updates, in defer order
+        self.deferred_dist = array("q")
+        self.deferred_vertex = array("q")
         self.wasted = 0
 
     def on_start(self, ctx):
@@ -91,14 +104,16 @@ class _SSSPWorker(WorkerProgram):
         size = self.block_size
         dests = []
         updates = []
+        defer_dist = self.deferred_dist.append
+        defer_vertex = self.deferred_vertex.append
         for u, wt in zip(g.heads[lo:hi].tolist(), g.weights[lo:hi].tolist()):
             du = d + wt
             if du < threshold:
                 dests.append(u // size)
                 updates.append((u, du))
             else:
-                self.deferred.append((du, self._tie, u))
-                self._tie += 1
+                defer_dist(du)
+                defer_vertex(u)
         ctx.insert_many(dests, updates)
 
     def on_item(self, ctx, item):
@@ -110,21 +125,27 @@ class _SSSPWorker(WorkerProgram):
         else:
             self.wasted += 1
 
+    def pending(self):
+        """How many updates are deferred and not yet released."""
+        return len(self.deferred_dist)
+
     # called between phases via broadcast_task
     def release(self, ctx, new_threshold):
         """Insert the deferred updates below new_threshold; returns how many
         were deferred before it, so 0 everywhere ends the run."""
         self.threshold = new_threshold
-        deferred = self.deferred
-        found = len(deferred)
-        deferred.sort()
-        # (new_threshold,) sorts before every entry at new_threshold
-        cut = bisect_left(deferred, (new_threshold,))
-        head = deferred[:cut]
-        del deferred[:cut]
-        size = self.block_size
-        ctx.insert_many([v // size for _, _, v in head],
-                        [(v, d) for d, _, v in head])
+        found = len(self.deferred_dist)
+        dists = np.frombuffer(self.deferred_dist, dtype=np.int64)
+        # stable: within one distance, defer order (see the module docstring)
+        order = dists.argsort(kind="stable")
+        dists = dists[order]
+        vertices = np.frombuffer(self.deferred_vertex, dtype=np.int64)[order]
+        cut = int(dists.searchsorted(new_threshold))
+        head = vertices[:cut]
+        ctx.insert_many((head // self.block_size).tolist(),
+                        list(zip(head.tolist(), dists[:cut].tolist())))
+        self.deferred_dist = array("q", dists[cut:].tobytes())
+        self.deferred_vertex = array("q", vertices[cut:].tobytes())
         return found
 
 
@@ -176,8 +197,8 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         phases += 1
         if phases > _MAX_PHASES:
             raise OracleMismatch("threshold window made no progress")
-        # quiescent here, so the deferred lists are the complete remaining
-        # work; a release of empty lists inserts nothing
+        # quiescent here, so the deferred columns are the complete remaining
+        # work; a release of empty columns inserts nothing
         threshold += spec.threshold_delta
         if not any(handle.broadcast_task(
                 lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))):

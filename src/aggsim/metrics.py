@@ -9,7 +9,9 @@ buffers (array "q"), 8 bytes a sample, so no Python int per delivered item
 outlives the delivery. A negative sample raises InternalInvariantError when
 it is folded, not when it is appended. Percentiles use the nearest-rank rule
 on a uniform reservoir (exact while sample counts stay under the cap), read
-by selection rather than a full sort.
+by selection rather than a full sort. merge copies the shards' kept samples
+once, into one int64 array that the selection then reorders in place;
+summarize selects in a copy, so its caller's samples keep their order.
 """
 from __future__ import annotations
 
@@ -41,26 +43,24 @@ def nearest_rank(sorted_samples, pct: float):
     return sorted_samples[_rank_index(n, pct)]
 
 
-def _percentiles(samples, pcts) -> list:
-    """nearest_rank(sorted(samples), p) for each p, by one selection.
+def _percentiles(arr, pcts) -> list:
+    """nearest_rank(sorted(arr), p) for each p, by one selection that
+    reorders arr, an ndarray the caller owns, in place.
 
-    Integer samples are partitioned as int64 and come back as Python ints;
-    anything else (floats, ints beyond int64) is compared as Python objects,
-    so the values are exactly those a full sort would give.
+    An int64 arr gives Python ints; an object arr (floats, ints beyond
+    int64) is compared as Python objects, so the values are exactly those a
+    full sort would give.
     """
-    n = len(samples)
+    n = len(arr)
     if n == 0:
         return [None] * len(pcts)
     ranks = [_rank_index(n, p) for p in pcts]
-    arr = np.array(samples)
-    if arr.dtype.kind != "i":
-        arr = np.array(samples, dtype=object)
-    arr.partition(ranks)  # in place: arr is a fresh copy of samples
+    arr.partition(ranks)
     return arr[ranks].tolist()
 
 
 def summarize(samples, total=None, count=None, maximum=None) -> dict:
-    """Summary dict for a latency sample list.
+    """Summary dict for a latency sample list, which it leaves as it is.
 
     total/count/maximum override the per-sample aggregates when the caller
     kept exact running values beside a capped reservoir.
@@ -68,13 +68,23 @@ def summarize(samples, total=None, count=None, maximum=None) -> dict:
     if count is None:
         count = len(samples)
     if count == 0:
-        return {"count": 0, "mean_ns": None, "p50_ns": None,
-                "p99_ns": None, "max_ns": None}
+        return _summary(None, None, 0, None)
     if total is None:
         total = sum(samples)
     if maximum is None:
         maximum = max(samples)
-    p50, p99 = _percentiles(samples, (50, 99))
+    arr = np.array(samples)  # a copy, so the selection leaves samples be
+    if arr.dtype.kind != "i":
+        arr = np.array(samples, dtype=object)
+    return _summary(arr, total, count, maximum)
+
+
+def _summary(arr, total, count, maximum) -> dict:
+    """summarize's dict, with the percentiles selected in arr in place."""
+    if count == 0:
+        return {"count": 0, "mean_ns": None, "p50_ns": None,
+                "p99_ns": None, "max_ns": None}
+    p50, p99 = _percentiles(arr, (50, 99))
     return {
         "count": count,
         "mean_ns": total / count,
@@ -248,19 +258,20 @@ def merge(log: MessageLog, shards, *, scheme, mode, seed, topo, g, item_bytes,
     """
     if not quiesced:
         raise UsageError("summarize called before quiescence")
-    samples = array("q")
     total = 0
     count = 0
     maximum = 0
     for sh in shards:
         sh.fold()
-        samples.extend(sh.samples)
         total += sh.total
         count += sh.seen
         if sh.max > maximum:
             maximum = sh.max
-    lat = summarize(samples, total=total, count=count,
-                    maximum=maximum if count else None)
+    # the one copy of the kept samples, which the selection then reorders
+    samples = np.concatenate(
+        [np.frombuffer(sh.samples, dtype=np.int64) for sh in shards]
+        or [np.empty(0, dtype=np.int64)])
+    lat = _summary(samples, total, count, maximum)
     msgs_by_scope = [a + b for a, b in zip(log.msgs_full, log.msgs_flush)]
     return RunMetrics(
         scheme=scheme, mode=mode, seed=seed, topo=topo, g=g,

@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsim.benchmarks import ig
 from aggsim.benchmarks.base import resolve_scheme
@@ -414,80 +415,33 @@ def test_sssp_rejects_out_of_range_source():
             .validate(Topology(1, 1, 2))
 
 
-class _ScalarSSSPWorker(_SSSPWorker):
-    """The SSSP driver on the scalar path: one ctx.insert or heap push per
-    edge, in edge order, and one ctx.insert per released heap entry."""
-
-    def _route(self, ctx, v, d):
-        if d < self.threshold:
-            ctx.insert(v // self.block_size, (v, d))
-        else:
-            heapq.heappush(self.deferred, (d, self._tie, v))
-            self._tie += 1
-
-    def _relax(self, ctx, v, d):
-        g = self.spec.graph
-        for i in range(g.indptr[v], g.indptr[v + 1]):
-            self._route(ctx, int(g.heads[i]), d + int(g.weights[i]))
-
-    def release(self, ctx, new_threshold):
-        self.threshold = new_threshold
-        heap = self.deferred
-        while heap and heap[0][0] < new_threshold:
-            d, _, v = heapq.heappop(heap)
-            ctx.insert(v // self.block_size, (v, d))
-        return len(heap)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
-def test_sssp_batch_relax_matches_scalar(scheme):
-    # relaxations and releases through insert_many leave every output of the
-    # scalar loop unchanged: result JSON, distances, wasted updates, phases,
-    # heap tie numbers, item seqs and message trace
-    topo = Topology(2, 2, 2)
-    graph = random_graph(300, 6, seed=8)
-    spec = SSSPSpec(graph=graph, source=0, threshold_delta=40, seed=8)
-    expected = dijkstra(graph, 0)
-    kind, g_fixed = resolve_scheme(scheme)
-
-    def run(driver, g, timeout_ns):
-        # run_sssp's phase loop, on a run that records seqs and a trace
-        agg = create_aggregator(kind, topo, g_fixed or g, 24)
-        agg.set_flush_timeout(timeout_ns)
-        h = spawn(topo, agg, program=lambda wid: driver(wid, spec, topo),
-                  seed=8, record_items=True, trace=True)
-        threshold = spec.threshold_delta
-        phases = 0
-        while True:
-            h.run_phase(timeout_s=60)
-            phases += 1
-            if not any(h.broadcast_task(lambda ctx: len(ctx.driver.deferred))):
-                break
-            threshold += spec.threshold_delta
-            h.broadcast_task(
-                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))
-        m = h.await_quiescence(timeout_s=60)
-        drivers = [wk.driver for wk in h.workers]
-        m.wasted_updates = sum(d.wasted for d in drivers)
-        dist = np.concatenate([d.dist for d in drivers])[:graph.n]
-        assert np.array_equal(dist, expected)
-        return (m.to_json(), m.wasted_updates, phases, dist.tolist(),
-                [d._tie for d in drivers], h.inserted_seqs(),
-                h.delivered_seqs(), h.trace)
-
-    for g in (3, 16) if g_fixed is None else (1,):
-        for timeout_ns in (None, 3000):
-            batch = run(_SSSPWorker, g, timeout_ns)
-            assert batch[2] > 1  # the heaps were used
-            assert batch == run(_ScalarSSSPWorker, g, timeout_ns)
-    r = run_sssp(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
-                 timeout_s=60)
-    assert np.array_equal(r.distances, expected)
+def test_sssp_refuses_weights_that_could_reach_inf():
+    # 2**62 + 2**62 is past INF: the second vertex would read unreachable
+    graph = Graph(3, [0, 1, 2, 2], [1, 2], [2**62, 2**62])
+    with pytest.raises(UsageError, match="below INF"):
+        SSSPSpec(graph=graph, source=0, threshold_delta=2**62)
+    # the largest weight the bound admits: every distance stays below INF,
+    # and a threshold beyond int64 still releases the deferred columns
+    w = INF // 3
+    graph = Graph(3, [0, 1, 2, 2], [1, 2], [w, w])
+    r = run_sssp(SSSPSpec(graph=graph, source=0, threshold_delta=2**62),
+                 scheme="ww", g=1, topo=Topology(1, 1, 3))
+    assert r.distances.tolist() == [0, w, 2 * w]
+    assert r.extra()["reachable"] == 3 and r.extra()["oracle_ok"]
 
 
 class _HeapSSSPWorker(_SSSPWorker):
-    """The SSSP driver with its deferred updates on a min-heap: a push per
-    deferred update, a pop per released one."""
+    """The SSSP driver with its deferred updates on a min-heap of
+    (distance, tie, vertex): a push per deferred update, a pop per released
+    one."""
+
+    def __init__(self, wid, spec, topo):
+        super().__init__(wid, spec, topo)
+        self.deferred = []
+        self._tie = 0
+
+    def pending(self):
+        return len(self.deferred)
 
     def _relax(self, ctx, v, d):
         g = self.spec.graph
@@ -517,6 +471,84 @@ class _HeapSSSPWorker(_SSSPWorker):
         return found
 
 
+class _ScalarSSSPWorker(_HeapSSSPWorker):
+    """The SSSP driver on the scalar path: one ctx.insert or heap push per
+    edge, in edge order, and one ctx.insert per released heap entry."""
+
+    def _route(self, ctx, v, d):
+        if d < self.threshold:
+            ctx.insert(v // self.block_size, (v, d))
+        else:
+            heapq.heappush(self.deferred, (d, self._tie, v))
+            self._tie += 1
+
+    def _relax(self, ctx, v, d):
+        g = self.spec.graph
+        for i in range(g.indptr[v], g.indptr[v + 1]):
+            self._route(ctx, int(g.heads[i]), d + int(g.weights[i]))
+
+    def release(self, ctx, new_threshold):
+        self.threshold = new_threshold
+        heap = self.deferred
+        found = len(heap)
+        while heap and heap[0][0] < new_threshold:
+            d, _, v = heapq.heappop(heap)
+            ctx.insert(v // self.block_size, (v, d))
+        return found
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("none",))
+def test_sssp_batch_relax_matches_scalar(scheme):
+    # relaxations and releases through insert_many leave every output of the
+    # scalar loop unchanged: result JSON, distances, wasted updates, phases,
+    # updates deferred so far per worker, item seqs and message trace
+    topo = Topology(2, 2, 2)
+    graph = random_graph(300, 6, seed=8)
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=40, seed=8)
+    expected = dijkstra(graph, 0)
+    kind, g_fixed = resolve_scheme(scheme)
+
+    def pending(ctx):
+        return ctx.driver.pending()
+
+    def run(driver, g, timeout_ns):
+        # run_sssp's phase loop, on a run that records seqs and a trace
+        agg = create_aggregator(kind, topo, g_fixed or g, 24)
+        agg.set_flush_timeout(timeout_ns)
+        h = spawn(topo, agg, program=lambda wid: driver(wid, spec, topo),
+                  seed=8, record_items=True, trace=True)
+        threshold = spec.threshold_delta
+        phases = 0
+        released = [0] * topo.total_workers
+        while True:
+            h.run_phase(timeout_s=60)
+            phases += 1
+            if not any(h.broadcast_task(pending)):
+                break
+            threshold += spec.threshold_delta
+            found = h.broadcast_task(
+                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))
+            left = h.broadcast_task(pending)
+            released = [r + f - k for r, f, k in zip(released, found, left)]
+        m = h.await_quiescence(timeout_s=60)
+        drivers = [wk.driver for wk in h.workers]
+        m.wasted_updates = sum(d.wasted for d in drivers)
+        dist = np.concatenate([d.dist for d in drivers])[:graph.n]
+        assert np.array_equal(dist, expected)
+        assert [d.pending() for d in drivers] == [0] * topo.total_workers
+        return (m.to_json(), m.wasted_updates, phases, dist.tolist(),
+                released, h.inserted_seqs(), h.delivered_seqs(), h.trace)
+
+    for g in (3, 16) if g_fixed is None else (1,):
+        for timeout_ns in (None, 3000):
+            batch = run(_SSSPWorker, g, timeout_ns)
+            assert batch[2] > 1  # the deferral was used
+            assert batch == run(_ScalarSSSPWorker, g, timeout_ns)
+    r = run_sssp(spec, scheme=scheme, g=16, topo=topo, mode="threaded",
+                 timeout_s=60)
+    assert np.array_equal(r.distances, expected)
+
+
 class _ChunkCtx:
     """A ctx that records each insert_many chunk."""
 
@@ -525,6 +557,24 @@ class _ChunkCtx:
 
     def insert_many(self, dests, payloads):
         self.chunks.append((list(dests), list(payloads)))
+
+
+def _replay_sssp(driver, calls):
+    """Each insert_many chunk, each release's count, the updates pending
+    after each call and the updates deferred so far, for driver._relax and
+    driver.release calls given as ("relax", v, d) and ("release", thr)."""
+    ctx = _ChunkCtx()
+    found = []
+    pending = []
+    released = 0
+    for call in calls:
+        if call[0] == "relax":
+            driver._relax(ctx, *call[1:])
+        else:
+            found.append(driver.release(ctx, call[1]))
+            released += found[-1] - driver.pending()
+        pending.append(driver.pending())
+    return ctx.chunks, found, pending, released + driver.pending()
 
 
 def test_sssp_release_matches_a_heap():
@@ -541,26 +591,53 @@ def test_sssp_release_matches_a_heap():
              ("release", 26), ("release", 27), ("release", 40),
              ("release", 100), ("release", 110)]
 
-    def replay(driver):
-        ctx = _ChunkCtx()
-        found = []
-        for call in calls:
-            if call[0] == "relax":
-                driver._relax(ctx, *call[1:])
-            else:
-                found.append(driver.release(ctx, call[1]))
-        return ctx.chunks, found, driver._tie, driver.deferred
-
-    got = replay(_SSSPWorker(0, spec, topo))
-    assert got == replay(_HeapSSSPWorker(0, spec, topo))
-    chunks, found, tie, deferred = got
+    got = _replay_sssp(_SSSPWorker(0, spec, topo), calls)
+    assert got == _replay_sssp(_HeapSSSPWorker(0, spec, topo), calls)
+    chunks, found, pending, deferred = got
     # the first release cuts below 25, which is not a multiple of 10
     assert chunks[1] == ([1, 2, 1, 0, 2],
                          [(3, 12), (7, 12), (3, 12), (1, 12), (8, 19)])
     # 25s from both relaxations, in tie order; then an empty release
     assert chunks[3] == ([3, 1], [(10, 25), (4, 25)])
     assert chunks[4] == ([], [])
-    assert found == [11, 9, 7, 7, 3, 0] and tie == 14 and deferred == []
+    assert found == [11, 9, 7, 7, 3, 0] and deferred == 14
+    assert pending == [11, 6, 9, 7, 7, 3, 0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), delta=st.integers(1, 7), data=st.data())
+def test_sssp_release_order_matches_a_heap(seed, delta, data):
+    # weights 1-3, so many deferred distances are equal; relaxations and
+    # releases interleave, at thresholds that need not be multiples of delta
+    graph = random_graph(12, 4, seed=seed, max_weight=3)
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=delta)
+    topo = Topology(1, 1, 4)
+    threshold = delta
+    calls = []
+    for _ in range(data.draw(st.integers(1, 30), label="calls")):
+        if data.draw(st.booleans(), label="release"):
+            threshold += data.draw(st.integers(0, 9), label="step")
+            calls.append(("release", threshold))
+        else:
+            calls.append(("relax", data.draw(st.integers(0, 11), label="v"),
+                          data.draw(st.integers(0, threshold + 6),
+                                    label="d")))
+    calls.append(("release", threshold + 20))
+    got = _replay_sssp(_SSSPWorker(0, spec, topo), calls)
+    assert got == _replay_sssp(_HeapSSSPWorker(0, spec, topo), calls)
+    assert got[2][-1] == 0  # the final release emptied the columns
+
+
+@pytest.mark.parametrize("scheme", ("ww", "pp"))
+def test_sssp_threaded_release_matches_dijkstra(scheme):
+    # releases run numpy on the worker threads through broadcast_task;
+    # weights 1-3 and a delta of 2 make many phases of equal distances
+    graph = random_graph(400, 4, seed=5, max_weight=3)
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=2, seed=5)
+    r = run_sssp(spec, scheme=scheme, g=8, topo=Topology(2, 2, 2),
+                 mode="threaded", timeout_s=60)
+    assert np.array_equal(r.distances, dijkstra(graph, 0))
+    assert r.phases > 4
 
 
 # -------------------------------------------------------------------- phold

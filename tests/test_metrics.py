@@ -1,7 +1,9 @@
 import json
 import math
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -70,6 +72,18 @@ def test_summarize_percentiles_match_full_sort(samples):
         want = _sorted_nearest_rank(samples, pct)
         assert out[key] == want
         assert type(out[key]) is type(want)  # Python ints: same JSON
+
+
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=200))
+def test_summarize_leaves_the_samples_unreordered(samples):
+    # the selection runs on summarize's own copy, whatever the caller passed
+    for given_as in (list, lambda s: array("q", s),
+                     lambda s: np.array(s, dtype=np.int64),
+                     lambda s: np.array(s, dtype=np.float64)):
+        arg = given_as(samples)
+        before = list(arg)
+        summarize(arg)
+        assert list(arg) == before
 
 
 def test_shard_exact_until_cap():
@@ -269,6 +283,27 @@ def test_merge_equals_summarize_over_record_loops(specs):
     if count:
         assert all(type(lat[k]) is int
                    for k in ("p50_ns", "p99_ns", "max_ns"))
+
+
+@given(st.lists(st.lists(st.integers(0, 10**9), max_size=60), max_size=6))
+def test_merge_percentiles_match_a_sort(parts):
+    """merge's in-place selection over the shards' kept samples reads the
+    nearest ranks of one full sort, and leaves each shard's samples be."""
+    shards = []
+    for i, ds in enumerate(parts):
+        shard = LatencyShard(1000, ("s", i))  # under the cap: all kept
+        shard.pending.extend(ds)
+        shards.append(shard)
+    lat = _merge(shards).item_latency
+    flat = [d for ds in parts for d in ds]
+    assert lat["count"] == len(flat)
+    if flat:
+        assert lat["p50_ns"] == _sorted_nearest_rank(flat, 50)
+        assert lat["p99_ns"] == _sorted_nearest_rank(flat, 99)
+        assert lat["max_ns"] == max(flat)
+    else:
+        assert lat["p50_ns"] is None and lat["max_ns"] is None
+    assert [list(sh.samples) for sh in shards] == parts
 
 
 def _msg(k, cause, src=0, dest_scope=1, t=2):
