@@ -1,14 +1,21 @@
 """Single-source shortest paths over the aggregation fabric.
 
-Vertices are block-partitioned one contiguous range per worker. A distance
-update (v, d) travels to v's owner; if it improves the stored distance the
-owner relaxes v's out-edges, otherwise it counts as a wasted update. Updates
-whose tentative distance falls beyond the current threshold window are held
-in a per-worker list and released when the window advances by
-threshold_delta, so cheap paths propagate before expensive ones
-(delta-stepping-style phases). Distances are checked against a reference
-Dijkstra run; wasted updates are schedule-dependent and only compared as
-trends.
+Vertices are block-partitioned one contiguous range per worker, block_size
+vertices each. A distance update of vertex v to d travels to v's owner as
+one int, d * block_size + v's slot in its block, which on_item splits with
+one divmod; if it improves the stored distance the owner counts it and
+relaxes v's out-edges. Every other delivery is a wasted update, so the
+run reports deliveries minus improvements. Updates whose tentative
+distance falls beyond the current threshold window are deferred per
+worker and released when the window advances by threshold_delta, so
+cheap paths propagate before expensive ones (delta-stepping-style
+phases). A window in which no worker holds a deferred distance is not
+run: each release returns the least distance it found deferred, and when
+none lies below the new threshold the window jumps to the first multiple
+of threshold_delta above the least of them. After the first phase each
+phase then releases at least one update, so the run ends by itself.
+Distances are checked against a reference Dijkstra run; wasted updates
+are schedule-dependent and only compared as trends.
 
 A relaxation reads its edge slice with tolist(), appends each update at or
 beyond the threshold to two int64 columns (array "q"), its distance and
@@ -22,6 +29,8 @@ entries are sorted. So the stable sort on distance alone inserts in
 (distance, defer order), the order in which a min-heap of (distance, tie)
 would pop them. Deferring reads neither the clock nor a sequence number,
 so every output equals that of one ctx.insert per update in edge order.
+A release builds its update ints as Python ints, since d * block_size may
+pass int64 where d does not.
 Distances are a list per worker, cheaper to index than numpy, made an
 array once. SSSPSpec refuses a graph whose largest weight times n reaches
 INF: a stored distance is the length of a simple path, so below that
@@ -42,8 +51,6 @@ from ..topology import Topology
 from .base import (BenchResult, DEFAULT_TIMEOUT_S, int64_digest, launch,
                    positive)
 from .graphs import Graph, INF, dijkstra
-
-_MAX_PHASES = 1_000_000  # defense against a zero-progress window bug
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class _SSSPWorker(WorkerProgram):
         # deferred updates, in defer order
         self.deferred_dist = array("q")
         self.deferred_vertex = array("q")
-        self.wasted = 0
+        self.improved = 0  # deliveries that lowered a distance
 
     def on_start(self, ctx):
         src = self.spec.source
@@ -110,20 +117,18 @@ class _SSSPWorker(WorkerProgram):
             du = d + wt
             if du < threshold:
                 dests.append(u // size)
-                updates.append((u, du))
+                updates.append(du * size + u % size)
             else:
                 defer_dist(du)
                 defer_vertex(u)
         ctx.insert_many(dests, updates)
 
     def on_item(self, ctx, item):
-        v, d = item[1]
-        slot = v - self.lo
+        d, slot = divmod(item[1], self.block_size)
         if d < self.dist[slot]:
             self.dist[slot] = d
-            self._relax(ctx, v, d)
-        else:
-            self.wasted += 1
+            self.improved += 1
+            self._relax(ctx, self.lo + slot, d)
 
     def pending(self):
         """How many updates are deferred and not yet released."""
@@ -131,22 +136,25 @@ class _SSSPWorker(WorkerProgram):
 
     # called between phases via broadcast_task
     def release(self, ctx, new_threshold):
-        """Insert the deferred updates below new_threshold; returns how many
-        were deferred before it, so 0 everywhere ends the run."""
+        """Insert the deferred updates below new_threshold; returns the
+        least distance deferred before it, or INF when none was, so INF
+        everywhere ends the run."""
         self.threshold = new_threshold
-        found = len(self.deferred_dist)
+        size = self.block_size
         dists = np.frombuffer(self.deferred_dist, dtype=np.int64)
         # stable: within one distance, defer order (see the module docstring)
         order = dists.argsort(kind="stable")
         dists = dists[order]
         vertices = np.frombuffer(self.deferred_vertex, dtype=np.int64)[order]
         cut = int(dists.searchsorted(new_threshold))
-        head = vertices[:cut]
-        ctx.insert_many((head // self.block_size).tolist(),
-                        list(zip(head.tolist(), dists[:cut].tolist())))
+        owners, slots = np.divmod(vertices[:cut], size)
+        # Python ints: d * size may pass int64 where d does not
+        ctx.insert_many(owners.tolist(), [
+            d * size + s
+            for d, s in zip(dists[:cut].tolist(), slots.tolist())])
         self.deferred_dist = array("q", dists[cut:].tobytes())
         self.deferred_vertex = array("q", vertices[cut:].tobytes())
-        return found
+        return int(dists[0]) if dists.size else INF
 
 
 class SSSPResult(BenchResult):
@@ -190,25 +198,34 @@ def run_sssp(spec: SSSPSpec, *, scheme, g, topo, mode="sequential", cfg=None,
         mode=mode, seed=run_seed, cfg=cfg, trace=trace,
         flush_timeout_ns=flush_timeout_ns, timeout_s=timeout_s)
 
-    threshold = spec.threshold_delta
+    def release(threshold):
+        return min(handle.broadcast_task(
+            lambda ctx: ctx.driver.release(ctx, threshold)))
+
+    delta = spec.threshold_delta
+    threshold = delta
     phases = 0
     while True:
         handle.run_phase(timeout_s=timeout_s)
         phases += 1
-        if phases > _MAX_PHASES:
-            raise OracleMismatch("threshold window made no progress")
         # quiescent here, so the deferred columns are the complete remaining
         # work; a release of empty columns inserts nothing
-        threshold += spec.threshold_delta
-        if not any(handle.broadcast_task(
-                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))):
+        threshold += delta
+        lowest = release(threshold)
+        if lowest == INF:
             break
+        if lowest >= threshold:
+            # an empty window released nothing: jump to the first point on
+            # the grid above the lowest deferred distance, and release there
+            threshold = (lowest // delta + 1) * delta
+            release(threshold)
     metrics = handle.await_quiescence(timeout_s=timeout_s)
 
     drivers = [wk.driver for wk in handle.workers]
     dist = np.fromiter(chain.from_iterable(d.dist for d in drivers),
                        dtype=np.int64, count=spec.graph.n)
-    metrics.wasted_updates = sum(d.wasted for d in drivers)
+    metrics.wasted_updates = metrics.delivered - sum(
+        d.improved for d in drivers)
     expected = dijkstra(spec.graph, spec.source)
     result = SSSPResult(metrics, dist, expected, phases)
     if trace:

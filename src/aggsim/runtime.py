@@ -10,12 +10,14 @@ Run modes:
 
 Both engines share one worker context, one transport (_transmit makes one
 pass per message: it refuses an arrival past int64 before it records any
-of the message, then accounts it, plans its delivery, clamps its arrival
-per channel, logs it in a traced run and queues its groups; local_deliver
-queues same-process items), one delivery path (_drain, which takes each
-item's latency sample), one quiescence path and the handle surface; they
-differ only in the clock, the delivery queue, how queued work is counted
-and how a run stalls and stops.
+of the message, then accounts it, clamps its arrival per channel, logs
+it in a traced run, plans its delivery and queues its groups; a ww
+message is its own group and needs no plan; local_deliver queues
+same-process items), one delivery path (_drain, which takes each item's
+latency sample, in one loop for per-item drivers and another for batch
+sinks), one quiescence path and the handle surface; they differ only in
+the clock, the delivery queue, how queued work is counted and how a run
+stalls and stops.
 The threaded engine queues under its lock and counts each entry as
 outstanding work, and hands _drain each group as it takes it, with the
 worker's clock set to the wall time of the take.
@@ -685,10 +687,14 @@ class _BaseRun:
         _refuse_arrival raises the first refusal, so an idle-flush round
         whose seals emptied their buffers loses no other message. Otherwise
         the message's items, bytes, cost, trace entry and comm-context time
-        are recorded, its delivery plan is made, and its groups are queued
-        at its arrival, rounded to an int ns no earlier than its departure,
-        clamped monotone per channel and, in a traced run, logged. The byte
-        and cost sums reach the log once per list.
+        are recorded, and its groups are queued at its arrival, rounded to
+        an int ns no earlier than its departure, clamped monotone per
+        channel and, in a traced run, logged. A message to one worker (the
+        aggregator's dest_is_worker: ww, and so none) is its own group: its
+        list or Batch is queued whole, with no on_receive call; a wps, wsp
+        or pp message's dest_scope is its destination process, and
+        on_receive plans its groups. The byte and cost sums reach the log
+        once per list.
         """
         cfg = self._cfg
         alpha = cfg.alpha_ns
@@ -707,6 +713,7 @@ class _BaseRun:
         trace = log.trace
         arrivals = self._arrivals
         on_receive = self._agg.on_receive
+        single = self._agg.dest_is_worker
         chan_last = self._chan_last
         t = self._t
         workers = self._workers
@@ -753,11 +760,10 @@ class _BaseRun:
                     if not started[po]:
                         self._comm_first[po] = start
                     started[po] += 1
-                plan = on_receive(msg)
+                pd = dest_scope // t if single else dest_scope
                 arrival = int(arrival + 0.5)
                 if arrival < sent_at:  # a float past 2**53 may round below
                     arrival = sent_at
-                pd = plan[0][0] // t
                 last = chan_last[po]
                 if arrival < last[pd]:
                     arrival = last[pd]
@@ -765,6 +771,11 @@ class _BaseRun:
                     last[pd] = arrival
                 if arrivals is not None:
                     arrivals.append((po, pd, arrival))
+                if single:  # its one group is its own list or Batch
+                    workers[dest_scope].queue.append((arrival, items))
+                    queued += 1
+                    continue
+                plan = on_receive(msg)
                 queued += len(plan)
                 for wid, group in plan:
                     workers[wid].queue.append((arrival, group))
@@ -790,10 +801,11 @@ class _BaseRun:
         t_{-1}, the later of the clock and the group's arrival, item i is
         delivered at t_i = max(t_{i-1}, created_at_i) + deliver_ns, and a
         time past int64 is refused. Stamps never go back, so the max applies
-        only to same-process items, each arriving at its own stamp. on_item
-        gets the clock at each item's delivery and may move it. A Batch
-        group whose batch sink returns None, or its times as an int64 array,
-        takes its samples and seqs as columns."""
+        only to same-process items, each arriving at its own stamp. A
+        per-item driver has a loop of its own, in which on_item gets the
+        clock at each item's delivery and may move it. A Batch group whose
+        batch sink returns None, or its times as an int64 array, takes its
+        samples and seqs as columns."""
         dns = self._deliver_ns
         done = 0
         pending = w.shard.pending
@@ -813,10 +825,20 @@ class _BaseRun:
                 w.now = arrival
             done += k
             now = w.now
-            times = None if on_item else batch_sink(w, items)
-            if times is None:
-                if (on_item is None and type(items) is Batch
-                        and now + k * dns < 2**63):
+            if on_item is not None:
+                for it in items:
+                    c = it[2]
+                    if c > now:
+                        now = c
+                    now += dns
+                    if now >= 2**63:  # stamps are >= 0, so samples fit too
+                        raise _unsampled((now,), (it,), "engine reached")
+                    sample(now - c)
+                    w.now = now  # on_item may read and move the clock
+                    on_item(w, it)
+                    now = w.now
+            elif (times := batch_sink(w, items)) is None:
+                if type(items) is Batch and now + k * dns < 2**63:
                     # a message's items are stamped no later than it arrives,
                     # so item i is delivered at now + (i+1)*dns; the times
                     # fit in int64 and the stamps are >= 0, so samples do too
@@ -832,13 +854,9 @@ class _BaseRun:
                     if c > now:
                         now = c
                     now += dns
-                    if now >= 2**63:  # stamps are >= 0, so samples fit too
+                    if now >= 2**63:
                         raise _unsampled((now,), (it,), "engine reached")
                     sample(now - c)
-                    if on_item is not None:  # it may read and move the clock
-                        w.now = now
-                        on_item(w, it)
-                        now = w.now
                 w.now = now
             else:
                 if type(times) is np.ndarray:

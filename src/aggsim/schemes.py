@@ -37,7 +37,10 @@ Every seal builds its CoalescedMessage with tuple.__new__ under its row's
 lock, and the messages go to transport.send once the lock is released, one
 call per message, in emit order: a flush seals in ascending destination
 order. Aggregator is the one class of all four layouts: it writes every
-insert, seal, flush and query once, and sets its layout from its kind.
+insert, seal, flush and query once, and sets its layout from its kind. A
+ww message goes to one worker (dest_is_worker), so the transport queues
+its list or Batch whole, with no delivery plan; on_receive plans the
+other layouts' messages.
 
 A chunk is a list of Items (insert_batch) or a column chunk, a Batch of
 int64 columns (insert_columns). A column chunk is split by column with one
@@ -54,7 +57,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, repeat
 from numbers import Integral
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -301,7 +304,10 @@ class Aggregator:
 
     kind, a SchemeKind, sets that layout in __init__, and whether a
     message is dest-contiguous (ww's and wsp's) and grouped at its source
-    (only wsp's).
+    (only wsp's). dest_is_worker, public, says that a message's dest_scope
+    is its one destination worker (ww's), so the transport queues its
+    list or Batch whole, as its one group, and asks on_receive for no
+    plan.
     """
 
     def __init__(self, kind: SchemeKind, topo: Topology, g: int,
@@ -319,7 +325,8 @@ class Aggregator:
         self.kind = kind
         t = self._t = topo.workers_per_proc
         self._w = topo.total_workers
-        self._width = 1 if kind is SchemeKind.WW else t
+        self.dest_is_worker = kind is SchemeKind.WW
+        self._width = 1 if self.dest_is_worker else t
         self._cols = self._w // self._width
         self.scope_kind = "process" if kind is SchemeKind.PP else "worker"
         self._owner_width = t if kind is SchemeKind.PP else 1
@@ -516,27 +523,25 @@ class Aggregator:
         lock, and sends out after releasing it.
 
         A full seal passes its one column, flush the sorted row and
-        flush_expired the sorted due columns. wsp groups each batch here,
-        and a buffer filled by a column chunk seals into one Batch. A pp
-        row's workers have independent clocks, so its message departs no
-        earlier than its newest item.
+        flush_expired the sorted due columns. The messages are built in
+        one pass over the popped batches, and each step below runs only
+        where it applies: a buffer filled by a column chunk seals into one
+        Batch, wsp groups each batch here, and a pp row's workers have
+        independent clocks, so its message departs no earlier than its
+        newest item.
         """
-        pop = row.pop
-        new = tuple.__new__
-        origin = source // self._t
-        grouped = self._grouped
-        at_source = self._group_at_source
-        shared = self.scope_kind != "worker"
-        topo, stats = self.topo, self.grouping_stats
-        for col in cols:
-            batch = pop(col)
-            if type(batch) is _Slices:
-                batch = batch.seal()
-            if at_source:
-                batch = group_items(batch, topo, stats)
-            sent_at = max(now, _newest(batch)) if shared else now
-            out.append(new(CoalescedMessage, (origin, col, batch, grouped,
-                                              cause, sent_at, source)))
+        batches = list(map(row.pop, cols))
+        if _Slices in map(type, batches):
+            batches = [b.seal() if type(b) is _Slices else b
+                       for b in batches]
+        if self._group_at_source:
+            topo, stats = self.topo, self.grouping_stats
+            batches = [group_items(b, topo, stats) for b in batches]
+        stamps = (map(max, repeat(now), map(_newest, batches))
+                  if self.scope_kind != "worker" else repeat(now))
+        out.extend(map(tuple.__new__, repeat(CoalescedMessage), zip(
+            repeat(source // self._t), cols, batches, repeat(self._grouped),
+            repeat(cause), stamps, repeat(source))))
 
     # -- flushes and queries ------------------------------------------------
     def flush(self, source: int, now: int) -> int:
@@ -627,9 +632,10 @@ class Aggregator:
     def on_receive(self, msg: CoalescedMessage) -> list:
         """Delivery plan for an arrived message: [(worker, items), ...],
         grouped by destination worker here unless the sender grouped it.
-        A grouped message whose column is one worker, as ww's always is, has
-        a single destination and owns its list or Batch, so its group takes
-        it whole."""
+        The transport asks only where dest_is_worker is False: wps, wsp and
+        pp. A grouped message whose column is one worker, as ww's always
+        is, has a single destination and owns its list or Batch, so a
+        direct call's plan takes it whole."""
         items = msg[2]
         if not msg[3]:
             items = group_items(items, self.topo, self.grouping_stats)

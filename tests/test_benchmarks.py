@@ -7,6 +7,7 @@ agreement on the correctness outputs.
 import heapq
 import math
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -433,7 +434,7 @@ def test_sssp_refuses_weights_that_could_reach_inf():
 class _HeapSSSPWorker(_SSSPWorker):
     """The SSSP driver with its deferred updates on a min-heap of
     (distance, tie, vertex): a push per deferred update, a pop per released
-    one."""
+    one. Its updates are the driver's ints, d * block_size + slot."""
 
     def __init__(self, wid, spec, topo):
         super().__init__(wid, spec, topo)
@@ -451,7 +452,7 @@ class _HeapSSSPWorker(_SSSPWorker):
             u, du = int(g.heads[i]), d + int(g.weights[i])
             if du < self.threshold:
                 dests.append(u // self.block_size)
-                updates.append((u, du))
+                updates.append(du * self.block_size + u % self.block_size)
             else:
                 heapq.heappush(self.deferred, (du, self._tie, u))
                 self._tie += 1
@@ -460,15 +461,15 @@ class _HeapSSSPWorker(_SSSPWorker):
     def release(self, ctx, new_threshold):
         self.threshold = new_threshold
         heap = self.deferred
-        found = len(heap)
+        lowest = heap[0][0] if heap else INF
         dests = []
         updates = []
         while heap and heap[0][0] < new_threshold:
             d, _, v = heapq.heappop(heap)
             dests.append(v // self.block_size)
-            updates.append((v, d))
+            updates.append(d * self.block_size + v % self.block_size)
         ctx.insert_many(dests, updates)
-        return found
+        return lowest
 
 
 class _ScalarSSSPWorker(_HeapSSSPWorker):
@@ -477,7 +478,8 @@ class _ScalarSSSPWorker(_HeapSSSPWorker):
 
     def _route(self, ctx, v, d):
         if d < self.threshold:
-            ctx.insert(v // self.block_size, (v, d))
+            ctx.insert(v // self.block_size,
+                       d * self.block_size + v % self.block_size)
         else:
             heapq.heappush(self.deferred, (d, self._tie, v))
             self._tie += 1
@@ -490,11 +492,12 @@ class _ScalarSSSPWorker(_HeapSSSPWorker):
     def release(self, ctx, new_threshold):
         self.threshold = new_threshold
         heap = self.deferred
-        found = len(heap)
+        lowest = heap[0][0] if heap else INF
         while heap and heap[0][0] < new_threshold:
             d, _, v = heapq.heappop(heap)
-            ctx.insert(v // self.block_size, (v, d))
-        return found
+            ctx.insert(v // self.block_size,
+                       d * self.block_size + v % self.block_size)
+        return lowest
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + ("none",))
@@ -517,22 +520,29 @@ def test_sssp_batch_relax_matches_scalar(scheme):
         agg.set_flush_timeout(timeout_ns)
         h = spawn(topo, agg, program=lambda wid: driver(wid, spec, topo),
                   seed=8, record_items=True, trace=True)
-        threshold = spec.threshold_delta
+        delta = spec.threshold_delta
+        threshold = delta
         phases = 0
         released = [0] * topo.total_workers
+
+        def release(ctx):
+            return ctx.driver.release(ctx, threshold)
         while True:
             h.run_phase(timeout_s=60)
             phases += 1
-            if not any(h.broadcast_task(pending)):
+            found = h.broadcast_task(pending)
+            threshold += delta
+            lowest = min(h.broadcast_task(release))
+            if lowest == INF:
                 break
-            threshold += spec.threshold_delta
-            found = h.broadcast_task(
-                lambda ctx, thr=threshold: ctx.driver.release(ctx, thr))
+            if lowest >= threshold:
+                threshold = (lowest // delta + 1) * delta
+                h.broadcast_task(release)
             left = h.broadcast_task(pending)
             released = [r + f - k for r, f, k in zip(released, found, left)]
         m = h.await_quiescence(timeout_s=60)
         drivers = [wk.driver for wk in h.workers]
-        m.wasted_updates = sum(d.wasted for d in drivers)
+        m.wasted_updates = m.delivered - sum(d.improved for d in drivers)
         dist = np.concatenate([d.dist for d in drivers])[:graph.n]
         assert np.array_equal(dist, expected)
         assert [d.pending() for d in drivers] == [0] * topo.total_workers
@@ -560,21 +570,32 @@ class _ChunkCtx:
 
 
 def _replay_sssp(driver, calls):
-    """Each insert_many chunk, each release's count, the updates pending
-    after each call and the updates deferred so far, for driver._relax and
+    """Each insert_many chunk, each release's count of updates it found
+    deferred, the updates pending after each call, the updates deferred so
+    far and each release's returned least distance, for driver._relax and
     driver.release calls given as ("relax", v, d) and ("release", thr)."""
     ctx = _ChunkCtx()
     found = []
     pending = []
+    lowest = []
     released = 0
     for call in calls:
         if call[0] == "relax":
             driver._relax(ctx, *call[1:])
         else:
-            found.append(driver.release(ctx, call[1]))
+            found.append(driver.pending())
+            lowest.append(driver.release(ctx, call[1]))
             released += found[-1] - driver.pending()
         pending.append(driver.pending())
-    return ctx.chunks, found, pending, released + driver.pending()
+    return (ctx.chunks, found, pending, released + driver.pending(),
+            lowest)
+
+
+def _decoded(chunk, size):
+    """A chunk's destinations and its updates as (v, d) pairs."""
+    dests, updates = chunk
+    return dests, [(o * size + s, d) for o, (d, s) in
+                   zip(dests, (divmod(u, size) for u in updates))]
 
 
 def test_sssp_release_matches_a_heap():
@@ -593,15 +614,17 @@ def test_sssp_release_matches_a_heap():
 
     got = _replay_sssp(_SSSPWorker(0, spec, topo), calls)
     assert got == _replay_sssp(_HeapSSSPWorker(0, spec, topo), calls)
-    chunks, found, pending, deferred = got
+    chunks, found, pending, deferred, lowest = got
+    size = 3  # 12 vertices over 4 workers
     # the first release cuts below 25, which is not a multiple of 10
-    assert chunks[1] == ([1, 2, 1, 0, 2],
-                         [(3, 12), (7, 12), (3, 12), (1, 12), (8, 19)])
+    assert _decoded(chunks[1], size) == (
+        [1, 2, 1, 0, 2], [(3, 12), (7, 12), (3, 12), (1, 12), (8, 19)])
     # 25s from both relaxations, in tie order; then an empty release
-    assert chunks[3] == ([3, 1], [(10, 25), (4, 25)])
+    assert _decoded(chunks[3], size) == ([3, 1], [(10, 25), (4, 25)])
     assert chunks[4] == ([], [])
     assert found == [11, 9, 7, 7, 3, 0] and deferred == 14
     assert pending == [11, 6, 9, 7, 7, 3, 0, 0]
+    assert lowest == [12, 25, 27, 27, 42, INF]
 
 
 @settings(max_examples=200, deadline=None)
@@ -638,6 +661,19 @@ def test_sssp_threaded_release_matches_dijkstra(scheme):
                  mode="threaded", timeout_s=60)
     assert np.array_equal(r.distances, dijkstra(graph, 0))
     assert r.phases > 4
+
+
+@pytest.mark.parametrize("weight", [10**4, 10**7])
+def test_sssp_window_jumps_over_empty_windows(weight):
+    # the one edge is deferred far past the first window: the window jumps
+    # to it rather than advancing one delta per phase through empty ones
+    graph = Graph(2, [0, 1, 1], [1], [weight])
+    spec = SSSPSpec(graph=graph, source=0, threshold_delta=1)
+    t0 = time.perf_counter()
+    r = run_sssp(spec, scheme="ww", g=8, topo=Topology(1, 1, 2))
+    assert time.perf_counter() - t0 < 1
+    assert r.distances.tolist() == [0, weight]
+    assert r.phases == 2
 
 
 # -------------------------------------------------------------------- phold

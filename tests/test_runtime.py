@@ -514,6 +514,80 @@ def test_threaded_grouping_counts_every_pass(kind):
                                 for e in h.trace)
 
 
+class _GroupKeeper(WorkerProgram):
+    """Each worker inserts a list chunk and then a column chunk, each of two
+    items for every other worker, round-robin; its batch sink keeps every
+    group it is handed."""
+
+    def __init__(self, wid, w):
+        self.wid = wid
+        self.w = w
+        self.chunks = 2
+        self.groups = []
+
+    def step(self, ctx):
+        if not self.chunks:
+            return False
+        n = 2 * (self.w - 1)
+        dests = [(self.wid + 1 + i % (self.w - 1)) % self.w for i in range(n)]
+        if self.chunks == 2:
+            ctx.insert_many(dests, list(range(n)))
+        else:
+            ctx.insert_columns(np.array(dests, dtype=np.int64),
+                               np.arange(n, dtype=np.int64))
+        self.chunks -= 1
+        return True
+
+    def on_items(self, ctx, items):
+        self.groups.append(items)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("mode", ["sequential", "threaded"])
+def test_single_worker_message_is_queued_as_its_own_group(mode, kind,
+                                                          monkeypatch):
+    # a ww message's dest_scope is its one worker, so the transport queues
+    # its own list or Batch whole and asks on_receive for no plan; wps, wsp
+    # and pp messages are still planned by on_receive, and grouped once each.
+    # With g=2 every ww buffer fills from one chunk, so list chunks seal
+    # lists and column chunks seal Batches.
+    topo = Topology(2, 2, 2)
+    w = topo.total_workers
+    agg = create_aggregator(kind, topo, 2, 8)
+    assert agg.dest_is_worker == (kind is SchemeKind.WW)
+    planned = []
+    on_receive = agg.on_receive
+
+    def counting(msg):
+        planned.append(msg)
+        return on_receive(msg)
+    agg.on_receive = counting
+    sent = []
+    transmit = runtime._BaseRun._transmit
+
+    def recording(run, msgs):
+        sent.extend(msg[2] for msg in msgs)
+        return transmit(run, msgs)
+    monkeypatch.setattr(runtime._BaseRun, "_transmit", recording)
+    h = spawn(topo, agg, mode=mode, program=lambda wid: _GroupKeeper(wid, w))
+    m = h.await_quiescence(timeout_s=60)
+    assert m.produced == m.delivered == 2 * 2 * (w - 1) * w
+    assert len(sent) == m.messages_sent > 0
+    groups = [g for wk in h.workers for g in wk.driver.groups
+              if type(g) is not tuple]  # tuples are same-process entries
+    if kind is SchemeKind.WW:
+        assert not planned
+        assert sorted(map(id, groups)) == sorted(map(id, sent))
+        assert {type(g) for g in groups} == {list, Batch}
+        assert agg.grouping_stats.touches == 0
+    else:
+        assert len(planned) == len(sent)
+        assert sum(map(len, groups)) == sum(map(len, sent))
+        assert agg.grouping_stats.touches == sum(
+            grouping_cost(len(items), topo.workers_per_proc)
+            for items in sent)
+
+
 class _Rewinder(WorkerProgram):
     def step(self, ctx):
         ctx.advance(-1)
